@@ -41,7 +41,7 @@ fn main() {
     let qos = QosTarget::new(buffer, 1e-2);
 
     // 1. eq. (9). The memo makes the stream-EB call below reuse the three
-    // per-subchain power iterations already done here.
+    // per-subchain solves already done here.
     let mut eb_cache = EbCache::new();
     let probs = model.subchain_probs();
     let means: Vec<f64> = (0..3).map(|k| model.subchain_mean_rate(k)).collect();

@@ -64,19 +64,26 @@ impl QosTarget {
 /// Markov-modulated source, per slot, with `θ` in 1/bits.
 ///
 /// Computed with the peak emission factored out so the matrix entries stay
-/// in `[0, 1]` and no overflow occurs even for large `θ`.
+/// in `[0, 1]` and no overflow occurs even for large `θ`, and taken from
+/// [`Matrix::ln_perron_root`] so a root of `1e-40` (fifty rate levels at
+/// the admission path's `θ`) costs no accuracy.
 pub fn log_spectral_mgf(source: &MarkovModulatedSource, theta: f64) -> f64 {
     let chain = source.chain();
     let n = chain.num_states();
     let peak = source.emissions().iter().fold(0.0f64, |m, &x| m.max(x));
+    // A[i][j] = P[i][j] * e^{θ (x_j - peak)}; ρ(A(θ)) = ρ(true) e^{-θ peak}.
+    let column_factor: Vec<f64> = source
+        .emissions()
+        .iter()
+        .map(|&x| (theta * (x - peak)).exp())
+        .collect();
     let mut a = Matrix::zeros(n, n);
     for i in 0..n {
-        for j in 0..n {
-            // A[i][j] = P[i][j] * e^{θ (x_j - peak)}; ρ(A(θ)) = ρ(true) e^{-θ peak}.
-            a[(i, j)] = chain.prob(i, j) * (theta * (source.emission(j) - peak)).exp();
+        for (j, &f) in column_factor.iter().enumerate() {
+            a[(i, j)] = chain.prob(i, j) * f;
         }
     }
-    theta * peak + a.perron_root().ln()
+    theta * peak + a.ln_perron_root()
 }
 
 /// Equivalent bandwidth of a Markov-modulated source for the given QoS
@@ -118,8 +125,9 @@ pub fn mts_equivalent_bandwidth(model: &MtsModel, qos: QosTarget) -> (f64, usize
 
 /// A memo for [`equivalent_bandwidth`].
 ///
-/// The EB of a Markov-modulated source costs a spectral-radius power
-/// iteration per call; admission sweeps and validation harnesses evaluate
+/// The EB of a Markov-modulated source costs a spectral-radius and a
+/// stationary-distribution solve per call (some sixty `n×n` products);
+/// admission sweeps and validation harnesses evaluate
 /// the same handful of `(source, QoS)` pairs thousands of times. The memo
 /// key is **exact**: the bit patterns of the transition matrix, the
 /// per-state emissions, the slot length, and the QoS target — no hashing,
@@ -152,7 +160,7 @@ pub struct EbCache {
 pub struct EbCacheStats {
     /// Lookups answered from the memo.
     pub hits: u64,
-    /// Lookups that had to run the power iteration.
+    /// Lookups that had to run the solve.
     pub misses: u64,
     /// Distinct `(source, QoS)` pairs memoized.
     pub entries: u64,
@@ -179,7 +187,7 @@ impl EbCache {
         self.hits
     }
 
-    /// Lookups that had to run the power iteration.
+    /// Lookups that had to run the solve.
     pub fn misses(&self) -> u64 {
         self.misses
     }
@@ -305,6 +313,102 @@ mod tests {
         let s = MarkovModulatedSource::new(chain, vec![700.0], 1.0);
         let eb = equivalent_bandwidth(&s, QosTarget::new(100.0, 1e-6));
         assert!((eb - 700.0).abs() < 1e-9);
+    }
+
+    /// A 50-level source in the runtime estimator's units: unit slot, rate
+    /// grid Δ = 50 000, so at B = 300 000, ε = 1e-6 neighbouring columns
+    /// of `P·diag(e^{θx})` differ by `e^{θΔ} = 10`. `exits(i)` lists level
+    /// `i`'s `(target, probability)` pairs.
+    fn graded_levels(exits: impl Fn(usize) -> Vec<(usize, f64)>) -> MarkovModulatedSource {
+        let n = 50;
+        let mut p = vec![vec![0.0; n]; n];
+        for (i, row) in p.iter_mut().enumerate() {
+            for (j, pij) in exits(i) {
+                row[j] += pij;
+            }
+        }
+        let emissions = (1..=n).map(|level| level as f64 * 50_000.0).collect();
+        MarkovModulatedSource::new(MarkovChain::new(p), emissions, 1.0)
+    }
+
+    const RUNTIME_QOS: QosTarget = QosTarget {
+        buffer: 300_000.0,
+        epsilon: 1e-6,
+    };
+
+    /// `ln ρ(P·diag(e^{θ(x−peak)}))` by the unshifted, normalised linear
+    /// iteration `v ← v·A / ‖v·A‖₁`: nothing is subtracted, so it is as
+    /// accurate as it is slow.
+    fn brute_force_ln_root(source: &MarkovModulatedSource, theta: f64, steps: usize) -> f64 {
+        let n = source.chain().num_states();
+        let peak = source.peak_rate() * source.slot();
+        let a: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        source.chain().prob(i, j) * (theta * (source.emission(j) - peak)).exp()
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut v = vec![1.0 / n as f64; n];
+        let mut growth = 0.0;
+        for _ in 0..steps {
+            let mut w = vec![0.0; n];
+            for (vi, row) in v.iter().zip(&a) {
+                for (wj, aij) in w.iter_mut().zip(row) {
+                    *wj += vi * aij;
+                }
+            }
+            growth = w.iter().sum();
+            v = w.iter().map(|x| x / growth).collect();
+        }
+        growth.ln()
+    }
+
+    #[test]
+    fn graded_chain_agrees_with_brute_force() {
+        // Levels up to 31 are sticky; above, the source climbs rarely and
+        // falls back at once. The root is level 31's self-loop, 0.5·1e-19
+        // — nineteen orders below the largest entry — and the next
+        // eigenvalue is 0.5 % behind, so 20 000 linear steps settle it.
+        let src = graded_levels(|i| match i {
+            0..=30 => vec![(i, 0.5), (i + 1, 0.3), (i / 4, 0.2)],
+            31..=48 => vec![(i + 1, 0.1), (i / 4, 0.9)],
+            _ => vec![(i / 4, 1.0)],
+        });
+        let theta = RUNTIME_QOS.theta();
+        let eb = equivalent_bandwidth(&src, RUNTIME_QOS);
+        assert!(
+            eb > 1.01 * src.mean_rate() && eb < 0.99 * src.peak_rate(),
+            "{} < {eb} < {}",
+            src.mean_rate(),
+            src.peak_rate()
+        );
+        let ln_root = brute_force_ln_root(&src, theta, 20_000);
+        let brute = (theta * src.peak_rate() + ln_root) / theta;
+        assert!((eb - brute).abs() <= 1e-9 * brute, "{eb} vs {brute}");
+        // The same root from a 200-digit eigen-solve of the same matrix.
+        let ln_rho = log_spectral_mgf(&src, theta) - theta * src.peak_rate();
+        assert!((ln_rho - -44.242_990_832_841_12).abs() < 1e-12, "{ln_rho}");
+    }
+
+    #[test]
+    fn graded_cyclic_chain_matches_the_reference_root() {
+        // Every level climbs one step or drops to a third of its height,
+        // and only level 1 can stay: the dominant cycle 17 → … → 50 → 17
+        // is all but periodic (the second eigenvalue is 1e-22 behind), so
+        // no linear iteration settles; the reference is a 200-digit
+        // eigen-solve. The root is 1e-17 against a largest entry of 1.
+        let src = graded_levels(|i| match i {
+            0..=48 => vec![(i + 1, 0.6), (i / 3, 0.4)],
+            _ => vec![(i / 3, 1.0)],
+        });
+        let theta = RUNTIME_QOS.theta();
+        let ln_rho = log_spectral_mgf(&src, theta) - theta * src.peak_rate();
+        assert!((ln_rho - -38.488_455_375_115_8).abs() < 1e-12, "{ln_rho}");
+        let eb = equivalent_bandwidth(&src, RUNTIME_QOS);
+        assert!(eb > 1.01 * src.mean_rate() && eb < 0.99 * src.peak_rate());
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!   Section VI.
 //!
 //! Supporting numerics — bracketed bisection, concave maximization, and the
-//! power iteration for Perron roots of nonnegative matrices — are in
-//! [`numerics`] and [`matrix`].
+//! repeated-squaring solve for Perron roots of nonnegative matrices — are
+//! in [`numerics`] and [`matrix`].
 
 pub mod chernoff;
 pub mod eb;

@@ -327,9 +327,11 @@ impl SwitchAdmission {
     /// needs under `cfg.admission`, move every port's booking ceiling
     /// accordingly, clear the window, and schedule the next roll.
     pub fn roll(&mut self, cfg: &RuntimeConfig, superstep: u64, sw: &mut Switch) {
+        // One estimator per switch, so one requirement per roll: the ports
+        // differ only in the capacity it is set against.
+        let needed = self.needed_capacity(cfg);
         for idx in 0..sw.num_ports() {
             let capacity = sw.port(idx).expect("index bounded by num_ports").capacity();
-            let needed = self.needed_capacity(cfg);
             sw.set_admit_ceiling(idx, booking_ceiling(capacity, needed));
         }
         self.est.clear_window();
@@ -608,6 +610,33 @@ mod tests {
         sa.roll(&cfg, 128, &mut sw);
         let s2 = sa.cache_stats();
         assert_eq!((s2.hits, s2.misses, s2.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn roll_fits_the_window_once_for_all_ports() {
+        let mut cfg = RuntimeConfig::balanced(1, 16);
+        cfg.admission = AdmissionPolicy::ChernoffEb { epsilon: 1e-6 };
+        let capacities = [1_000_000.0, 2_500_000.0, 400_000.0];
+        let mut sw = Switch::new(&capacities);
+        let mut sa = SwitchAdmission::new(&cfg);
+        for vci in 0..4 {
+            sa.observe(vci, 100_000.0);
+            sa.observe(vci, 200_000.0);
+            sa.observe(vci, 100_000.0);
+        }
+        // The per-port computation, from the same window.
+        let src = sa.estimator().empirical_source().expect("non-empty window");
+        let qos = QosTarget::new(cfg.buffer, 1e-6);
+        let needed = sa.estimator().active_vcs() as f64 * rcbr_ldt::equivalent_bandwidth(&src, qos);
+        sa.roll(&cfg, 64, &mut sw);
+        // One model fit and one cache lookup, whatever the port count.
+        let stats = sa.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+        for (idx, &capacity) in capacities.iter().enumerate() {
+            let got = sw.port(idx).expect("three ports").admit_ceiling();
+            let want = booking_ceiling(capacity, Some(needed));
+            assert_eq!(got.to_bits(), want.to_bits(), "port {idx}");
+        }
     }
 
     proptest! {

@@ -31,6 +31,7 @@ pub mod mpeg;
 pub mod mts;
 pub mod onoff;
 pub mod shaping;
+pub mod squaring;
 pub mod stats;
 pub mod trace;
 

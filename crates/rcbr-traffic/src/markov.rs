@@ -3,13 +3,14 @@
 //! Section V-A models a source as a discrete-time process `X_t = f(S_t)`
 //! where `S_t` is an irreducible finite-state Markov chain and `f` maps each
 //! state to the amount of data generated per slot. [`MarkovChain`] holds the
-//! transition structure (with stationary-distribution computation used by
-//! both the theory and the admission control), and
+//! transition structure (with the stationary-distribution computation used
+//! by both the theory and the admission control), and
 //! [`MarkovModulatedSource`] turns it into a slot-by-slot bit generator.
 
 use rcbr_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
+use crate::squaring::{Squaring, SquaringStats, MAX_SQUARINGS};
 use crate::trace::FrameTrace;
 
 /// Row-stochastic transition matrix of a finite Markov chain.
@@ -63,43 +64,59 @@ impl MarkovChain {
         &self.p
     }
 
-    /// Stationary distribution `π` with `π P = π`, by power iteration.
+    /// The long-run distribution `π = lim u·L^m` of the chain started from
+    /// the uniform distribution `u`, where `L = (I + P)/2` is the lazy
+    /// chain.
     ///
-    /// Converges for any irreducible aperiodic chain; a damping factor keeps
-    /// periodic chains (which can arise from degenerate test inputs)
-    /// convergent too, without changing the fixed point.
+    /// `L` has `P`'s fixed points (`πL = π ⇔ πP = π`) and no periodicity,
+    /// so the limit exists for every chain. For an irreducible chain it is
+    /// *the* stationary distribution. A reducible chain (the admission
+    /// estimator's, whose levels with no observed exit are absorbing
+    /// self-loops) has many; this returns the one reached from `u`: each
+    /// closed class weighted by the probability of being absorbed in it.
+    ///
+    /// Computed as `u·L^(2^k)` by [`Squaring`], stopping when two
+    /// successive `k` agree to `1e-14` in `‖·‖₁` — by then the error is
+    /// the square of that — or after [`MAX_SQUARINGS`].
     pub fn stationary(&self) -> Vec<f64> {
+        self.stationary_with_stats().0
+    }
+
+    /// [`stationary`](Self::stationary) together with its work counters.
+    pub fn stationary_with_stats(&self) -> (Vec<f64>, SquaringStats) {
         let n = self.num_states();
+        let lazy = self
+            .p
+            .iter()
+            .enumerate()
+            .flat_map(|(i, row)| {
+                row.iter()
+                    .enumerate()
+                    .map(move |(j, &pij)| 0.5 * pij + if i == j { 0.5 } else { 0.0 })
+            })
+            .collect();
+        let mut power = Squaring::new(n, lazy);
         let mut pi = vec![1.0 / n as f64; n];
-        let mut next = vec![0.0; n];
-        // Damped iteration: pi' = pi * (0.5 I + 0.5 P). Same fixed point,
-        // aperiodic by construction.
-        for _ in 0..100_000 {
-            for x in next.iter_mut() {
-                *x = 0.0;
+        while power.stats().squarings < MAX_SQUARINGS {
+            power.square();
+            // u·L^(2^k), normalised: the column sums over their total.
+            let mut next = vec![0.0; n];
+            for row in power.entries().chunks_exact(n) {
+                for (x, &l) in next.iter_mut().zip(row) {
+                    *x += l;
+                }
             }
-            for i in 0..n {
-                let w = pi[i];
-                if w == 0.0 {
-                    continue;
-                }
-                next[i] += 0.5 * w;
-                for (x, &pij) in next.iter_mut().zip(&self.p[i]) {
-                    *x += 0.5 * w * pij;
-                }
+            let total: f64 = next.iter().sum();
+            for x in next.iter_mut() {
+                *x /= total;
             }
             let diff: f64 = pi.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut pi, &mut next);
+            pi = next;
             if diff < 1e-14 {
                 break;
             }
         }
-        // Normalize away accumulated round-off.
-        let sum: f64 = pi.iter().sum();
-        for x in pi.iter_mut() {
-            *x /= sum;
-        }
-        pi
+        (pi, power.stats())
     }
 
     /// Sample the next state from state `i`.
@@ -231,8 +248,8 @@ mod tests {
 
     #[test]
     fn identity_chain_keeps_initial_distribution_fixed_points() {
-        // Identity matrix: every distribution is stationary; power iteration
-        // should return the uniform start unchanged.
+        // Identity matrix: every distribution is stationary; the limit from
+        // the uniform start is the uniform start.
         let c = MarkovChain::new(vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
         let pi = c.stationary();
         assert!((pi[0] - 0.5).abs() < 1e-9);
@@ -244,6 +261,79 @@ mod tests {
         let c = MarkovChain::new(vec![vec![0.0, 1.0], vec![1.0, 0.0]]);
         let pi = c.stationary();
         assert!((pi[0] - 0.5).abs() < 1e-9, "{pi:?}");
+    }
+
+    #[test]
+    fn slowly_mixing_chain_reaches_the_closed_form() {
+        // Second eigenvalue 1 − 4e-6: a linear iteration needs millions of
+        // steps, squaring some twenty-five products.
+        let c = MarkovChain::two_state(1e-6, 3e-6);
+        let (pi, stats) = c.stationary_with_stats();
+        assert!((pi[0] - 0.75).abs() < 1e-9, "{pi:?}");
+        assert!((pi[1] - 0.25).abs() < 1e-9);
+        assert!(stats.squarings <= 30, "{stats:?}");
+    }
+
+    #[test]
+    fn work_counters_are_pinned() {
+        // Well conditioned: the lazy chain's second eigenvalue is 0.8, and
+        // 0.8^(2^k) is below 1e-14 from k = 8; one more product sees it.
+        let (_, stats) = MarkovChain::two_state(0.1, 0.3).stationary_with_stats();
+        assert_eq!((stats.squarings, stats.nnz_products), (9, 9 * 4 * 2));
+        // A reducible chain's zero entries are skipped: the identity stays
+        // diagonal, one row update per row.
+        let id = MarkovChain::new(vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
+        let (_, stats) = id.stationary_with_stats();
+        assert_eq!((stats.squarings, stats.nnz_products), (1, 4));
+    }
+
+    /// The damped linear iteration `π ← π·(I + P)/2` from the uniform
+    /// start, the definition `stationary()` computes by squaring.
+    fn damped_limit(p: &[Vec<f64>], steps: usize) -> Vec<f64> {
+        let n = p.len();
+        let mut pi = vec![1.0 / n as f64; n];
+        for _ in 0..steps {
+            let mut next: Vec<f64> = pi.iter().map(|w| 0.5 * w).collect();
+            for (w, row) in pi.iter().zip(p) {
+                for (x, pij) in next.iter_mut().zip(row) {
+                    *x += 0.5 * w * pij;
+                }
+            }
+            pi = next;
+        }
+        pi
+    }
+
+    #[test]
+    fn reducible_chain_keeps_the_damped_iterations_limit() {
+        // Two closed classes — the absorbing state 1 and the pair {2, 3} —
+        // fed by transient states 0 and 4: the shape the admission
+        // estimator produces (levels with no observed exit self-loop).
+        let p = vec![
+            vec![0.5, 0.2, 0.3, 0.0, 0.0],
+            vec![0.0, 1.0, 0.0, 0.0, 0.0],
+            vec![0.0, 0.0, 0.6, 0.4, 0.0],
+            vec![0.0, 0.0, 0.9, 0.1, 0.0],
+            vec![0.25, 0.0, 0.0, 0.5, 0.25],
+        ];
+        let pi = MarkovChain::new(p.clone()).stationary();
+        let want = damped_limit(&p, 20_000);
+        for (got, want) in pi.iter().zip(&want) {
+            assert!((got - want).abs() < 1e-12, "{pi:?} vs {want:?}");
+        }
+        // Absorption from the uniform start: state 0 splits 2:3, state 4
+        // reaches {2,3} directly with 2/3 and via state 0 with 1/3.
+        let class_1 = (1.0 + 0.4 + 0.4 / 3.0) / 5.0;
+        assert!((pi[1] - class_1).abs() < 1e-13, "{pi:?}");
+        assert!(pi[0] < 1e-30 && pi[4] < 1e-30, "{pi:?}");
+        for j in 0..5 {
+            let pj: f64 = (0..5).map(|i| pi[i] * p[i][j]).sum();
+            assert!(
+                (pj - pi[j]).abs() < 1e-13,
+                "component {j}: {pj} vs {}",
+                pi[j]
+            );
+        }
     }
 
     #[test]

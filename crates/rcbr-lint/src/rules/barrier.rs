@@ -1,16 +1,17 @@
 //! `barrier-discipline`: atomic loads only inside `snapshot*` helpers.
 //!
 //! This encodes the PR 2 engine-drain gotcha verbatim: a shared-counter
-//! read that drives a worker's break/continue must happen in the window
+//! read that drives a driver's break/continue must happen in the window
 //! between barriers where no shard can write. Reading `completed` after
 //! the last drain barrier races with the next round's phase-A timeout
 //! writes — one shard sees the target reached and leaves, the others
 //! block on a barrier that will never fill.
 //!
-//! Enforcement: in the scoped files (`engine.rs`, `core.rs`, `audit.rs`,
-//! `sequential.rs`), every `.load(` on an atomic must be inside a
-//! function whose name starts with a sanctioned prefix (default
-//! `snapshot`, configurable via `allow_fn_prefixes`). The helpers'
+//! Enforcement: in the scoped files (the drivers `engine.rs` and
+//! `sequential.rs`, then `kernel.rs`, `core.rs`, `audit.rs`), every
+//! `.load(` on an atomic must be inside a function whose name starts
+//! with a sanctioned prefix (default `snapshot`, configurable via
+//! `allow_fn_prefixes`). The helpers'
 //! doc-comments state which barrier window makes the read safe, so the
 //! whole audit surface is the handful of `snapshot_*` call sites.
 

@@ -68,7 +68,7 @@ pub static RULES: &[Rule] = &[
         summary: "no wall-clock or ambient randomness in deterministic crates",
         hazard: "Instant::now/SystemTime/thread_rng make run outcomes depend on host \
                  timing, which breaks the bit-identical replay contract between the \
-                 sharded engine and run_sequential. Wall time may only be read through \
+                 sharded and the sequential driver. Wall time may only be read through \
                  the audited WallTimer boundary (crates/rcbr-runtime/src/report.rs), \
                  which feeds throughput reporting and never simulation state.",
         check: Check::File(wall_clock::check),
@@ -94,7 +94,7 @@ pub static RULES: &[Rule] = &[
         id: "barrier-discipline",
         summary: "shared-counter loads only inside snapshot_* helpers",
         hazard: "The PR 2 engine-drain deadlock: an atomic counter read that drives a \
-                 worker's break/continue must be snapshotted between barriers where no \
+                 driver's break/continue must be snapshotted between barriers where no \
                  shard can write — reading after the drain barrier races with the next \
                  round's phase-A timeout writes and deadlocks the barrier. All \
                  cross-shard counter loads therefore live in functions prefixed \
@@ -203,9 +203,12 @@ pub static RULES: &[Rule] = &[
     Rule {
         id: "salt-disjointness",
         summary: "declared salt families are pairwise disjoint and anchor the registry consts",
-        hazard: "A job's salt feeds the fault hash and breaks same-seq ordering ties, \
-                 so two traffic families sharing salt space share fault coin flips — \
-                 the PR 5 shard-identity regression. `salt-registry` forces every \
+        hazard: "A job's salt feeds the fault hash and sits second in the kernel's \
+                 (seq, salt, origin) sort key, so two traffic families sharing salt \
+                 space share fault coin flips and processing-order ties — the PR 5 \
+                 shard-identity regression. (`origin` is in the key because one family \
+                 does collide with itself: a primary duplicated at two hops leaves two \
+                 SALT_GHOST cells of one seq, told apart only by their spawn hop.) `salt-registry` forces every \
                  construction through named consts; this rule proves the consts \
                  themselves stay collision-free: the families declared in lint.toml \
                  must be pairwise disjoint, each anchored by its `const` at the \

@@ -6,7 +6,7 @@
 //! propagates caller-ward along [`crate::graph::Workspace`] edges, and
 //! every in-scope call site whose callee is tainted gets a diagnostic
 //! carrying the full chain down to the seed
-//! (`worker → helper → Instant::now`).
+//! (`round_top → helper → Instant::now`).
 //!
 //! Propagation stops at **sanctioned boundaries**:
 //!

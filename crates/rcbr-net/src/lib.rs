@@ -38,10 +38,10 @@ pub mod advance;
 pub mod cell;
 pub mod cellmux;
 pub mod fault;
+pub mod lease;
 pub mod path;
 pub mod port;
 pub mod rm;
-pub mod rsvp;
 pub mod salt;
 pub mod signaling;
 pub mod switch;
@@ -54,10 +54,10 @@ pub use fault::{
     CrashSpec, FaultAction, FaultConfig, FaultPlane, KillSpec, LinkDownSpec, StallSpec,
     FAULT_BP_SCALE,
 };
+pub use lease::LeaseTable;
 pub use path::{Path, RenegotiationOutcome};
 pub use port::OutputPort;
 pub use rm::{RateField, RmCell, RM_CELL_BYTES};
-pub use rsvp::{FlowSpec, LeaseTable, ResvOutcome, RsvpRouter};
 pub use salt::{SALT_GHOST, SALT_PRIMARY, SALT_TEARDOWN_BASE};
 pub use signaling::{select_shed, PriorityClass, ShedKey, SignalingQueue};
 pub use switch::{Switch, SwitchError};

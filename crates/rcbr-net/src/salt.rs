@@ -2,13 +2,20 @@
 //!
 //! A job's `salt` is part of its fault-plane identity: the plane decides
 //! every cell's fate as a stateless hash of `(seed, seq, hop, salt,
-//! lane)`, and the engine breaks same-`seq` ties by sorting on `(seq,
-//! salt)`. Two different cells that ever share a `(seq, salt)` pair
-//! therefore share fault coin flips *and* processing order — which is
-//! exactly how a past regression broke shard bit-identity: teardown
-//! walks briefly reused the salt space of slot traffic, so a teardown
-//! cell and a data cell could collide on the same fault key and the
-//! collision resolved differently per shard count.
+//! lane)`, and the runtime's kernel sorts each superstep's batch on
+//! `(seq, salt, origin)`. Two traffic families that ever share a `(seq,
+//! salt)` pair therefore share fault coin flips *and* a processing-order
+//! tie — which is exactly how a past regression broke shard
+//! bit-identity: teardown walks briefly reused the salt space of slot
+//! traffic, so a teardown cell and a data cell could collide on the same
+//! fault key and the collision resolved differently per shard count.
+//!
+//! Disjoint families do not make `(seq, salt)` a total order, though:
+//! one family collides with itself. A primary duplicated at two
+//! different hops leaves two [`SALT_GHOST`] cells of one `seq`, and they
+//! can meet at one switch in one superstep. They differ in their spawn
+//! hop, `origin` — hence in how far a denial unwinds — which is why
+//! `origin` closes the sort key.
 //!
 //! Every salt in the system is declared here, in one module, so the
 //! disjointness argument is auditable at a glance (and mechanized by

@@ -11,9 +11,9 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::lease::LeaseTable;
 use crate::port::OutputPort;
 use crate::rm::{RateField, RmCell};
-use crate::rsvp::LeaseTable;
 
 /// Errors from switch management operations.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -6,8 +6,8 @@
 //! the source believes. The auditor makes that drift *observable* and —
 //! at end of run — *repairable*:
 //!
-//! * **Periodic** ([`audit_shard`]): every `audit_interval` rounds, while
-//!   the pipeline is quiescent, each shard walks its switches and counts
+//! * **Periodic** ([`audit_shard`]): every `audit_interval` rounds, before
+//!   the round's first superstep, each shard walks its switches and counts
 //!   every `(switch, VC)` reservation that disagrees with the owning
 //!   source's believed rate by more than [`DRIFT_EPS`]. Runs and counts
 //!   are deterministic, so they are part of the cross-shard bit-identity
@@ -21,13 +21,12 @@
 //!   and is marked degraded. Afterwards the residual drift must be zero.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-use rcbr_net::{FaultPlane, RmCell, Switch};
+use rcbr_net::{RmCell, Switch};
 use serde::{Deserialize, Serialize};
 
-use crate::config::RuntimeConfig;
-use crate::core::Counters;
+use crate::gen::VcRunner;
+use crate::kernel::Shared;
 
 /// Reservations within this many bits/second of the believed rate count
 /// as synchronized: real drift is at least one granularity step (tens of
@@ -83,18 +82,19 @@ pub(crate) struct VcFinal {
     pub brownout: bool,
 }
 
-/// Snapshot one VC's published believed rate. Must be called while the
-/// pipeline is quiescent, after the post-phase-A barrier guarantees every
-/// shard's stores have happened and before any shard can write again —
-/// the same between-barriers discipline as `Counters::snapshot_drain`.
+/// Snapshot one VC's published believed rate. Must be called after the
+/// injection hand-off's barrier guarantees every shard's round-top stores
+/// have happened and before any shard can write again (the next round
+/// top) — the same between-barriers discipline as
+/// `Counters::snapshot_drain`.
 fn snapshot_believed(believed: &[AtomicU64], vci: u32) -> f64 {
     f64::from_bits(believed[vci as usize].load(Ordering::Relaxed))
 }
 
 /// Reduce per-VC source loss fractions to `(mean, max)`. The input order
-/// is partition-independent: both engines sort `finals` by ascending VCI
-/// before calling this, so the float sum accumulates in the same order no
-/// matter how many shards produced the entries.
+/// is partition-independent: `finals` is in ascending VCI order, so the
+/// float sum accumulates in the same order no matter how many shards
+/// produced the entries.
 pub(crate) fn reduce_source_loss(finals: &[VcFinal], num_vcs: usize) -> (f64, f64) {
     debug_assert!(finals.windows(2).all(|w| w[0].vci < w[1].vci));
     let mean = finals.iter().map(|f| f.loss).sum::<f64>() / num_vcs as f64;
@@ -103,23 +103,26 @@ pub(crate) fn reduce_source_loss(finals: &[VcFinal], num_vcs: usize) -> (f64, f6
 }
 
 /// The periodic mid-run audit over one shard's switches. Must be called
-/// while the pipeline is quiescent and after every shard published its
-/// VCs' believed rates (phase A of a round).
+/// after every shard published its VCs' believed rates (the round top)
+/// and before these switches see the round's first superstep.
 ///
 /// Counts drifted `(switch, VC)` pairs into `counters.audit_drift`.
 /// `audit_runs` is bumped by shard 0 only, so the count is independent of
 /// the shard count.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn audit_shard(
-    plane: &FaultPlane,
+    sh: &Shared<'_>,
     local_switches: &[Switch],
     shard: usize,
     num_shards: usize,
-    believed: &[AtomicU64],
-    routes: &[Mutex<Vec<u16>>],
     superstep: u64,
-    counters: &Counters,
 ) {
+    let Shared {
+        plane,
+        counters,
+        believed,
+        routes,
+        ..
+    } = sh;
     if shard == 0 {
         counters.audit_runs.fetch_add(1, Ordering::Relaxed);
     }
@@ -173,26 +176,47 @@ fn count_drift(switches: &[Switch], finals: &[VcFinal]) -> u64 {
 }
 
 /// The end-of-run audit and recovery pass. `switches` is the full global
-/// switch population (reassembled from the shards), `finals` the per-VC
-/// source states in ascending VCI order, `final_superstep` the engine's
-/// clock at exit.
+/// switch population and `runners` every VC's load generator in ascending
+/// VCI order (both reassembled from the shards), `final_superstep` the
+/// clock at exit. Returns the audit with the per-VC final source states.
 ///
 /// Recovery is exactly what a real deployment would do: one absolute-rate
 /// resync per drifted VC, with the use-it-or-lose-it floor as the
-/// fallback when the believed rate no longer fits. Updates `finals` in
-/// place (floored VCs get their new believed rate and a degraded mark).
+/// fallback when the believed rate no longer fits (floored VCs get their
+/// new believed rate and a degraded mark).
 pub(crate) fn finalize(
-    _cfg: &RuntimeConfig,
-    plane: &FaultPlane,
+    sh: &Shared<'_>,
     switches: &mut [Switch],
-    finals: &mut [VcFinal],
+    runners: Vec<VcRunner>,
     final_superstep: u64,
-) -> AuditReport {
+) -> (AuditReport, Vec<VcFinal>) {
+    // Apply verdicts delivered in the final round so believed rates are
+    // current, then snapshot each VC's source state.
+    let mut finals = Vec::with_capacity(runners.len());
+    for mut runner in runners {
+        // Read before apply_final: the final verdict collapses a
+        // mid-flight reroute to Settled while its residue stays behind.
+        let unsettled = runner.unsettled_at_exit();
+        let slot = &sh.vci_states[runner.vci() as usize];
+        if let Some(o) = slot.lock().expect("vci lock").outcome.take() {
+            runner.apply_final(o);
+        }
+        finals.push(VcFinal {
+            vci: runner.vci(),
+            believed: runner.believed_rate(),
+            degraded: runner.is_degraded(),
+            loss: runner.loss_fraction(),
+            route: runner.final_route(),
+            unsettled,
+            brownout: runner.in_brownout(),
+        });
+    }
+
     // A switch still inside its crash window at exit — transient or
     // permanently killed — loses its soft state just as a restarting one
     // does.
     for (h, sw) in switches.iter_mut().enumerate() {
-        if plane.switch_down(h, final_superstep) {
+        if sh.plane.switch_down(h, final_superstep) {
             sw.wipe_soft_state();
         }
     }
@@ -229,7 +253,7 @@ pub(crate) fn finalize(
         }
     }
 
-    let final_drift_before = count_drift(switches, finals);
+    let final_drift_before = count_drift(switches, &finals);
     let mut drift_repaired = 0u64;
     let mut lose_it_vcs = 0u64;
 
@@ -288,12 +312,12 @@ pub(crate) fn finalize(
         }
     }
 
-    let final_drift = count_drift(switches, finals);
+    let final_drift = count_drift(switches, &finals);
     let port_inconsistencies = switches
         .iter()
         .filter(|s| !s.port(0).expect("one port per switch").is_consistent())
         .count() as u64;
-    AuditReport {
+    let audit = AuditReport {
         final_drift_before,
         drift_repaired,
         lose_it_vcs,
@@ -301,5 +325,6 @@ pub(crate) fn finalize(
         port_inconsistencies,
         stale_reclaimed,
         off_route_residue,
-    }
+    };
+    (audit, finals)
 }

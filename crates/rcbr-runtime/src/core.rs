@@ -1,12 +1,10 @@
-//! The hop-by-hop job state machine shared by the sharded engine and the
-//! sequential replay.
+//! The hop-by-hop job state machine the superstep kernel steps.
 //!
 //! A renegotiation request is a [`Job`] that visits its path's switches
-//! one hop per superstep. All engine-visible effects of one hop —
-//! fault decisions, reservation updates, counter increments, outcome
-//! delivery, latency recording — live in [`advance_job`], so the two
-//! engines cannot drift apart semantically: they differ only in *where*
-//! switches live and *how* jobs travel between hops.
+//! one hop per superstep. All visible effects of one hop — fault
+//! decisions, reservation updates, counter increments, outcome delivery,
+//! latency recording — live in [`advance_job`]; *where* switches live and
+//! *how* jobs travel between hops is the drivers' business.
 //!
 //! ## Faults at a hop
 //!
@@ -42,7 +40,7 @@ pub const MAX_ROUTE: usize = 16;
 /// A route carried *inside* every [`Job`], so resolving a hop to a switch
 /// never consults shared routing state mid-drain. Routes only change at
 /// round boundaries (the pipeline is quiescent at phase A), so a job's
-/// inline copy can never be stale — and two engines processing the same
+/// inline copy can never be stale — and two drivers stepping the same
 /// job necessarily walk the same switches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Route {
@@ -120,9 +118,9 @@ pub enum JobKind {
 #[derive(Debug, Clone, Copy)]
 pub struct Job {
     /// Global sequence number: `slot * num_vcs + vci`. Unique per request,
-    /// and (with `salt` as tiebreak) the total order switches process
-    /// concurrent cells in — regardless of how switches are partitioned
-    /// into shards.
+    /// and the head of [`order_key`](Self::order_key), the total order
+    /// switches process concurrent cells in — regardless of how switches
+    /// are partitioned into shards.
     pub seq: u64,
     /// The VC being renegotiated.
     pub vci: u32,
@@ -132,11 +130,12 @@ pub struct Job {
     /// The cell being carried.
     pub kind: JobKind,
     /// `0` for the original cell, `1` for a fault-plane duplicate ghost.
-    /// Part of the processing sort key, and ghosts skip all request-level
+    /// Second in the order key, and ghosts skip all request-level
     /// bookkeeping.
     pub salt: u8,
     /// The hop this job entered the pipeline at — the floor a rollback
-    /// unwinds down to. `0` for originals; a ghost's spawn hop.
+    /// unwinds down to. `0` for originals; a ghost's spawn hop. Last in
+    /// the order key: it is all that tells twin ghosts apart.
     pub origin: u8,
     /// The fault plane already ruled on this hop visit (set on delayed
     /// cells when they are re-presented, so the fate is decided once).
@@ -149,6 +148,20 @@ pub struct Job {
     pub pressured: bool,
     /// The switch route this job walks (`hop` indexes into it).
     pub route: Route,
+}
+
+impl Job {
+    /// The key the kernel sorts a superstep's batch by. `(seq, salt)` alone
+    /// is not a total order: a primary can be duplicated at two different
+    /// hops, and the two ghosts — same `seq`, both `SALT_GHOST` — can meet
+    /// at one switch in one superstep (the ghost spawned at hop 0 reaches
+    /// hop 2 at `t + 3`; the primary, duplicated again at hop 2 at `t + 2`,
+    /// releases its second ghost there at `t + 3`). They differ in
+    /// `origin`, hence in how far a denial unwinds, and an unstable sort
+    /// orders equal keys by what else is in the batch — by the partition.
+    pub(crate) fn order_key(&self) -> (u64, u8, u8) {
+        (self.seq, self.salt, self.origin)
+    }
 }
 
 /// Terminal verdict of a signaling attempt, reported back to the source.

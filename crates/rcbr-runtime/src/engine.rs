@@ -1,24 +1,25 @@
-//! The sharded signaling-plane engine.
+//! The sharded driver: N `ShardState`s, one per worker thread, over
+//! `mpsc` channels and a `Barrier`. The protocol itself — every sweep,
+//! sort and hop advance — is the kernel's (`kernel.rs`), shared with
+//! [`run_sequential`](crate::run_sequential).
 //!
 //! ## Execution model: bulk-synchronous supersteps
 //!
 //! Switch `h` lives on shard `h % num_shards`; VC `v`'s load generator on
-//! shard `v % num_shards`. Each **round** has three phases:
+//! shard `v % num_shards`. Each **round**:
 //!
-//! 1. **Verdicts** — every shard delivers last round's outcomes to its
-//!    VCs' retry state machines (grant / deny / timeout / backoff) and
-//!    publishes each VC's believed rate. On audit rounds, a barrier
-//!    follows and every shard audits its own switches against those
-//!    beliefs.
-//! 2. **Generate** — every shard steps its VCs through `slots_per_round`
-//!    traffic slots (plus at most one due retry); emitted attempts are
-//!    batched into the first hop's shard channel.
-//! 3. **Drain** — the pipeline runs in supersteps until no job is in
-//!    flight. Each superstep advances the global logical clock by one; a
-//!    shard drains its inbox, releases due fault-delayed cells, retries
-//!    stall-held cells, applies due crash-restart wipes, sorts the batch
-//!    by `(seq, salt)`, advances every job one hop, and sends follow-up
-//!    jobs to the next hop's shard.
+//! 1. **Round top** (pipeline quiescent) — every shard sweeps its
+//!    switches' leases and admission windows, delivers last round's
+//!    verdicts to its VCs' retry state machines and publishes their
+//!    believed rates (phase A), then steps them through `slots_per_round`
+//!    traffic slots plus at most one due retry (phase B). Emitted attempts
+//!    are handed to the first hop's shard. On audit rounds every shard
+//!    then audits its own switches against the published beliefs.
+//! 2. **Drain** — supersteps run until no job is in flight. Each advances
+//!    the global logical clock by one; a shard drains its inbox, releases
+//!    due fault-delayed cells, retries stall-held cells, applies due
+//!    crash-restart wipes, sorts the batch, advances every job one hop,
+//!    and hands follow-up jobs to the next hop's shard.
 //!
 //! ## Why the outcome is shard-count invariant — even under faults
 //!
@@ -28,563 +29,117 @@
 //! supersteps, crashes and stalls to superstep windows, duplicates to
 //! `(seq, hop, salt)`; none of them can observe which thread owns a
 //! switch. So the set of jobs meeting at a switch in a given superstep is
-//! fixed, and the sort-by-`(seq, salt)` before processing fixes their
-//! order. Every switch therefore processes exactly the same cell sequence
-//! whether there is one shard or eight — which is what makes the counters
-//! bit-identical across shard counts and equal to the single-threaded
-//! [`run_sequential`](crate::run_sequential) replay, fault plane and all.
+//! fixed, and the kernel's sort fixes their order. Every switch therefore
+//! processes exactly the same cell sequence at any shard count, the
+//! single-shard sequential driver included, fault plane and all.
 //!
-//! Barriers separate the drain / process phases, so a channel is never
-//! written while its owner drains it; `std::sync::mpsc` carries the
-//! batches and a `std::sync::Mutex` guards each VC's slow-path completion
-//! slot.
+//! Two barriers per superstep separate draining from processing, so a
+//! channel is never written while its owner drains it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Barrier;
 
-use rcbr_net::{FaultPlane, ShedKey, SignalingQueue, Switch, Topology};
-use rcbr_sim::Histogram;
-
-use crate::admission::{reduce_admission, SwitchAdmission};
-use crate::audit::{audit_shard, finalize, reduce_source_loss, VcFinal};
 use crate::config::RuntimeConfig;
-use crate::core::{
-    advance_job, shed_job, CompletionSink, Counters, FaultCtx, Job, JobKind, VciSlot,
-};
-use crate::gen::VcRunner;
-use crate::report::{
-    latency_histogram, summarize_latency, RunReport, ShardReport, VcOutcome, WallTimer,
-};
+use crate::core::Job;
+use crate::kernel::{assemble_report, ShardState, Shared};
+use crate::report::{RunReport, WallTimer};
 
-/// What each worker hands back when the run ends.
-struct ShardResult {
-    shard: usize,
-    latency: Histogram,
-    moments: crate::report::RttStats,
-    processed: u64,
-    injected: u64,
-    max_batch: u64,
-    rounds: u64,
-    superstep: u64,
-    /// This shard's switches, in local (strided) order.
-    switches: Vec<Switch>,
-    /// Per-switch admission state, parallel to `switches`.
-    admission: Vec<SwitchAdmission>,
-    /// This shard's VCs' final source states.
-    finals: Vec<VcFinal>,
+/// Whether some shard's set-up failed. Safe only after the post-set-up
+/// barrier: every worker stored its verdict before waiting on it, and
+/// nobody writes afterwards.
+fn snapshot_setup_failed(flag: &AtomicBool) -> bool {
+    flag.load(Ordering::SeqCst)
 }
 
 /// Run the sharded engine to completion and report.
+///
+/// # Panics
+/// Panics if the initial admission does not fit `port_capacity`.
 pub fn run(cfg: &RuntimeConfig) -> RunReport {
-    cfg.validate();
     let started = WallTimer::start();
-    let shards = cfg.num_shards;
-    let plane = FaultPlane::new(cfg.fault.clone());
-    let topo = cfg.topology();
+    let sh = Shared::new(cfg);
+    let barrier = Barrier::new(cfg.num_shards);
+    let setup_failed = AtomicBool::new(false);
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..cfg.num_shards).map(|_| mpsc::channel()).unzip();
 
-    let counters = Counters::default();
-    let vci_states: Vec<Mutex<VciSlot>> = (0..cfg.num_vcs)
-        .map(|_| Mutex::new(VciSlot::default()))
-        .collect();
-    // Each VC's believed end-to-end rate (f64 bits), published by its
-    // owner shard every round for the auditor.
-    let believed: Vec<AtomicU64> = (0..cfg.num_vcs)
-        .map(|_| AtomicU64::new(cfg.initial_rate.to_bits()))
-        .collect();
-    // Each VC's published route, for the auditor's off-route skip. Only
-    // the owner shard writes (phase A); other shards read on audit rounds
-    // after the post-publish barrier.
-    let routes: Vec<Mutex<Vec<u16>>> = (0..cfg.num_vcs as u32)
-        .map(|vci| Mutex::new(cfg.path_of(vci).iter().map(|&h| h as u16).collect()))
-        .collect();
-    let barrier = Barrier::new(shards);
-
-    let mut senders: Vec<Sender<Vec<Job>>> = Vec::with_capacity(shards);
-    let mut receivers: Vec<Option<Receiver<Vec<Job>>>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = mpsc::channel();
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-
-    let mut results: Vec<ShardResult> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(shards);
-        for (shard, rx_slot) in receivers.iter_mut().enumerate() {
-            let rx = rx_slot.take().expect("receiver taken once");
-            let txs = senders.clone();
-            let counters = &counters;
-            let vci_states = &vci_states;
-            let believed = &believed;
-            let routes = &routes;
-            let barrier = &barrier;
-            let plane = &plane;
-            let topo = &topo;
-            handles.push(scope.spawn(move || {
-                worker(
-                    shard, cfg, plane, topo, rx, txs, counters, vci_states, believed, routes,
-                    barrier,
-                )
-            }));
-        }
+    let results: Option<Vec<ShardState<'_>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = rxs
+            .into_iter()
+            .enumerate()
+            .map(|(shard, rx)| {
+                let (sh, barrier, setup_failed, txs) = (&sh, &barrier, &setup_failed, txs.clone());
+                scope.spawn(move || worker(sh, shard, rx, txs, barrier, setup_failed))
+            })
+            .collect();
         // Drop the main thread's senders so workers hold the only handles.
-        senders.clear();
+        drop(txs);
         handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
     });
-    results.sort_by_key(|r| r.shard);
-
+    let results = results.expect("initial admission must fit; raise port_capacity");
     let wall = started.elapsed_seconds();
-    let mut latency = latency_histogram(cfg);
-    let mut moments = crate::report::RttStats::new();
-    let mut shard_reports = Vec::with_capacity(shards);
-    let rounds = results[0].rounds;
-    let superstep = results[0].superstep;
-    // Reassemble the global switch population and VC states from the
-    // strided shard partitions for the end-of-run audit.
-    let mut all_switches: Vec<Option<Switch>> = (0..cfg.num_switches).map(|_| None).collect();
-    let mut all_admission: Vec<Option<SwitchAdmission>> =
-        (0..cfg.num_switches).map(|_| None).collect();
-    let mut finals: Vec<VcFinal> = Vec::with_capacity(cfg.num_vcs);
-    for r in &mut results {
-        debug_assert_eq!(r.rounds, rounds, "shards disagree on round count");
-        debug_assert_eq!(r.superstep, superstep, "shards disagree on the clock");
-        latency.merge(&r.latency);
-        moments.merge(&r.moments);
-        shard_reports.push(ShardReport {
-            shard: r.shard,
-            processed: r.processed,
-            injected: r.injected,
-            max_batch: r.max_batch,
-        });
-        for (li, sw) in r.switches.drain(..).enumerate() {
-            all_switches[r.shard + li * shards] = Some(sw);
-        }
-        for (li, sa) in r.admission.drain(..).enumerate() {
-            all_admission[r.shard + li * shards] = Some(sa);
-        }
-        finals.append(&mut r.finals);
-    }
-    let mut all_switches: Vec<Switch> = all_switches
-        .into_iter()
-        .map(|s| s.expect("every switch owned by exactly one shard"))
-        .collect();
-    // Ascending switch order, so the report's float reduction is
-    // shard-invariant.
-    let all_admission: Vec<SwitchAdmission> = all_admission
-        .into_iter()
-        .map(|s| s.expect("every switch owned by exactly one shard"))
-        .collect();
-    finals.sort_by_key(|f| f.vci);
-
-    let audit = finalize(cfg, &plane, &mut all_switches, &mut finals, superstep);
-    let degraded_vcs = finals.iter().filter(|f| f.degraded).count() as u64;
-    let unsettled_vcs = finals.iter().filter(|f| f.unsettled).count() as u64;
-    let brownout_vcs = finals.iter().filter(|f| f.brownout).count() as u64;
-    let (mean_source_loss, max_source_loss) = reduce_source_loss(&finals, cfg.num_vcs);
-    let vcs = finals
-        .iter()
-        .map(|f| VcOutcome {
-            vci: f.vci,
-            believed: f.believed,
-            degraded: f.degraded,
-            loss: f.loss,
-            route: f.route.clone(),
-        })
-        .collect();
-
-    let counters = counters.snapshot();
-    debug_assert_eq!(counters.completed, counters.accepted + counters.exhausted);
-    let admission = reduce_admission(cfg.admission, &counters, &all_admission);
-    RunReport {
-        num_shards: shards,
-        num_vcs: cfg.num_vcs,
-        num_switches: cfg.num_switches,
-        hops_per_vc: cfg.hops_per_vc,
-        rounds,
-        supersteps: superstep,
-        wall_seconds: wall,
-        throughput_per_sec: if wall > 0.0 {
-            counters.completed as f64 / wall
-        } else {
-            0.0
-        },
-        counters,
-        audit,
-        admission,
-        degraded_vcs,
-        unsettled_vcs,
-        brownout_vcs,
-        mean_source_loss,
-        max_source_loss,
-        vcs,
-        latency: summarize_latency(&latency, &moments, cfg.hop_latency),
-        shards: shard_reports,
-    }
+    assemble_report(&sh, results, wall)
 }
 
-/// Build the switches owned by `shard` plus the `global index -> local
-/// slot` mapping implied by the strided partition.
-fn build_local_switches(cfg: &RuntimeConfig, shard: usize) -> Vec<Switch> {
-    let mut local = Vec::new();
-    let mut h = shard;
-    while h < cfg.num_switches {
-        local.push(Switch::new(&[cfg.port_capacity]));
-        h += cfg.num_shards;
-    }
-    local
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker(
+/// Step shard `shard` of `txs.len()` through the run. The shard is built
+/// here, inside its thread, so the workers split the per-VC trace
+/// generation. `None` when any shard's set-up failed.
+fn worker<'a>(
+    sh: &'a Shared<'a>,
     shard: usize,
-    cfg: &RuntimeConfig,
-    plane: &FaultPlane,
-    topo: &Topology,
     rx: Receiver<Vec<Job>>,
     txs: Vec<Sender<Vec<Job>>>,
-    counters: &Counters,
-    vci_states: &[Mutex<VciSlot>],
-    believed: &[AtomicU64],
-    routes: &[Mutex<Vec<u16>>],
     barrier: &Barrier,
-) -> ShardResult {
-    let shards = cfg.num_shards;
-    let mut switches = build_local_switches(cfg, shard);
-    let mut admission: Vec<SwitchAdmission> =
-        switches.iter().map(|_| SwitchAdmission::new(cfg)).collect();
-    let measuring = cfg.admission.measures();
-    // Per-switch bounded signaling queues (budget 0 = unbounded, the
-    // legacy behavior). Queue state evolves from the shard-invariant
-    // meeting sets, so it is identical at every shard count.
-    let budget = cfg.signaling_budget_per_round;
-    let mut queues: Vec<SignalingQueue> = switches
-        .iter()
-        .map(|_| SignalingQueue::new(budget))
-        .collect();
-
-    // Initial admission: every VC's base rate is reserved on each of its
-    // hops, in ascending VCI order per switch (the same order the
-    // sequential replay uses, so per-port float accumulation matches).
-    for vci in 0..cfg.num_vcs as u32 {
-        for &h in &cfg.path_of(vci) {
-            if h % shards == shard {
-                let admitted = switches[h / shards]
-                    .setup(vci, 0, cfg.initial_rate)
-                    .expect("fresh VCI");
-                assert!(admitted, "initial admission must fit; raise port_capacity");
-            }
-        }
+    setup_failed: &AtomicBool,
+) -> Option<ShardState<'a>> {
+    let cfg = sh.cfg;
+    let state = ShardState::new(sh, shard, txs.len());
+    if state.is_none() {
+        setup_failed.store(true, Ordering::SeqCst);
     }
-
-    let mut runners: Vec<VcRunner> = (0..cfg.num_vcs as u32)
-        .filter(|v| *v as usize % shards == shard)
-        .map(|v| VcRunner::new(cfg, v))
-        .collect();
-
-    let mut latency = latency_histogram(cfg);
-    let mut moments = crate::report::RttStats::new();
-    let mut processed = 0u64;
-    let mut injected = 0u64;
-    let mut max_batch = 0u64;
-    let mut rounds = 0u64;
-    // The global logical clock: +1 per drain iteration, in lockstep
-    // across shards (and identical in the sequential replay).
-    let mut superstep = 0u64;
-
-    let mut staging: Vec<Job> = Vec::new();
-    let mut out_batches: Vec<Vec<Job>> = (0..shards).map(|_| Vec::new()).collect();
-    // Fault-delayed cells and spawned ghosts, keyed by release superstep.
-    // Both stay at their current hop, so they never cross shards.
-    let mut delayed: Vec<(u64, Job)> = Vec::new();
-    // Cells held because their switch is stalled; retried every superstep.
-    let mut held: Vec<Job> = Vec::new();
-    // Crash-restart wipes already applied, per local switch.
-    let mut wiped: Vec<bool> = vec![false; switches.len()];
-
+    // A worker that panicked here would leave the others waiting on the
+    // barrier forever; instead all of them learn of the failure and
+    // return, and `run` raises it once.
+    barrier.wait();
+    if snapshot_setup_failed(setup_failed) {
+        return None;
+    }
+    let mut state = state?;
+    let mut jobs: Vec<Job> = Vec::new();
     for round in 0..cfg.max_rounds {
-        rounds = round + 1;
-        // Lease sweep: each shard reclaims expired reservations on its
-        // own switches while the pipeline is quiescent. A down switch
-        // cannot run its sweep (its soft state is wiped on restart
-        // anyway).
-        if cfg.lease_supersteps > 0 {
-            for (li, sw) in switches.iter_mut().enumerate() {
-                let h = shard + li * shards;
-                if plane.switch_down(h, superstep) {
-                    continue;
-                }
-                let reclaimed = sw.expire_leases(superstep, cfg.lease_supersteps);
-                counters
-                    .leases_expired
-                    .fetch_add(reclaimed, Ordering::Relaxed);
-            }
-        }
-        // Admission sweep: at the round top the pipeline is quiescent, so
-        // utilization samples and window rolls observe a settled switch.
-        // Sampling runs under every policy (the frontier sweep needs the
-        // PeakRate baseline's utilization); rolls only when a
-        // measurement-based policy is live and the schedule is due. Down
-        // switches skip both — their soft state is mid-crash.
-        for (li, sw) in switches.iter_mut().enumerate() {
-            let h = shard + li * shards;
-            if plane.switch_down(h, superstep) {
-                continue;
-            }
-            let sa = &mut admission[li];
-            sa.sample(sw);
-            if measuring && superstep >= sa.next_roll_at {
-                sa.roll(cfg, superstep, sw);
-            }
-        }
-        // Pressure accounting: one count per (round, local switch) still
-        // advertising overload pressure at the round top.
-        if budget > 0 {
-            for q in &queues {
-                if q.under_pressure(superstep) {
-                    counters.pressure_rounds.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        // Phase A: deliver last round's verdicts (grant / deny / timeout)
-        // and publish believed rates and routes for the auditor.
-        for runner in &mut runners {
-            let (outcome, pressured) = {
-                let mut slot = vci_states[runner.vci() as usize].lock().expect("vci lock");
-                (slot.outcome.take(), std::mem::take(&mut slot.pressure))
-            };
-            runner.begin_round(cfg, topo, plane, outcome, pressured, superstep, counters);
-            believed[runner.vci() as usize]
-                .store(runner.believed_rate().to_bits(), Ordering::Relaxed);
-            *routes[runner.vci() as usize].lock().expect("route lock") = runner.audit_route();
-        }
-        if cfg.audit_interval > 0 && round > 0 && round.is_multiple_of(cfg.audit_interval) {
-            // One extra barrier so every shard's believed rates and
-            // routes are published before any shard reads them.
-            barrier.wait();
-            audit_shard(
-                plane, &switches, shard, shards, believed, routes, superstep, counters,
-            );
-        }
-
-        // Phase B: generate this round's attempts (due retries first).
-        for runner in &mut runners {
-            runner.emit_round(cfg, topo, plane, round, superstep, &mut staging, counters);
-        }
-        for job in staging.drain(..) {
-            counters.injected.fetch_add(1, Ordering::Relaxed);
-            counters.in_flight.fetch_add(1, Ordering::Relaxed);
-            match job.kind {
-                JobKind::Resync { .. } => {
-                    counters.resyncs.fetch_add(1, Ordering::Relaxed);
-                }
-                JobKind::Reroute { .. } => {
-                    counters.reroutes.fetch_add(1, Ordering::Relaxed);
-                }
-                JobKind::Teardown => {
-                    counters.teardown_cells.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-            injected += 1;
-            let first_hop = job.route.hop(0);
-            out_batches[first_hop % shards].push(job);
-        }
-        send_batches(&mut out_batches, &txs);
-        barrier.wait(); // all injections delivered
-
-        // Phase C: drain the pipeline in supersteps. The loop yields the
-        // completed-request total as of quiescence, snapshotted at a
-        // point all shards agree on.
-        let completed_now = loop {
-            superstep += 1;
-            let mut jobs: Vec<Job> = Vec::new();
+        state.round_top(round);
+        send_batches(state.outbox(), &txs);
+        barrier.wait(); // all injections delivered, all beliefs published
+        state.audit_if_due(round);
+        // The loop yields the completed-request total as of quiescence,
+        // snapshotted at a point all shards agree on.
+        let completed = loop {
             while let Ok(batch) = rx.try_recv() {
                 jobs.extend(batch);
             }
-            // Release fault-delayed cells that are due, and re-offer
-            // every stall-held cell.
-            let mut i = 0;
-            while i < delayed.len() {
-                if delayed[i].0 <= superstep {
-                    jobs.push(delayed.swap_remove(i).1);
-                } else {
-                    i += 1;
-                }
-            }
-            jobs.append(&mut held);
-            max_batch = max_batch.max(jobs.len() as u64);
-            // Safe read window: in_flight and completed are only written
-            // while shards process (or in the next round's phases), and
-            // every shard is draining right now — the barrier below makes
-            // sure everyone has read before anyone can write again.
-            // Delayed and held cells keep in_flight nonzero, so rounds
-            // only end once every fault-induced straggler has resolved;
-            // both counters must be snapshotted *here*, together, so all
-            // shards take the same stop-run branch (a shard racing ahead
-            // into the next round's verdict phase can complete requests
-            // via timeouts).
-            let drain = counters.snapshot_drain();
+            let drain = state.open_superstep(&mut jobs);
             barrier.wait(); // all inboxes drained
             if drain.quiescent {
                 break drain.completed;
             }
-            // Crash restarts due this superstep wipe soft state — the
-            // admission measurements with it (the EB cache survives).
-            for (li, sw) in switches.iter_mut().enumerate() {
-                if !wiped[li] {
-                    if let Some(restart) = plane.restart_superstep(shard + li * shards) {
-                        if superstep >= restart {
-                            sw.wipe_soft_state();
-                            admission[li].wipe_measurements();
-                            wiped[li] = true;
-                        }
-                    }
-                }
-            }
-            jobs.sort_unstable_by_key(|j| (j.seq, j.salt));
-            // Signaling-queue admission: with a budget configured, each
-            // switch serves at most `budget` renegotiation cells this
-            // superstep; overflow is chosen by the pure (class, seq, salt)
-            // order over the switch's whole meeting set — never by arrival
-            // order — so the plan is identical at every shard count.
-            // Stall-held cells never meet the switch, and rollback /
-            // reroute / teardown walks are exempt: undo and repair traffic
-            // must not be shed.
-            let mut shed_plans: Vec<Vec<(u64, u8)>> = Vec::new();
-            if budget > 0 {
-                let mut candidates: Vec<Vec<ShedKey>> =
-                    switches.iter().map(|_| Vec::new()).collect();
-                for job in &jobs {
-                    let h = job.route.hop(job.hop);
-                    if plane.stalled(h, superstep) {
-                        continue;
-                    }
-                    if matches!(job.kind, JobKind::Delta(_) | JobKind::Resync { .. }) {
-                        candidates[h / shards].push(ShedKey {
-                            class: job.class,
-                            seq: job.seq,
-                            salt: job.salt,
-                        });
-                    }
-                }
-                shed_plans = candidates
-                    .into_iter()
-                    .enumerate()
-                    .map(|(li, keys)| {
-                        queues[li]
-                            .admit_superstep(keys, superstep, cfg.pressure_hold_supersteps)
-                            .into_iter()
-                            .map(|k| (k.seq, k.salt))
-                            .collect()
-                    })
-                    .collect();
-            }
-            let fx = FaultCtx { plane, superstep };
-            let mut sink = CompletionSink {
-                latency: &mut latency,
-                moments: &mut moments,
-            };
-            for job in jobs {
-                let h = job.route.hop(job.hop);
-                if plane.stalled(h, superstep) {
-                    // The switch is stalled: hold the cell, retry next
-                    // superstep (pure latency, no loss).
-                    held.push(job);
-                    continue;
-                }
-                processed += 1;
-                if budget > 0
-                    && matches!(job.kind, JobKind::Delta(_) | JobKind::Resync { .. })
-                    && shed_plans[h / shards]
-                        .binary_search(&(job.seq, job.salt))
-                        .is_ok()
-                {
-                    shed_job(&job, cfg, counters, vci_states, &mut sink);
-                    continue;
-                }
-                let (forward, hold) = advance_job(
-                    job,
-                    &mut switches[h / shards],
-                    h,
-                    cfg,
-                    &fx,
-                    counters,
-                    vci_states,
-                    &mut sink,
-                    if measuring {
-                        Some(&mut admission[h / shards])
-                    } else {
-                        None
-                    },
-                    budget > 0 && queues[h / shards].under_pressure(superstep),
-                );
-                if let Some(nj) = forward {
-                    let nh = nj.route.hop(nj.hop);
-                    out_batches[nh % shards].push(nj);
-                }
-                if let Some(entry) = hold {
-                    delayed.push(entry);
-                }
-            }
-            send_batches(&mut out_batches, &txs);
+            state.advance_superstep(&mut jobs);
+            send_batches(state.outbox(), &txs);
             barrier.wait(); // all follow-up sends delivered
         };
-
-        if completed_now >= cfg.target_requests {
+        if completed >= cfg.target_requests {
             break;
         }
     }
-
-    // Apply verdicts delivered in the final round so believed rates are
-    // current, then snapshot each VC's source state for the audit.
-    let mut finals = Vec::with_capacity(runners.len());
-    for runner in &mut runners {
-        // Read before apply_final: the final verdict collapses a
-        // mid-flight reroute to Settled while its residue stays behind.
-        let unsettled = runner.unsettled_at_exit();
-        let outcome = vci_states[runner.vci() as usize]
-            .lock()
-            .expect("vci lock")
-            .outcome
-            .take();
-        if let Some(o) = outcome {
-            runner.apply_final(o);
-        }
-        finals.push(VcFinal {
-            vci: runner.vci(),
-            believed: runner.believed_rate(),
-            degraded: runner.is_degraded(),
-            loss: runner.loss_fraction(),
-            route: runner.final_route(),
-            unsettled,
-            brownout: runner.in_brownout(),
-        });
-    }
-
-    ShardResult {
-        shard,
-        latency,
-        moments,
-        processed,
-        injected,
-        max_batch,
-        rounds,
-        superstep,
-        switches,
-        admission,
-        finals,
-    }
+    Some(state)
 }
 
 fn send_batches(out: &mut [Vec<Job>], txs: &[Sender<Vec<Job>>]) {
-    for (shard, batch) in out.iter_mut().enumerate() {
+    for (batch, tx) in out.iter_mut().zip(txs) {
         if !batch.is_empty() {
-            txs[shard]
-                .send(std::mem::take(batch))
-                .expect("receiver alive");
+            tx.send(std::mem::take(batch)).expect("receiver alive");
         }
     }
 }

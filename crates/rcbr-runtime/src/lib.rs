@@ -6,10 +6,11 @@
 //! crate turns the [`rcbr_net`] primitives into a concurrent engine that
 //! measures exactly that:
 //!
-//! - **Sharding** — switch/port reservation state is partitioned across
-//!   worker threads; each shard owns a disjoint set of output ports.
-//!   Channels carry batched RM-cell work between shards, and a mutex
-//!   guards each VC's slow-path completion slot.
+//! - **One kernel, two drivers** — a shard owns a strided slice of the
+//!   switches and VCs and implements every phase of the superstep
+//!   protocol, once. [`run`] steps N of them on worker threads (channels
+//!   carry batched RM-cell work, a barrier separates the phases);
+//!   [`run_sequential`] steps one that owns everything, on the caller.
 //! - **Pipelined multi-hop renegotiation** — a request traverses its
 //!   path's shards one hop per superstep, preserving the paper's hop-`k`
 //!   semantics: denial at hop `k` rolls back the `k` upstream
@@ -27,10 +28,10 @@
 //!   degrade gracefully when the budget runs out; a periodic invariant
 //!   auditor counts reservation drift and the end-of-run audit repairs it
 //!   to zero.
-//! - **Determinism under concurrency** — the engine is bulk-synchronous,
-//!   so [`run`] produces bit-identical accept/deny/rollback/fault counters
-//!   at any shard count, equal to the single-threaded [`run_sequential`]
-//!   replay — under every fault mode. See [`engine`] for the argument.
+//! - **Determinism under concurrency** — the protocol is bulk-synchronous,
+//!   so [`run`] produces bit-identical reports at any shard count, equal
+//!   to [`run_sequential`]'s — under every fault mode. See [`engine`] for
+//!   the argument.
 //! - **Live measurement-based admission** — every switch carries a
 //!   deterministic arrival estimator over the delivered renegotiation
 //!   stream; an [`AdmissionPolicy`] (the memoryless Chernoff test or the
@@ -56,6 +57,7 @@ pub mod config;
 pub mod core;
 pub mod engine;
 mod gen;
+mod kernel;
 pub mod report;
 pub mod sequential;
 

@@ -1,345 +1,43 @@
-//! Single-threaded replay with wave-for-superstep semantics.
+//! The single-threaded driver: one `ShardState` owning every switch and
+//! VC (whatever `cfg.num_shards` says), stepped on the calling thread.
 //!
-//! Each wave of this replay corresponds to one superstep of the sharded
-//! engine: the same logical clock ticks, the same fault-delayed cells are
-//! released, the same stall holds and crash wipes apply, and jobs are
-//! processed in the same `(seq, salt)` order. Since jobs at different
-//! switches never interact within a wave, sorting the whole wave yields
-//! the same per-switch cell order the sharded engine produces — so the
-//! counters (and the latency histogram's bin counts) come out identical,
-//! fault plane and all. This is the reference the concurrency and chaos
-//! tests compare the sharded engine against.
+//! The hand-off is a `Vec` swap — the shard's outbox comes back as its
+//! next inbox — and there is nothing to wait for, so no barrier. Jobs at
+//! different switches never interact within a superstep, so sorting the
+//! whole wave yields the per-switch cell order any partition produces:
+//! this is the reference the concurrency and chaos tests compare
+//! [`run`](crate::run) against.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use rcbr_net::{FaultPlane, ShedKey, SignalingQueue, Switch};
-
-use crate::admission::{reduce_admission, SwitchAdmission};
-use crate::audit::{audit_shard, finalize, reduce_source_loss, VcFinal};
 use crate::config::RuntimeConfig;
-use crate::core::{
-    advance_job, shed_job, CompletionSink, Counters, FaultCtx, Job, JobKind, VciSlot,
-};
-use crate::gen::VcRunner;
-use crate::report::{
-    latency_histogram, summarize_latency, RunReport, ShardReport, VcOutcome, WallTimer,
-};
+use crate::core::Job;
+use crate::kernel::{assemble_report, ShardState, Shared};
+use crate::report::{RunReport, WallTimer};
 
 /// Run the workload single-threaded and report.
+///
+/// # Panics
+/// Panics if the initial admission does not fit `port_capacity`.
 pub fn run_sequential(cfg: &RuntimeConfig) -> RunReport {
-    cfg.validate();
     let started = WallTimer::start();
-    let plane = FaultPlane::new(cfg.fault.clone());
-    let topo = cfg.topology();
-
-    let counters = Counters::default();
-    let vci_states: Vec<Mutex<VciSlot>> = (0..cfg.num_vcs)
-        .map(|_| Mutex::new(VciSlot::default()))
-        .collect();
-    let believed: Vec<AtomicU64> = (0..cfg.num_vcs)
-        .map(|_| AtomicU64::new(cfg.initial_rate.to_bits()))
-        .collect();
-    let routes: Vec<Mutex<Vec<u16>>> = (0..cfg.num_vcs as u32)
-        .map(|vci| Mutex::new(cfg.path_of(vci).iter().map(|&h| h as u16).collect()))
-        .collect();
-
-    let mut switches: Vec<Switch> = (0..cfg.num_switches)
-        .map(|_| Switch::new(&[cfg.port_capacity]))
-        .collect();
-    for vci in 0..cfg.num_vcs as u32 {
-        for &h in &cfg.path_of(vci) {
-            let admitted = switches[h]
-                .setup(vci, 0, cfg.initial_rate)
-                .expect("fresh VCI");
-            assert!(admitted, "initial admission must fit; raise port_capacity");
-        }
-    }
-    let mut admission: Vec<SwitchAdmission> =
-        switches.iter().map(|_| SwitchAdmission::new(cfg)).collect();
-    let measuring = cfg.admission.measures();
-    // Per-switch bounded signaling queues — the replay twin of the
-    // engine's (budget 0 = unbounded, the legacy behavior).
-    let budget = cfg.signaling_budget_per_round;
-    let mut queues: Vec<SignalingQueue> = switches
-        .iter()
-        .map(|_| SignalingQueue::new(budget))
-        .collect();
-    let mut runners: Vec<VcRunner> = (0..cfg.num_vcs as u32)
-        .map(|v| VcRunner::new(cfg, v))
-        .collect();
-
-    let mut latency = latency_histogram(cfg);
-    let mut moments = crate::report::RttStats::new();
-    let mut processed = 0u64;
-    let mut injected = 0u64;
-    let mut max_batch = 0u64;
-    let mut rounds = 0u64;
-    let mut superstep = 0u64;
-
+    let sh = Shared::new(cfg);
+    let mut state =
+        ShardState::new(&sh, 0, 1).expect("initial admission must fit; raise port_capacity");
     let mut wave: Vec<Job> = Vec::new();
-    let mut delayed: Vec<(u64, Job)> = Vec::new();
-    let mut held: Vec<Job> = Vec::new();
-    let mut wiped: Vec<bool> = vec![false; cfg.num_switches];
-
     for round in 0..cfg.max_rounds {
-        rounds = round + 1;
-        if cfg.lease_supersteps > 0 {
-            for (h, sw) in switches.iter_mut().enumerate() {
-                if plane.switch_down(h, superstep) {
-                    continue;
-                }
-                let reclaimed = sw.expire_leases(superstep, cfg.lease_supersteps);
-                counters
-                    .leases_expired
-                    .fetch_add(reclaimed, Ordering::Relaxed);
-            }
-        }
-        // Admission sweep — identical to the engine's round-top sweep.
-        for (h, sw) in switches.iter_mut().enumerate() {
-            if plane.switch_down(h, superstep) {
-                continue;
-            }
-            let sa = &mut admission[h];
-            sa.sample(sw);
-            if measuring && superstep >= sa.next_roll_at {
-                sa.roll(cfg, superstep, sw);
-            }
-        }
-        // Pressure accounting — identical to the engine's round-top count.
-        if budget > 0 {
-            for q in &queues {
-                if q.under_pressure(superstep) {
-                    counters.pressure_rounds.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        for runner in &mut runners {
-            let (outcome, pressured) = {
-                let mut slot = vci_states[runner.vci() as usize].lock().expect("vci lock");
-                (slot.outcome.take(), std::mem::take(&mut slot.pressure))
-            };
-            runner.begin_round(cfg, &topo, &plane, outcome, pressured, superstep, &counters);
-            believed[runner.vci() as usize]
-                .store(runner.believed_rate().to_bits(), Ordering::Relaxed);
-            *routes[runner.vci() as usize].lock().expect("route lock") = runner.audit_route();
-        }
-        if cfg.audit_interval > 0 && round > 0 && round.is_multiple_of(cfg.audit_interval) {
-            audit_shard(
-                &plane, &switches, 0, 1, &believed, &routes, superstep, &counters,
-            );
-        }
-
-        for runner in &mut runners {
-            runner.emit_round(cfg, &topo, &plane, round, superstep, &mut wave, &counters);
-        }
-        for job in &wave {
-            counters.injected.fetch_add(1, Ordering::Relaxed);
-            counters.in_flight.fetch_add(1, Ordering::Relaxed);
-            match job.kind {
-                JobKind::Resync { .. } => {
-                    counters.resyncs.fetch_add(1, Ordering::Relaxed);
-                }
-                JobKind::Reroute { .. } => {
-                    counters.reroutes.fetch_add(1, Ordering::Relaxed);
-                }
-                JobKind::Teardown => {
-                    counters.teardown_cells.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-            injected += 1;
-        }
-
-        // Same snapshot-then-decide shape as the engine's drain loop,
-        // so the replay breaks on the identical (quiescent, completed)
-        // observation.
-        let completed_now = loop {
-            superstep += 1;
-            let mut i = 0;
-            while i < delayed.len() {
-                if delayed[i].0 <= superstep {
-                    wave.push(delayed.swap_remove(i).1);
-                } else {
-                    i += 1;
-                }
-            }
-            wave.append(&mut held);
-            max_batch = max_batch.max(wave.len() as u64);
-            let drain = counters.snapshot_drain();
+        state.round_top(round);
+        state.audit_if_due(round);
+        let completed = loop {
+            std::mem::swap(&mut wave, &mut state.outbox()[0]);
+            let drain = state.open_superstep(&mut wave);
             if drain.quiescent {
                 break drain.completed;
             }
-            for (h, sw) in switches.iter_mut().enumerate() {
-                if !wiped[h] {
-                    if let Some(restart) = plane.restart_superstep(h) {
-                        if superstep >= restart {
-                            sw.wipe_soft_state();
-                            admission[h].wipe_measurements();
-                            wiped[h] = true;
-                        }
-                    }
-                }
-            }
-            wave.sort_unstable_by_key(|j| (j.seq, j.salt));
-            // Signaling-queue admission — the replay twin of the engine's
-            // per-superstep shed plan (same meeting sets, same pure
-            // ordering, so the identical cells are shed).
-            let mut shed_plans: Vec<Vec<(u64, u8)>> = Vec::new();
-            if budget > 0 {
-                let mut candidates: Vec<Vec<ShedKey>> =
-                    switches.iter().map(|_| Vec::new()).collect();
-                for job in &wave {
-                    let h = job.route.hop(job.hop);
-                    if plane.stalled(h, superstep) {
-                        continue;
-                    }
-                    if matches!(job.kind, JobKind::Delta(_) | JobKind::Resync { .. }) {
-                        candidates[h].push(ShedKey {
-                            class: job.class,
-                            seq: job.seq,
-                            salt: job.salt,
-                        });
-                    }
-                }
-                shed_plans = candidates
-                    .into_iter()
-                    .enumerate()
-                    .map(|(h, keys)| {
-                        queues[h]
-                            .admit_superstep(keys, superstep, cfg.pressure_hold_supersteps)
-                            .into_iter()
-                            .map(|k| (k.seq, k.salt))
-                            .collect()
-                    })
-                    .collect();
-            }
-            let fx = FaultCtx {
-                plane: &plane,
-                superstep,
-            };
-            let mut next_wave = Vec::with_capacity(wave.len());
-            let mut sink = CompletionSink {
-                latency: &mut latency,
-                moments: &mut moments,
-            };
-            for job in wave.drain(..) {
-                let h = job.route.hop(job.hop);
-                if plane.stalled(h, superstep) {
-                    held.push(job);
-                    continue;
-                }
-                processed += 1;
-                if budget > 0
-                    && matches!(job.kind, JobKind::Delta(_) | JobKind::Resync { .. })
-                    && shed_plans[h].binary_search(&(job.seq, job.salt)).is_ok()
-                {
-                    shed_job(&job, cfg, &counters, &vci_states, &mut sink);
-                    continue;
-                }
-                let (forward, hold) = advance_job(
-                    job,
-                    &mut switches[h],
-                    h,
-                    cfg,
-                    &fx,
-                    &counters,
-                    &vci_states,
-                    &mut sink,
-                    if measuring {
-                        Some(&mut admission[h])
-                    } else {
-                        None
-                    },
-                    budget > 0 && queues[h].under_pressure(superstep),
-                );
-                if let Some(nj) = forward {
-                    next_wave.push(nj);
-                }
-                if let Some(entry) = hold {
-                    delayed.push(entry);
-                }
-            }
-            wave = next_wave;
+            state.advance_superstep(&mut wave);
         };
-
-        if completed_now >= cfg.target_requests {
+        if completed >= cfg.target_requests {
             break;
         }
     }
-
-    let mut finals: Vec<VcFinal> = Vec::with_capacity(cfg.num_vcs);
-    for runner in &mut runners {
-        // Read before apply_final: the final verdict collapses a
-        // mid-flight reroute to Settled while its residue stays behind.
-        let unsettled = runner.unsettled_at_exit();
-        let outcome = vci_states[runner.vci() as usize]
-            .lock()
-            .expect("vci lock")
-            .outcome
-            .take();
-        if let Some(o) = outcome {
-            runner.apply_final(o);
-        }
-        finals.push(VcFinal {
-            vci: runner.vci(),
-            believed: runner.believed_rate(),
-            degraded: runner.is_degraded(),
-            loss: runner.loss_fraction(),
-            route: runner.final_route(),
-            unsettled,
-            brownout: runner.in_brownout(),
-        });
-    }
-
-    let audit = finalize(cfg, &plane, &mut switches, &mut finals, superstep);
-    let degraded_vcs = finals.iter().filter(|f| f.degraded).count() as u64;
-    let unsettled_vcs = finals.iter().filter(|f| f.unsettled).count() as u64;
-    let brownout_vcs = finals.iter().filter(|f| f.brownout).count() as u64;
-    let (mean_source_loss, max_source_loss) = reduce_source_loss(&finals, cfg.num_vcs);
-    let vcs = finals
-        .iter()
-        .map(|f| VcOutcome {
-            vci: f.vci,
-            believed: f.believed,
-            degraded: f.degraded,
-            loss: f.loss,
-            route: f.route.clone(),
-        })
-        .collect();
-
     let wall = started.elapsed_seconds();
-    let counters = counters.snapshot();
-    debug_assert_eq!(counters.completed, counters.accepted + counters.exhausted);
-    let admission = reduce_admission(cfg.admission, &counters, &admission);
-    RunReport {
-        num_shards: 1,
-        num_vcs: cfg.num_vcs,
-        num_switches: cfg.num_switches,
-        hops_per_vc: cfg.hops_per_vc,
-        rounds,
-        supersteps: superstep,
-        wall_seconds: wall,
-        throughput_per_sec: if wall > 0.0 {
-            counters.completed as f64 / wall
-        } else {
-            0.0
-        },
-        counters,
-        audit,
-        admission,
-        degraded_vcs,
-        unsettled_vcs,
-        brownout_vcs,
-        mean_source_loss,
-        max_source_loss,
-        vcs,
-        latency: summarize_latency(&latency, &moments, cfg.hop_latency),
-        shards: vec![ShardReport {
-            shard: 0,
-            processed,
-            injected,
-            max_batch,
-        }],
-    }
+    assemble_report(&sh, vec![state], wall)
 }

@@ -143,3 +143,67 @@ fn different_seeds_diverge() {
         "different seeds should produce different workloads"
     );
 }
+
+/// The twin-ghost ordering regression. At 5000 VCs under the default fault
+/// mix a primary is now and then duplicated at two hops, and the two
+/// ghosts — same `(seq, salt)`, different `origin` — meet at one switch in
+/// one superstep. Sorting on `(seq, salt)` alone left their order to the
+/// unstable sort, i.e. to what else was in the batch, i.e. to the
+/// partition.
+#[test]
+fn twin_ghosts_process_in_the_same_order_at_every_shard_count() {
+    let cfg = |shards| {
+        let mut cfg = RuntimeConfig::balanced(shards, 5000);
+        let flows_per_switch = (cfg.num_vcs * cfg.hops_per_vc) as f64 / cfg.num_switches as f64;
+        cfg.port_capacity = flows_per_switch * cfg.initial_rate * 2.5;
+        cfg.target_requests = 100_000;
+        cfg.seed = 7;
+        cfg
+    };
+    let reference = run_sequential(&cfg(1));
+    for shards in [1, 2, 4] {
+        let parallel = run(&cfg(shards));
+        assert_eq!(parallel.counters, reference.counters, "{shards} shards");
+        assert_eq!(parallel.audit, reference.audit, "{shards} shards");
+        assert_eq!(parallel.supersteps, reference.supersteps, "{shards} shards");
+        assert_eq!(parallel.rounds, reference.rounds, "{shards} shards");
+        assert_eq!(parallel.vcs, reference.vcs, "{shards} shards");
+    }
+}
+
+/// One hop per VC and room for 8.5 base rates per port: 65 VCs overflow a
+/// switch that only one of the 2 shards owns.
+fn one_shard_overflows_cfg() -> RuntimeConfig {
+    let mut cfg = RuntimeConfig::balanced(2, 65);
+    cfg.hops_per_vc = 1;
+    cfg.port_capacity = 8.5 * cfg.initial_rate;
+    cfg.target_requests = 100;
+    cfg
+}
+
+/// A set-up that overflows only one shard's switches used to panic inside
+/// that worker and leave the others on the barrier forever. `run` must
+/// raise it on the caller instead; the watchdog turns a regression into a
+/// failure rather than a hung test run.
+#[test]
+#[should_panic(expected = "raise port_capacity")]
+fn initial_admission_overflow_on_one_shard_panics_instead_of_hanging() {
+    let cfg = one_shard_overflows_cfg();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    std::thread::spawn(move || {
+        if done_rx.recv_timeout(std::time::Duration::from_secs(20))
+            == Err(std::sync::mpsc::RecvTimeoutError::Timeout)
+        {
+            eprintln!("run() hung on a failed set-up");
+            std::process::exit(1);
+        }
+    });
+    let _done = done_tx; // dropped when `run` unwinds, releasing the watchdog
+    run(&cfg);
+}
+
+#[test]
+#[should_panic(expected = "raise port_capacity")]
+fn initial_admission_overflow_panics_in_the_sequential_driver() {
+    run_sequential(&one_shard_overflows_cfg());
+}

@@ -11,8 +11,10 @@
 //! 1. **Round top** (pipeline quiescent) — every shard sweeps its
 //!    switches' leases and admission windows, delivers last round's
 //!    verdicts to its VCs' retry state machines and publishes their
-//!    believed rates (phase A), then steps them through `slots_per_round`
-//!    traffic slots plus at most one due retry (phase B). Emitted attempts
+//!    believed rates (phase A), then emits their due control traffic
+//!    (a reroute walk, at most one retry), steps the Settled ones through
+//!    `slots_per_round` traffic slots, `LANES` VCs abreast, and emits the
+//!    queued teardowns (phase B, in those three parts). Emitted attempts
 //!    are handed to the first hop's shard. On audit rounds every shard
 //!    then audits its own switches against the published beliefs.
 //! 2. **Drain** — supersteps run until no job is in flight. Each advances

@@ -7,6 +7,14 @@
 //! [`rcbr_schedule::VcDriver`]. Stepping a runner produces [`Job`]s tagged
 //! with globally unique, shard-invariant sequence numbers.
 //!
+//! A round top drives every runner through phase A
+//! ([`VcRunner::begin_round`]: last round's verdict, then route liveness)
+//! and the three parts of phase B: control traffic
+//! ([`VcRunner::emit_control`]: a due reroute walk, a due retry), the
+//! round's traffic slots ([`VcRunner::step_slots`]: the Settled VCs,
+//! [`LANES`] at a time through the source round kernel), and the queued
+//! teardown walks ([`VcRunner::emit_tears`]).
+//!
 //! ## The request state machine
 //!
 //! ```text
@@ -39,7 +47,7 @@
 
 use rcbr_net::{FaultPlane, PriorityClass, Topology, SALT_PRIMARY, SALT_TEARDOWN_BASE};
 use rcbr_schedule::online::{Ar1Config, Ar1Policy};
-use rcbr_schedule::{RetryBudget, RetryPolicy, ShedAccount, VcDriver};
+use rcbr_schedule::{RetryBudget, RetryPolicy, ShedAccount, VcDriver, LANES};
 use rcbr_sim::SimRng;
 use rcbr_traffic::SyntheticMpegSource;
 
@@ -498,13 +506,23 @@ impl VcRunner {
         }
     }
 
-    /// Round boundary, phase B: run the reroute engine's emission half
-    /// (due reroute walks, queued teardowns), then — only while Settled —
-    /// inject a due retry and step the VC through one round of traffic
-    /// slots. A reroute in progress pauses all normal emission: the
-    /// source is busy re-establishing connectivity.
+    /// The slot-0 sequence number of `round`: free for control traffic
+    /// whenever no traffic-slot attempt claims it (a pending request or an
+    /// in-progress reroute suppresses slot emissions), and teardown walks
+    /// use distinct salts besides. `slot_base` accounts for storm rounds'
+    /// widened slot windows; without a storm it is exactly
+    /// `round * slots_per_round`, the legacy layout.
+    fn base_seq(&self, cfg: &RuntimeConfig, round: u64) -> u64 {
+        cfg.slot_base(round) * cfg.num_vcs as u64 + self.vci as u64
+    }
+
+    /// Round boundary, phase B, first of three parts: the control
+    /// traffic. Runs the reroute engine's emission half (a due reroute
+    /// walk; teardowns only get queued here), then — only while Settled —
+    /// injects a due retry. A reroute in progress pauses all normal
+    /// emission: the source is busy re-establishing connectivity.
     #[allow(clippy::too_many_arguments)]
-    pub fn emit_round(
+    pub fn emit_control(
         &mut self,
         cfg: &RuntimeConfig,
         topo: &Topology,
@@ -514,13 +532,7 @@ impl VcRunner {
         out: &mut Vec<Job>,
         counters: &Counters,
     ) {
-        // The slot-0 sequence number for this round: free for control
-        // traffic whenever no traffic-slot attempt claims it (a pending
-        // request or an in-progress reroute suppresses slot emissions),
-        // and teardown walks use distinct salts besides. `slot_base`
-        // accounts for storm rounds' widened slot windows; without a storm
-        // it is exactly `round * slots_per_round`, the legacy layout.
-        let base_seq = cfg.slot_base(round) * cfg.num_vcs as u64 + self.vci as u64;
+        let base_seq = self.base_seq(cfg, round);
 
         if let RouteState::RerouteBackoff { until, mode } = self.route_state {
             if now >= until {
@@ -584,95 +596,112 @@ impl VcRunner {
             }
         }
 
-        if matches!(self.route_state, RouteState::Settled) {
-            let route = Route::from_slice(&self.active_route);
-            if let ReqPhase::Backoff { until, failures } = self.phase {
-                if now >= until {
-                    // Retry the pending rate as an absolute resync: the
-                    // failed attempt may have half-applied its delta, and
-                    // an absolute cell repairs that drift while re-asking.
-                    let rate = self
-                        .driver
-                        .pending_rate()
-                        .expect("backoff implies a pending request");
-                    counters.retries.fetch_add(1, Ordering::Relaxed);
-                    out.push(Job {
-                        seq: base_seq,
-                        vci: self.vci,
-                        hop: 0,
-                        kind: JobKind::Resync {
-                            rate,
-                            expected_prior: self.driver.current_rate(),
-                        },
-                        salt: SALT_PRIMARY,
-                        origin: 0,
-                        cleared: false,
-                        class: self.class,
-                        pressured: false,
-                        route,
-                    });
-                    self.phase = ReqPhase::Await {
-                        injected_at: now,
-                        failures,
-                    };
-                }
-            }
-            for slot in 0..cfg.slots_in_round(round) {
-                let Some(rate) = self.driver.step() else {
-                    continue;
-                };
-                if self.brownout {
-                    // Browned out: hold the granted rate and never offer
-                    // the request to the network — the shed-backoff probe
-                    // above is the only signaling until pressure clears.
-                    // No counters move; the request was never injected.
-                    self.driver.abandon();
-                    continue;
-                }
-                let global_slot = cfg.slot_base(round) + slot as u64;
-                let seq = global_slot * cfg.num_vcs as u64 + self.vci as u64;
-                // The driver's current rate is still the pre-grant rate:
-                // the delta below is what the network must add (or
-                // return).
-                let current = self.driver.current_rate();
-                self.emitted += 1;
-                let kind = if cfg.resync_interval > 0
-                    && self.emitted.is_multiple_of(cfg.resync_interval)
-                {
-                    JobKind::Resync {
-                        rate,
-                        expected_prior: current,
-                    }
-                } else {
-                    JobKind::Delta(rate - current)
-                };
+        if let (RouteState::Settled, ReqPhase::Backoff { until, failures }) =
+            (&self.route_state, self.phase)
+        {
+            if now >= until {
+                // Retry the pending rate as an absolute resync: the
+                // failed attempt may have half-applied its delta, and
+                // an absolute cell repairs that drift while re-asking.
+                let rate = self
+                    .driver
+                    .pending_rate()
+                    .expect("backoff implies a pending request");
+                counters.retries.fetch_add(1, Ordering::Relaxed);
                 out.push(Job {
-                    seq,
+                    seq: base_seq,
                     vci: self.vci,
                     hop: 0,
-                    kind,
+                    kind: JobKind::Resync {
+                        rate,
+                        expected_prior: self.driver.current_rate(),
+                    },
                     salt: SALT_PRIMARY,
                     origin: 0,
                     cleared: false,
                     class: self.class,
                     pressured: false,
-                    route,
+                    route: Route::from_slice(&self.active_route),
                 });
                 self.phase = ReqPhase::Await {
                     injected_at: now,
-                    failures: 0,
+                    failures,
                 };
             }
         }
+    }
 
-        // Queued teardown walks last (stale hops after a commit,
-        // compensation after a failed walk, break-before-make, or
-        // stranding). Distinct salts keep same-seq control jobs totally
-        // ordered — partition-independently.
-        for (i, tear) in std::mem::take(&mut self.pending_tear)
-            .into_iter()
-            .enumerate()
-        {
+    /// Whether phase B's second part steps this VC's traffic slots: only
+    /// while Settled — a VC re-establishing connectivity plays no frames.
+    pub fn steps_slots(&self) -> bool {
+        matches!(self.route_state, RouteState::Settled)
+    }
+
+    /// Phase B, second part: step up to [`LANES`] Settled VCs (filled from
+    /// the front) through `round`'s traffic slots abreast, and inject
+    /// what each one's first request of the round asks for. Which VCs
+    /// share a call is unobservable: each is stepped exactly as alone.
+    pub fn step_slots(
+        mut group: [Option<&mut VcRunner>; LANES],
+        cfg: &RuntimeConfig,
+        round: u64,
+        now: u64,
+        out: &mut Vec<Job>,
+    ) {
+        let mut runners = group.iter_mut();
+        // Browned out: hold the granted rate and never offer a request to
+        // the network — the shed-backoff probe is the only signaling
+        // until pressure clears. The driver raises and abandons it on the
+        // spot; no counters move, the request was never injected.
+        let lanes = std::array::from_fn(|_| {
+            let r = runners.next()?.as_mut()?;
+            debug_assert!(r.steps_slots());
+            Some((&mut r.driver, !r.brownout))
+        });
+        let emitted = VcDriver::step_round(lanes, cfg.slots_in_round(round));
+        for (r, hit) in group.into_iter().zip(emitted) {
+            let (Some(r), Some((slot, rate))) = (r, hit) else {
+                continue;
+            };
+            let global_slot = cfg.slot_base(round) + slot as u64;
+            // The driver's current rate is still the pre-grant rate: the
+            // delta below is what the network must add (or return).
+            let current = r.driver.current_rate();
+            r.emitted += 1;
+            let kind = if cfg.resync_interval > 0 && r.emitted.is_multiple_of(cfg.resync_interval) {
+                JobKind::Resync {
+                    rate,
+                    expected_prior: current,
+                }
+            } else {
+                JobKind::Delta(rate - current)
+            };
+            out.push(Job {
+                seq: global_slot * cfg.num_vcs as u64 + r.vci as u64,
+                vci: r.vci,
+                hop: 0,
+                kind,
+                salt: SALT_PRIMARY,
+                origin: 0,
+                cleared: false,
+                class: r.class,
+                pressured: false,
+                route: Route::from_slice(&r.active_route),
+            });
+            r.phase = ReqPhase::Await {
+                injected_at: now,
+                failures: 0,
+            };
+        }
+    }
+
+    /// Phase B, third part: the teardown walks queued since the last
+    /// round top (stale hops after a commit, compensation after a failed
+    /// walk, break-before-make, or stranding). Distinct salts keep
+    /// same-seq control jobs totally ordered — partition-independently.
+    pub fn emit_tears(&mut self, cfg: &RuntimeConfig, round: u64, out: &mut Vec<Job>) {
+        let base_seq = self.base_seq(cfg, round);
+        for (i, tear) in self.pending_tear.drain(..).enumerate() {
             out.push(Job {
                 seq: base_seq,
                 vci: self.vci,
@@ -746,14 +775,20 @@ impl VcRunner {
         }
     }
 
-    /// The route the auditor should cross-check this VC's reservations
-    /// against — empty while the VC holds nothing, so every entry it may
-    /// still be leaving behind is treated as off-route residue.
-    pub fn audit_route(&self) -> Vec<u16> {
-        if self.torn {
-            Vec::new()
-        } else {
-            self.active_route.iter().map(|&h| h as u16).collect()
+    /// Bring `published`, the route the auditor cross-checks this VC's
+    /// reservations against, up to date — empty while the VC holds
+    /// nothing, so every entry it may still be leaving behind is treated
+    /// as off-route residue. A route moves on a reroute commit, a tear or
+    /// a strand; on every other round this only compares.
+    pub fn publish_route(&self, published: &mut Vec<u16>) {
+        let route: &[usize] = if self.torn { &[] } else { &self.active_route };
+        if !published
+            .iter()
+            .map(|&h| h as usize)
+            .eq(route.iter().copied())
+        {
+            published.clear();
+            published.extend(route.iter().map(|&h| h as u16));
         }
     }
 
@@ -796,6 +831,25 @@ mod tests {
         cfg
     }
 
+    /// Phase B for a lone runner: the three parts in the kernel's order.
+    #[allow(clippy::too_many_arguments)]
+    fn emit_round(
+        r: &mut VcRunner,
+        cfg: &RuntimeConfig,
+        topo: &Topology,
+        plane: &FaultPlane,
+        round: u64,
+        now: u64,
+        out: &mut Vec<Job>,
+        counters: &Counters,
+    ) {
+        r.emit_control(cfg, topo, plane, round, now, out, counters);
+        if r.steps_slots() {
+            VcRunner::step_slots([Some(&mut *r), None, None, None], cfg, round, now, out);
+        }
+        r.emit_tears(cfg, round, out);
+    }
+
     /// Drive `r` for `rounds` rounds against a synthetic network that
     /// answers every attempt with `verdict` (or, with `verdict == None`,
     /// kills every cell so only timeouts answer).
@@ -818,7 +872,7 @@ mod tests {
             }
             r.begin_round(cfg, &topo, &plane, outcome, false, superstep, counters);
             let before = jobs.len();
-            r.emit_round(cfg, &topo, &plane, round, superstep, &mut jobs, counters);
+            emit_round(r, cfg, &topo, &plane, round, superstep, &mut jobs, counters);
             assert!(jobs.len() - before <= 1, "multiple attempts in one round");
             if jobs.len() > before {
                 outstanding = true;
@@ -901,7 +955,7 @@ mod tests {
 
         let mut jobs = Vec::new();
         r.begin_round(&cfg, &topo, &plane, None, false, 2, &counters);
-        r.emit_round(&cfg, &topo, &plane, 0, 2, &mut jobs, &counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &counters);
         assert_eq!(jobs.len(), 1, "a dead route emits exactly the reroute walk");
         assert!(matches!(jobs[0].kind, JobKind::Reroute { .. }));
         let walked: Vec<usize> = (0..jobs[0].route.len())
@@ -922,7 +976,7 @@ mod tests {
             &counters,
         );
         assert_eq!(r.final_route(), vec![1, 2, 4]);
-        r.emit_round(&cfg, &topo, &plane, 1, 8, &mut jobs, &counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 1, 8, &mut jobs, &counters);
         let tears: Vec<&Job> = jobs
             .iter()
             .filter(|j| matches!(j.kind, JobKind::Teardown))
@@ -953,7 +1007,7 @@ mod tests {
         // Round 0: make-before-break walk along the chord goes out.
         let mut jobs = Vec::new();
         r.begin_round(&cfg, &topo, &plane, None, false, 2, &counters);
-        r.emit_round(&cfg, &topo, &plane, 0, 2, &mut jobs, &counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &counters);
         assert!(matches!(jobs[0].kind, JobKind::Reroute { .. }));
 
         // The walk is denied (capacity): the retry must go break-first.
@@ -970,7 +1024,7 @@ mod tests {
         assert_eq!(counters.snapshot().reroutes_denied, 1);
         assert!(r.believed_rate() > 0.0, "nothing torn yet");
         // Backoff elapses: the break round tears the whole old route.
-        r.emit_round(&cfg, &topo, &plane, 1, 20, &mut jobs, &counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 1, 20, &mut jobs, &counters);
         let tears: Vec<&Job> = jobs
             .iter()
             .filter(|j| matches!(j.kind, JobKind::Teardown))
@@ -987,7 +1041,7 @@ mod tests {
         // restores service on the new route.
         jobs.clear();
         r.begin_round(&cfg, &topo, &plane, None, false, 28, &counters);
-        r.emit_round(&cfg, &topo, &plane, 2, 28, &mut jobs, &counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 2, 28, &mut jobs, &counters);
         assert!(jobs
             .iter()
             .any(|j| matches!(j.kind, JobKind::Reroute { .. })));
@@ -1029,7 +1083,7 @@ mod tests {
 
         let mut jobs = Vec::new();
         r.begin_round(&cfg, &topo, &plane, None, false, 2, &counters);
-        r.emit_round(&cfg, &topo, &plane, 0, 2, &mut jobs, &counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &counters);
         assert_eq!(counters.snapshot().stranded_events, 1);
         assert_eq!(r.believed_rate(), 0.0, "a stranded VC holds nothing");
         assert!(r.final_route().is_empty());
@@ -1043,7 +1097,7 @@ mod tests {
         // out, and a grant un-strands the VC.
         jobs.clear();
         r.begin_round(&cfg, &topo, &plane, None, false, 101, &counters);
-        r.emit_round(&cfg, &topo, &plane, 1, 101, &mut jobs, &counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 1, 101, &mut jobs, &counters);
         assert!(
             jobs.iter()
                 .any(|j| matches!(j.kind, JobKind::Reroute { .. })),
@@ -1106,7 +1160,9 @@ mod tests {
         let mut now = 0u64;
         while jobs.is_empty() {
             r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
-            r.emit_round(&cfg, &topo, &plane, round, now, &mut jobs, &counters);
+            emit_round(
+                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+            );
             round += 1;
             now += 8;
         }
@@ -1126,7 +1182,9 @@ mod tests {
         jobs.clear();
         now += 8;
         r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
-        r.emit_round(&cfg, &topo, &plane, round, now, &mut jobs, &counters);
+        emit_round(
+            &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+        );
         assert_eq!(
             jobs.len(),
             1,
@@ -1164,7 +1222,9 @@ mod tests {
         let mut now = 0u64;
         while jobs.is_empty() {
             r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
-            r.emit_round(&cfg, &topo, &plane, round, now, &mut jobs, &counters);
+            emit_round(
+                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+            );
             round += 1;
             now += 8;
         }
@@ -1193,8 +1253,93 @@ mod tests {
         assert_eq!(counters.snapshot().brownout_exits, 0);
         // And while browned out with nothing pending, no slot traffic.
         jobs.clear();
-        r.emit_round(&cfg, &topo, &plane, round, now + 8, &mut jobs, &counters);
+        emit_round(
+            &mut r,
+            &cfg,
+            &topo,
+            &plane,
+            round,
+            now + 8,
+            &mut jobs,
+            &counters,
+        );
         assert!(jobs.is_empty(), "brownout suppresses slot renegotiation");
+    }
+
+    #[test]
+    fn brownout_counts_requests_as_step_then_abandon() {
+        let mut cfg = quiet_cfg();
+        cfg.backoff_base = 1;
+        cfg.backoff_jitter = 0;
+        cfg.brownout_hold_supersteps = 10_000;
+        let topo = cfg.topology();
+        let plane = FaultPlane::new(cfg.fault.clone());
+        let counters = Counters::default();
+        let mut r = VcRunner::new(&cfg, 51);
+        // The same source, stepped one slot at a time beside the runner.
+        let mut twin = VcRunner::new(&cfg, 51).driver;
+        let mut jobs = Vec::new();
+        let mut round = 0u64;
+        let mut now = 0u64;
+        while jobs.is_empty() {
+            r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
+            emit_round(
+                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+            );
+            for _ in 0..cfg.slots_in_round(round) {
+                twin.step();
+            }
+            round += 1;
+            now += 8;
+        }
+        // Shed, then granted under pressure: browned out, nothing pending.
+        r.begin_round(
+            &cfg,
+            &topo,
+            &plane,
+            Some(Outcome::Shed),
+            false,
+            now,
+            &counters,
+        );
+        r.begin_round(
+            &cfg,
+            &topo,
+            &plane,
+            Some(Outcome::Granted),
+            true,
+            now + 8,
+            &counters,
+        );
+        twin.on_grant();
+        assert!(r.in_brownout());
+        assert_eq!(r.driver.requests(), twin.requests());
+
+        // Rounds in which the source raises several requests: each is
+        // counted and abandoned on the spot, none is injected.
+        jobs.clear();
+        let injected = counters.snapshot();
+        let mut most_in_a_round = 0;
+        for _ in 0..40 {
+            now += 8;
+            r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
+            emit_round(
+                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+            );
+            let before = twin.requests();
+            for _ in 0..cfg.slots_in_round(round) {
+                if twin.step().is_some() {
+                    twin.abandon();
+                }
+            }
+            most_in_a_round = most_in_a_round.max(twin.requests() - before);
+            assert_eq!(r.driver.requests(), twin.requests(), "round {round}");
+            round += 1;
+        }
+        assert!(most_in_a_round > 1, "the trace never asks twice in a round");
+        assert!(jobs.is_empty(), "a browned-out VC injected {jobs:?}");
+        assert_eq!(counters.snapshot(), injected, "no counter may move");
+        assert_eq!(r.loss_fraction().to_bits(), twin.loss_fraction().to_bits());
     }
 
     #[test]
@@ -1212,7 +1357,9 @@ mod tests {
         let mut now = 0u64;
         while jobs.is_empty() {
             r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
-            r.emit_round(&cfg, &topo, &plane, round, now, &mut jobs, &counters);
+            emit_round(
+                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+            );
             round += 1;
             now += 8;
         }

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rcbr_net::{FaultPlane, ShedKey, SignalingQueue, Switch, Topology};
+use rcbr_schedule::LANES;
 use rcbr_sim::Histogram;
 
 use crate::admission::{reduce_admission, SwitchAdmission};
@@ -160,8 +161,10 @@ impl<'a> ShardState<'a> {
     /// The quiescent top of round `round`, everything up to the hand-off:
     /// the lease and admission sweep over the local switches, verdict
     /// delivery to the local VCs (phase A, publishing their beliefs), and
-    /// this round's attempts (phase B) into the outbox. The only place
-    /// phase-locked state moves mid-run (`phase-discipline` in lint.toml).
+    /// this round's attempts (phase B: control traffic, the traffic slots
+    /// through the source round kernel, teardowns) into the outbox. The
+    /// only place phase-locked state moves mid-run (`phase-discipline` in
+    /// lint.toml).
     pub fn round_top(&mut self, round: u64) {
         let sh = self.sh;
         let (cfg, counters) = (sh.cfg, &sh.counters);
@@ -210,12 +213,28 @@ impl<'a> ShardState<'a> {
             };
             runner.begin_round(cfg, &sh.topo, &sh.plane, outcome, pressured, now, counters);
             sh.believed[vci].store(runner.believed_rate().to_bits(), Ordering::Relaxed);
-            *sh.routes[vci].lock().expect("route lock") = runner.audit_route();
+            runner.publish_route(&mut sh.routes[vci].lock().expect("route lock"));
         }
-        // Phase B: generate this round's attempts (due retries first).
+        // Phase B: generate this round's attempts, in three parts — control
+        // traffic (a due reroute walk, a due retry), then the traffic
+        // slots of the Settled VCs, `LANES` abreast, then the teardown
+        // walks queued since the last round top. The order jobs enter
+        // `staging` in is unobservable: every superstep sorts its batch by
+        // a total order.
+        let out = &mut self.staging;
         for runner in &mut self.runners {
-            let out = &mut self.staging;
-            runner.emit_round(cfg, &sh.topo, &sh.plane, round, now, out, counters);
+            runner.emit_control(cfg, &sh.topo, &sh.plane, round, now, out, counters);
+        }
+        let mut settled = self.runners.iter_mut().filter(|r| r.steps_slots());
+        loop {
+            let group: [Option<&mut VcRunner>; LANES] = std::array::from_fn(|_| settled.next());
+            if group[0].is_none() {
+                break;
+            }
+            VcRunner::step_slots(group, cfg, round, now, out);
+        }
+        for runner in &mut self.runners {
+            runner.emit_tears(cfg, round, out);
         }
         for job in self.staging.drain(..) {
             counters.injected.fetch_add(1, Ordering::Relaxed);

@@ -6,7 +6,7 @@
 //! the same counters as a sequential replay of the same request log, and
 //! re-running the sharded engine must be bit-identical.
 
-use rcbr_net::{CrashSpec, StallSpec};
+use rcbr_net::{CrashSpec, KillSpec, StallSpec};
 use rcbr_runtime::{run, run_sequential, RuntimeConfig};
 
 /// A config small enough for tests but busy enough to exercise every
@@ -168,6 +168,43 @@ fn twin_ghosts_process_in_the_same_order_at_every_shard_count() {
         assert_eq!(parallel.supersteps, reference.supersteps, "{shards} shards");
         assert_eq!(parallel.rounds, reference.rounds, "{shards} shards");
         assert_eq!(parallel.vcs, reference.vcs, "{shards} shards");
+    }
+}
+
+/// Phase B steps the Settled VCs of a shard `LANES` (4) abreast. VC counts
+/// that never fill a shard's last group — and leave some shards with
+/// fewer VCs than lanes, or none — under the default fault mix plus one
+/// kill, so that Settled, rerouting and stranded runners mix inside a
+/// group: which VCs share a group depends on the partition and must not
+/// show.
+#[test]
+fn ragged_lane_groups_are_shard_invariant() {
+    for num_vcs in [1usize, 3, 5, 13] {
+        let cfg = |shards| {
+            let mut cfg = RuntimeConfig::balanced(shards, num_vcs);
+            // A stranded VC completes nothing more: bound by rounds.
+            cfg.max_rounds = 300;
+            cfg.extra_links = vec![(2, 4)];
+            cfg.fault.kills = vec![KillSpec {
+                switch: 3,
+                at_superstep: 40,
+            }];
+            cfg
+        };
+        let reference = run_sequential(&cfg(1));
+        assert!(
+            reference.counters.stranded_events > 0,
+            "{num_vcs} VCs: VC 0 ends on the killed switch"
+        );
+        assert_eq!(reference.counters.reroutes > 0, num_vcs > 1);
+        for shards in [1, 2, 4] {
+            let parallel = run(&cfg(shards));
+            let at = format!("{num_vcs} VCs, {shards} shards");
+            assert_eq!(parallel.counters, reference.counters, "{at}");
+            assert_eq!(parallel.audit, reference.audit, "{at}");
+            assert_eq!(parallel.supersteps, reference.supersteps, "{at}");
+            assert_eq!(parallel.vcs, reference.vcs, "{at}");
+        }
     }
 }
 

@@ -33,7 +33,7 @@ pub mod smoothing;
 pub mod trellis;
 
 pub use cost::CostModel;
-pub use driver::VcDriver;
+pub use driver::{VcDriver, LANES};
 pub use grid::RateGrid;
 pub use online::{Ar1Config, Ar1Policy, GopAwareConfig, GopAwarePolicy, OnlinePolicy};
 pub use retry::{RetryBudget, RetryPolicy, ShedAccount};

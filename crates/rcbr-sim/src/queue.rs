@@ -85,6 +85,18 @@ impl FluidQueue {
     pub fn offer(&mut self, arrival: f64, service: f64) -> SlotOutcome {
         assert!(arrival >= 0.0, "arrival must be nonnegative, got {arrival}");
         assert!(service >= 0.0, "service must be nonnegative, got {service}");
+        self.offer_prechecked(arrival, service)
+    }
+
+    /// [`offer`](Self::offer) for a caller that has already established
+    /// both of its preconditions — a loop that offers one validated trace
+    /// at one service amount checks them once, not once per slot. The
+    /// slot arithmetic lives here and nowhere else; its float expressions
+    /// and their order are part of every committed baseline.
+    #[inline]
+    pub fn offer_prechecked(&mut self, arrival: f64, service: f64) -> SlotOutcome {
+        debug_assert!(arrival >= 0.0, "arrival must be nonnegative, got {arrival}");
+        debug_assert!(service >= 0.0, "service must be nonnegative, got {service}");
         self.total_arrived += arrival;
 
         let before_service = self.backlog + arrival;

@@ -167,7 +167,7 @@ impl<'a> SystemSim<'a> {
                 }
             });
 
-            util_integral += port.utilization() * tau;
+            util_integral += port.load().utilization() * tau;
         }
 
         SystemReport {

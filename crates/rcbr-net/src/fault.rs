@@ -232,6 +232,43 @@ impl FaultConfig {
     }
 }
 
+/// The scheduled outages in force at one superstep: what
+/// [`FaultPlane::switch_down`], [`FaultPlane::link_down`] and
+/// [`FaultPlane::restart_superstep`] answer for that superstep, worked
+/// out once ([`FaultPlane::active_at`]) instead of once per cell. A pure
+/// function of the configuration and the clock, so every shard holds the
+/// same lists; with nothing scheduled a query tests an empty one.
+#[derive(Debug, Clone, Default)]
+pub struct ActiveFaults {
+    down: Vec<usize>,
+    links: Vec<(usize, usize)>,
+    restarted: Vec<usize>,
+}
+
+impl ActiveFaults {
+    /// [`FaultPlane::switch_down`] at this superstep.
+    pub fn switch_down(&self, switch: usize) -> bool {
+        self.down.contains(&switch)
+    }
+
+    /// [`FaultPlane::link_down`] at this superstep.
+    pub fn link_down(&self, a: usize, b: usize) -> bool {
+        self.links.contains(&(a, b)) || self.links.contains(&(b, a))
+    }
+
+    /// The switches whose crash window has ended by this superstep —
+    /// [`FaultPlane::restart_superstep`] is at or before it — in
+    /// configuration order.
+    pub fn restarted(&self) -> &[usize] {
+        &self.restarted
+    }
+}
+
+/// Whether `superstep` is inside the window `[at, at + len)`.
+fn within(superstep: u64, at: u64, len: u64) -> bool {
+    superstep >= at && superstep < at + len
+}
+
 /// splitmix64 finalizer: a cheap, well-mixed 64-bit hash step.
 fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -324,15 +361,35 @@ impl FaultPlane {
         }
     }
 
+    /// Refill `active` with the outages in force at `superstep`: each
+    /// scheduled switch and link, asked the point queries below.
+    pub fn active_at(&self, superstep: u64, active: &mut ActiveFaults) {
+        let c = &self.cfg;
+        let crashed = c.crashes.iter().map(|x| x.switch);
+        let scheduled = c.kills.iter().map(|k| k.switch).chain(crashed.clone());
+        active.down.clear();
+        active
+            .down
+            .extend(scheduled.filter(|&s| self.switch_down(s, superstep)));
+        let links = c.link_downs.iter().map(|l| (l.a, l.b));
+        active.links.clear();
+        active
+            .links
+            .extend(links.filter(|&(a, b)| self.link_down(a, b, superstep)));
+        let restarted = |&s: &usize| self.restart_superstep(s).is_some_and(|at| superstep >= at);
+        active.restarted.clear();
+        active.restarted.extend(crashed.filter(restarted));
+    }
+
     /// Whether `switch` is down — transiently crashed *or* permanently
     /// killed — at `superstep`.
     pub fn switch_down(&self, switch: usize, superstep: u64) -> bool {
         self.switch_killed(switch, superstep)
-            || self.cfg.crashes.iter().any(|c| {
-                c.switch == switch
-                    && superstep >= c.at_superstep
-                    && superstep < c.at_superstep + c.down_supersteps
-            })
+            || self
+                .cfg
+                .crashes
+                .iter()
+                .any(|c| c.switch == switch && within(superstep, c.at_superstep, c.down_supersteps))
     }
 
     /// Whether `switch` is permanently killed at `superstep`. Kills never
@@ -349,8 +406,7 @@ impl FaultPlane {
     pub fn link_down(&self, a: usize, b: usize, superstep: u64) -> bool {
         self.cfg.link_downs.iter().any(|l| {
             ((l.a == a && l.b == b) || (l.a == b && l.b == a))
-                && superstep >= l.at_superstep
-                && superstep < l.at_superstep + l.down_supersteps
+                && within(superstep, l.at_superstep, l.down_supersteps)
         })
     }
 
@@ -370,9 +426,7 @@ impl FaultPlane {
     pub fn stalled(&self, switch: usize, superstep: u64) -> bool {
         match &self.cfg.stall {
             Some(s) => {
-                switch % s.groups == s.group
-                    && superstep >= s.at_superstep
-                    && superstep < s.at_superstep + s.supersteps
+                switch % s.groups == s.group && within(superstep, s.at_superstep, s.supersteps)
             }
             None => false,
         }
@@ -513,6 +567,65 @@ mod tests {
         assert!(p.stalled(4, 21));
         assert!(!p.stalled(4, 24));
         assert!(!p.stalled(3, 21));
+    }
+
+    /// `active_at` is the point queries, asked once per superstep: over a
+    /// schedule with a kill, two crashes and a flapping link, and a reused
+    /// buffer, the two agree on every switch, every link (either way
+    /// round) and every restart at every superstep.
+    #[test]
+    fn active_faults_answer_as_the_point_queries_do() {
+        let flap = |at_superstep| LinkDownSpec {
+            a: 4,
+            b: 3,
+            at_superstep,
+            down_supersteps: 6,
+        };
+        let p = FaultPlane::new(FaultConfig {
+            kills: vec![KillSpec {
+                switch: 1,
+                at_superstep: 17,
+            }],
+            crashes: [(2, 5, 9), (5, 20, 1)]
+                .map(|(switch, at_superstep, down_supersteps)| CrashSpec {
+                    switch,
+                    at_superstep,
+                    down_supersteps,
+                })
+                .to_vec(),
+            link_downs: vec![
+                flap(3),
+                flap(8),
+                LinkDownSpec {
+                    a: 0,
+                    b: 5,
+                    ..flap(12)
+                },
+            ],
+            ..FaultConfig::transparent()
+        });
+        let mut active = ActiveFaults::default();
+        for t in 0..40 {
+            p.active_at(t, &mut active);
+            for a in 0..6 {
+                assert_eq!(
+                    active.switch_down(a),
+                    p.switch_down(a, t),
+                    "switch {a} at {t}"
+                );
+                let restarted = p.restart_superstep(a).is_some_and(|at| t >= at);
+                assert_eq!(active.restarted().contains(&a), restarted, "{a} at {t}");
+                for b in 0..6 {
+                    assert_eq!(
+                        active.link_down(a, b),
+                        p.link_down(a, b, t),
+                        "{a}-{b} at {t}"
+                    );
+                }
+            }
+        }
+        p.active_at(40, &mut active);
+        assert_eq!(active.restarted(), [2, 5], "configuration order, each once");
     }
 
     #[test]

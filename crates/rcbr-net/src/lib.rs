@@ -38,25 +38,24 @@ pub mod advance;
 pub mod cell;
 pub mod cellmux;
 pub mod fault;
-pub mod lease;
 pub mod path;
 pub mod port;
 pub mod rm;
 pub mod salt;
 pub mod signaling;
 pub mod switch;
+mod table;
 pub mod topology;
 
 pub use advance::{profile_from_segments, AdvanceBook, BookingOutcome};
 pub use cell::{cells_for_bits, CELL_BITS, CELL_PAYLOAD_BITS};
 pub use cellmux::{simulate_cbr_mux, CellMuxReport};
 pub use fault::{
-    CrashSpec, FaultAction, FaultConfig, FaultPlane, KillSpec, LinkDownSpec, StallSpec,
-    FAULT_BP_SCALE,
+    ActiveFaults, CrashSpec, FaultAction, FaultConfig, FaultPlane, KillSpec, LinkDownSpec,
+    StallSpec, FAULT_BP_SCALE,
 };
-pub use lease::LeaseTable;
 pub use path::{Path, RenegotiationOutcome};
-pub use port::OutputPort;
+pub use port::{OutputPort, PortLoad, VcSlot};
 pub use rm::{RateField, RmCell, RM_CELL_BYTES};
 pub use salt::{SALT_GHOST, SALT_PRIMARY, SALT_TEARDOWN_BASE};
 pub use signaling::{select_shed, PriorityClass, ShedKey, SignalingQueue};

@@ -6,19 +6,28 @@
 //! the renegotiation request succeeds, and the VCI and port statistics are
 //! updated."
 //!
-//! The port also keeps per-VCI reservations. The paper notes the fast path
-//! does not *need* them ("RCBR support does not require per-VCI state");
-//! here they serve the slow path — absolute-rate resync cells and
-//! connection teardown — and let tests audit that the aggregate never
-//! drifts from the sum of its parts.
-
-use std::collections::BTreeMap;
+//! The two lookups meet in a [`VcSlot`]: the VC's entry in its switch's
+//! table and the port that entry names, resolved once per cell and then
+//! checked and updated by straight-line arithmetic. [`PortLoad`] is the
+//! "port statistics" half — capacity, booking ceiling, aggregate
+//! reservation — and is what a [`Switch`] keeps per port.
+//! [`OutputPort`] is a port on its own, a one-port switch behind by-VCI
+//! calls: the single-link simulations use it.
+//!
+//! The per-VC reservations are not needed by the fast path ("RCBR support
+//! does not require per-VCI state"); they serve the slow path —
+//! absolute-rate resync cells and connection teardown — and let tests
+//! audit that the aggregate never drifts from the sum of its parts.
 
 use serde::{Deserialize, Serialize};
 
-/// One output port of a switch.
+use crate::rm::RateField;
+use crate::switch::Switch;
+use crate::table::VcEntry;
+
+/// One port's capacity, booking ceiling and aggregate reservation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OutputPort {
+pub struct PortLoad {
     capacity: f64,
     /// The booking ceiling the fast-path check compares against. Equal to
     /// `capacity` by default (the legacy peak-rate check); a live
@@ -26,15 +35,14 @@ pub struct OutputPort {
     /// (conservative) or above it (statistical overbooking).
     ceiling: f64,
     reserved: f64,
-    per_vci: BTreeMap<u32, f64>,
 }
 
-impl OutputPort {
-    /// Create a port with the given capacity in bits/second.
+impl PortLoad {
+    /// A port with the given capacity in bits/second.
     ///
     /// # Panics
     /// Panics unless `capacity > 0` and finite.
-    pub fn new(capacity: f64) -> Self {
+    pub(crate) fn new(capacity: f64) -> Self {
         assert!(
             capacity > 0.0 && capacity.is_finite(),
             "port capacity must be positive"
@@ -43,7 +51,6 @@ impl OutputPort {
             capacity,
             ceiling: capacity,
             reserved: 0.0,
-            per_vci: BTreeMap::new(),
         }
     }
 
@@ -64,7 +71,7 @@ impl OutputPort {
     ///
     /// # Panics
     /// Panics unless `ceiling > 0` and finite.
-    pub fn set_admit_ceiling(&mut self, ceiling: f64) {
+    pub(crate) fn set_admit_ceiling(&mut self, ceiling: f64) {
         assert!(
             ceiling > 0.0 && ceiling.is_finite(),
             "admission ceiling must be positive"
@@ -87,56 +94,81 @@ impl OutputPort {
         (self.capacity - self.reserved).max(0.0)
     }
 
-    /// Current reservation of a VCI (0 if unknown).
-    pub fn vci_rate(&self, vci: u32) -> f64 {
-        self.per_vci.get(&vci).copied().unwrap_or(0.0)
+    /// Crash-wipe the aggregate; the owner zeroes the per-VC rates. The
+    /// booking ceiling is policy soft state too: a restarted switch
+    /// starts back at the legacy peak-rate check until the admission
+    /// estimator's next window closes.
+    pub(crate) fn wipe(&mut self) {
+        self.reserved = 0.0;
+        self.ceiling = self.capacity;
     }
 
-    /// Number of VCIs with a nonzero reservation record.
-    pub fn active_vcis(&self) -> usize {
-        self.per_vci.len()
+    /// Audit: the aggregate equals `sum`, the per-VC reservations added
+    /// up in ascending VCI order.
+    pub(crate) fn matches_sum(&self, sum: f64) -> bool {
+        (self.reserved - sum).abs() <= 1e-6 * self.reserved.abs().max(1.0)
+    }
+}
+
+/// One VC at its port: the resolved pair the fast path works on. Borrowed
+/// from a [`Switch`] (or an [`OutputPort`]) for one cell.
+#[derive(Debug)]
+pub struct VcSlot<'a> {
+    pub(crate) load: &'a mut PortLoad,
+    pub(crate) entry: &'a mut VcEntry,
+}
+
+impl VcSlot<'_> {
+    /// The VC's current reservation, bits/second.
+    pub fn rate(&self) -> f64 {
+        self.entry.rate
     }
 
-    /// The nonzero per-VCI reservations, ascending by VCI (the map is
-    /// ordered) — the auditor's view for cross-checking that torn-down and
-    /// rerouted-away VCs left nothing behind.
-    pub fn vci_entries(&self) -> Vec<(u32, f64)> {
-        self.per_vci.iter().map(|(&v, &r)| (v, r)).collect()
+    /// Record that an RM cell for this VC was processed at superstep
+    /// `now`, refreshing its lease.
+    pub fn touch_lease(&mut self, now: u64) {
+        self.entry.lease_refreshed_at = now;
     }
 
-    /// The fast-path check-and-update: apply a rate `delta` for `vci`.
+    /// Check-and-update for an RM cell's rate field; `true` = granted.
+    pub fn book(&mut self, rate: RateField) -> bool {
+        match rate {
+            RateField::Delta(d) => self.try_reserve_delta(d),
+            RateField::Absolute(r) => self.try_set_absolute(r),
+        }
+    }
+
+    /// The fast-path check-and-update: apply a rate `delta`.
     ///
-    /// Succeeds iff the new aggregate fits the capacity and the VCI's own
-    /// reservation stays nonnegative (a stale negative delta after drift
-    /// must not push a reservation below zero). Rate decreases always
-    /// succeed at the aggregate level.
-    pub fn try_reserve_delta(&mut self, vci: u32, delta: f64) -> bool {
+    /// Succeeds iff the new aggregate fits the booking ceiling and the
+    /// VC's own reservation stays nonnegative (a stale negative delta
+    /// after drift must not push a reservation below zero). Rate
+    /// decreases always succeed at the aggregate level.
+    pub fn try_reserve_delta(&mut self, delta: f64) -> bool {
         assert!(delta.is_finite(), "rate delta must be finite");
-        let old = self.vci_rate(vci);
-        let new = old + delta;
+        let new = self.entry.rate + delta;
         if new < -1e-9 {
             return false;
         }
         let new = new.max(0.0);
-        if delta > 0.0 && self.reserved + delta > self.ceiling + 1e-9 {
+        if delta > 0.0 && self.load.reserved + delta > self.load.ceiling + 1e-9 {
             return false;
         }
-        self.apply(vci, old, new);
+        self.apply(new);
         true
     }
 
-    /// The slow path: set `vci`'s reservation to an absolute rate
-    /// (resync). Succeeds iff the resulting aggregate fits.
-    pub fn try_set_absolute(&mut self, vci: u32, rate: f64) -> bool {
+    /// The slow path: set the reservation to an absolute rate (resync).
+    /// Succeeds iff the resulting aggregate fits.
+    pub fn try_set_absolute(&mut self, rate: f64) -> bool {
         assert!(
             rate >= 0.0 && rate.is_finite(),
             "absolute rate must be nonnegative"
         );
-        let old = self.vci_rate(vci);
-        if self.reserved - old + rate > self.ceiling + 1e-9 {
+        if self.load.reserved - self.entry.rate + rate > self.load.ceiling + 1e-9 {
             return false;
         }
-        self.apply(vci, old, rate);
+        self.apply(rate);
         true
     }
 
@@ -146,49 +178,99 @@ impl OutputPort {
     /// even a rate *reduction* would fail the checked path, yet recovery
     /// must still reconcile the reservation. Never part of the live
     /// signaling path.
-    pub fn set_unchecked(&mut self, vci: u32, rate: f64) {
+    pub fn set_unchecked(&mut self, rate: f64) {
         assert!(
             rate >= 0.0 && rate.is_finite(),
             "absolute rate must be nonnegative"
         );
-        let old = self.vci_rate(vci);
-        self.apply(vci, old, rate);
+        self.apply(rate);
+    }
+
+    /// Release everything the VC holds (teardown, lease expiry). Returns
+    /// the rate released.
+    pub fn release(&mut self) -> f64 {
+        let old = self.entry.rate;
+        self.apply(0.0);
+        old
+    }
+
+    fn apply(&mut self, new: f64) {
+        self.load.reserved = (self.load.reserved - self.entry.rate + new).max(0.0);
+        // Nothing held is `+0.0` whatever zero the arithmetic produced.
+        self.entry.rate = if new == 0.0 { 0.0 } else { new };
+    }
+}
+
+/// One output port on its own — a one-port [`Switch`] that routes a VCI
+/// the first time it asks for bandwidth — behind by-VCI calls.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct OutputPort {
+    switch: Switch,
+}
+
+impl OutputPort {
+    /// Create a port with the given capacity in bits/second.
+    ///
+    /// # Panics
+    /// Panics unless `capacity > 0` and finite.
+    pub fn new(capacity: f64) -> Self {
+        Self {
+            switch: Switch::new(&[capacity]),
+        }
+    }
+
+    /// Capacity, booking ceiling, aggregate reservation.
+    pub fn load(&self) -> &PortLoad {
+        self.switch.port(0).expect("one port")
+    }
+
+    /// See [`Switch::set_admit_ceiling`].
+    pub fn set_admit_ceiling(&mut self, ceiling: f64) {
+        self.switch.set_admit_ceiling(0, ceiling);
+    }
+
+    /// Current reservation of a VCI (0 if unknown).
+    pub fn vci_rate(&self, vci: u32) -> f64 {
+        self.switch.vci_rate(vci).unwrap_or(0.0)
+    }
+
+    /// The nonzero per-VCI reservations, ascending by VCI.
+    pub fn vci_entries(&self) -> Vec<(u32, f64)> {
+        self.switch.vci_entries()
+    }
+
+    /// See [`VcSlot::try_reserve_delta`].
+    pub fn try_reserve_delta(&mut self, vci: u32, delta: f64) -> bool {
+        self.switch.install(vci, 0).try_reserve_delta(delta)
+    }
+
+    /// See [`VcSlot::try_set_absolute`].
+    pub fn try_set_absolute(&mut self, vci: u32, rate: f64) -> bool {
+        self.switch.install(vci, 0).try_set_absolute(rate)
+    }
+
+    /// See [`VcSlot::set_unchecked`].
+    pub fn set_unchecked(&mut self, vci: u32, rate: f64) {
+        self.switch.install(vci, 0).set_unchecked(rate);
     }
 
     /// Release everything reserved by `vci` (teardown). Returns the rate
     /// released.
     pub fn release(&mut self, vci: u32) -> f64 {
-        let old = self.vci_rate(vci);
-        self.apply(vci, old, 0.0);
-        old
-    }
-
-    fn apply(&mut self, vci: u32, old: f64, new: f64) {
-        self.reserved = (self.reserved - old + new).max(0.0);
-        if new == 0.0 {
-            self.per_vci.remove(&vci);
-        } else {
-            self.per_vci.insert(vci, new);
-        }
+        self.switch.slot(vci).map_or(0.0, |mut slot| slot.release())
     }
 
     /// Crash-wipe: forget every reservation. Models the loss of *soft*
     /// state when a switch restarts — recovery must come from the
     /// sources' absolute-rate resync cells.
     pub fn wipe(&mut self) {
-        self.reserved = 0.0;
-        self.per_vci.clear();
-        // The booking ceiling is policy soft state too: a restarted switch
-        // starts back at the legacy peak-rate check until the admission
-        // estimator's next window closes.
-        self.ceiling = self.capacity;
+        self.switch.wipe_soft_state();
     }
 
     /// Audit: aggregate equals the sum of per-VCI reservations (used by
-    /// tests and debug assertions to catch drift bugs in the switch).
+    /// tests and debug assertions to catch drift bugs).
     pub fn is_consistent(&self) -> bool {
-        let sum: f64 = self.per_vci.values().sum();
-        (self.reserved - sum).abs() <= 1e-6 * self.reserved.abs().max(1.0)
+        self.switch.is_consistent()
     }
 }
 
@@ -202,8 +284,8 @@ mod tests {
         let mut p = OutputPort::new(1000.0);
         assert!(p.try_reserve_delta(1, 400.0));
         assert!(p.try_reserve_delta(2, 500.0));
-        assert_eq!(p.reserved(), 900.0);
-        assert!((p.utilization() - 0.9).abs() < 1e-12);
+        assert_eq!(p.load().reserved(), 900.0);
+        assert!((p.load().utilization() - 0.9).abs() < 1e-12);
         assert!(!p.try_reserve_delta(3, 200.0)); // would exceed capacity
         assert_eq!(p.release(1), 400.0);
         assert!(p.try_reserve_delta(3, 200.0));
@@ -216,7 +298,7 @@ mod tests {
         assert!(p.try_reserve_delta(1, 100.0));
         assert!(p.try_reserve_delta(1, -40.0));
         assert_eq!(p.vci_rate(1), 60.0);
-        assert_eq!(p.headroom(), 40.0);
+        assert_eq!(p.load().headroom(), 40.0);
     }
 
     #[test]
@@ -234,7 +316,7 @@ mod tests {
         // Drift: suppose the source believes 500 (a +200 delta was lost).
         assert!(p.try_set_absolute(1, 500.0));
         assert_eq!(p.vci_rate(1), 500.0);
-        assert_eq!(p.reserved(), 500.0);
+        assert_eq!(p.load().reserved(), 500.0);
         assert!(p.is_consistent());
     }
 
@@ -250,11 +332,11 @@ mod tests {
     #[test]
     fn ceiling_defaults_to_capacity_and_gates_bookings() {
         let mut p = OutputPort::new(1000.0);
-        assert_eq!(p.admit_ceiling(), 1000.0);
+        assert_eq!(p.load().admit_ceiling(), 1000.0);
         // Overbooked ceiling: bookings past the capacity are admitted.
         p.set_admit_ceiling(1500.0);
         assert!(p.try_reserve_delta(1, 1200.0));
-        assert!(p.reserved() > p.capacity());
+        assert!(p.load().reserved() > p.load().capacity());
         // Tightened ceiling: even a within-capacity increase is denied,
         // but decreases still fit (delta path) and the checked absolute
         // path denies while the total stays above the ceiling.
@@ -279,7 +361,7 @@ mod tests {
         assert_eq!(p.vci_rate(1), 1700.0);
         assert!(p.is_consistent());
         p.wipe();
-        assert_eq!(p.admit_ceiling(), p.capacity());
+        assert_eq!(p.load().admit_ceiling(), p.load().capacity());
     }
 
     #[test]
@@ -305,8 +387,8 @@ mod tests {
                     p.try_reserve_delta(vci, rate);
                 }
                 prop_assert!(p.is_consistent());
-                prop_assert!(p.reserved() <= p.capacity() + 1e-6);
-                prop_assert!(p.reserved() >= -1e-9);
+                prop_assert!(p.load().reserved() <= p.load().capacity() + 1e-6);
+                prop_assert!(p.load().reserved() >= -1e-9);
             }
         }
     }

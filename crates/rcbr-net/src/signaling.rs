@@ -86,15 +86,18 @@ pub struct ShedKey {
 /// The input order of `keys` is irrelevant — the set is sorted by the
 /// `(class, seq, salt)` total order and the first `budget` keys are
 /// served — which is exactly what makes the decision independent of how
-/// the engine happened to enumerate the cells.
+/// the engine happened to enumerate the cells. The answer comes back in
+/// `keys`' own allocation, so a caller that hands the same buffer in
+/// every superstep allocates nothing.
 pub fn select_shed(budget: u64, mut keys: Vec<ShedKey>) -> Vec<ShedKey> {
     if budget == 0 || keys.len() as u64 <= budget {
-        return Vec::new();
+        keys.clear();
+        return keys;
     }
     keys.sort_unstable();
-    let mut shed = keys.split_off(budget as usize);
-    shed.sort_unstable_by_key(|k| (k.seq, k.salt));
-    shed
+    keys.drain(..budget as usize);
+    keys.sort_unstable_by_key(|k| (k.seq, k.salt));
+    keys
 }
 
 /// Per-switch signaling-queue state: the per-superstep service budget and

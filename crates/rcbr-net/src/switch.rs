@@ -1,19 +1,27 @@
-//! Switches: a VCI table plus output ports.
+//! Switches: one VC table plus output ports.
 //!
 //! Processing an RM cell is the two-lookup fast path of Section III-B:
 //! "a switch-controller ... determines the output port of the VCI in one
 //! lookup, and the utilization and capacity of the output port in a second
-//! lookup" — then the check-and-update lives in [`OutputPort`]. A denial is
-//! signalled by setting the cell's `denied` flag (the paper's "the
-//! controller modifies the ER field to deny the request").
-
-use std::collections::BTreeMap;
+//! lookup" — [`Switch::slot`] does both, once per cell, and the
+//! check-and-update is [`VcSlot`]'s. A denial is signalled by setting the
+//! cell's `denied` flag (the paper's "the controller modifies the ER field
+//! to deny the request").
+//!
+//! Everything the switch knows per VC — output port, reserved rate, and
+//! the superstep an RM cell last refreshed its soft-state lease (Section
+//! III-B's RSVP observation, measured on the signaling plane's *logical*
+//! clock so that expiry is identical at every shard count) — is one entry
+//! of one table (`table.rs`), kept in ascending VCI order: audits, the
+//! lease sweep and the crash wipe walk it in place, and reclaim in that
+//! order, so per-port float accumulation does not depend on who asks.
+//! The by-VCI methods are that resolve plus one [`VcSlot`] call each.
 
 use serde::{Deserialize, Serialize};
 
-use crate::lease::LeaseTable;
-use crate::port::OutputPort;
-use crate::rm::{RateField, RmCell};
+use crate::port::{PortLoad, VcSlot};
+use crate::rm::RmCell;
+use crate::table::{VcEntry, VcTable, SETUP_SUPERSTEPS};
 
 /// Errors from switch management operations.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,11 +60,10 @@ impl std::error::Error for SwitchError {}
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Switch {
-    ports: Vec<OutputPort>,
-    vci_table: BTreeMap<u32, usize>,
-    /// Per-VCI lease bookkeeping: the superstep of the last RM cell that
-    /// touched each VCI, for use-it-or-lose-it reclamation.
-    lease: LeaseTable,
+    ports: Vec<PortLoad>,
+    /// The routed VCs. The routing entry is hard (signalled) state; its
+    /// rate and lease are soft.
+    table: VcTable,
 }
 
 impl Switch {
@@ -71,12 +78,8 @@ impl Switch {
             "switch needs at least one port"
         );
         Self {
-            ports: port_capacities
-                .iter()
-                .map(|&c| OutputPort::new(c))
-                .collect(),
-            vci_table: BTreeMap::new(),
-            lease: LeaseTable::new(),
+            ports: port_capacities.iter().map(|&c| PortLoad::new(c)).collect(),
+            table: VcTable::new(),
         }
     }
 
@@ -85,9 +88,29 @@ impl Switch {
         self.ports.len()
     }
 
-    /// Inspect a port.
-    pub fn port(&self, idx: usize) -> Option<&OutputPort> {
+    /// Inspect a port's capacity, ceiling and aggregate reservation.
+    pub fn port(&self, idx: usize) -> Option<&PortLoad> {
         self.ports.get(idx)
+    }
+
+    /// The fast path's two lookups: `vci`'s table entry and the port it
+    /// names, or `None` if the VCI is not routed here.
+    #[inline]
+    pub fn slot(&mut self, vci: u32) -> Option<VcSlot<'_>> {
+        let pos = self.table.find(vci)?;
+        Some(self.slot_at(pos))
+    }
+
+    fn slot_at(&mut self, pos: usize) -> VcSlot<'_> {
+        let entry = &mut self.table.entries_mut()[pos];
+        VcSlot {
+            load: &mut self.ports[entry.port as usize],
+            entry,
+        }
+    }
+
+    fn routed(&mut self, vci: u32) -> Result<VcSlot<'_>, SwitchError> {
+        self.slot(vci).ok_or(SwitchError::UnknownVci(vci))
     }
 
     /// Route `vci` to `port` with an initial reservation of `rate` b/s —
@@ -97,29 +120,28 @@ impl Switch {
     /// Fails (without side effects) if the VCI is taken, the port does not
     /// exist, or the rate does not fit.
     pub fn setup(&mut self, vci: u32, port: usize, rate: f64) -> Result<bool, SwitchError> {
-        if self.vci_table.contains_key(&vci) {
+        if self.table.find(vci).is_some() {
             return Err(SwitchError::VciInUse(vci));
         }
-        let p = self
-            .ports
-            .get_mut(port)
-            .ok_or(SwitchError::UnknownPort(port))?;
-        if !p.try_reserve_delta(vci, rate) {
-            return Ok(false);
+        if port >= self.ports.len() {
+            return Err(SwitchError::UnknownPort(port));
         }
-        self.vci_table.insert(vci, port);
-        Ok(true)
+        let mut entry = VcEntry::new(vci, port);
+        let mut slot = VcSlot {
+            load: &mut self.ports[port],
+            entry: &mut entry,
+        };
+        let fits = slot.try_reserve_delta(rate);
+        if fits {
+            self.table.insert(entry);
+        }
+        Ok(fits)
     }
 
     /// Tear down `vci`, releasing its reservation. Returns the rate
     /// released.
     pub fn teardown(&mut self, vci: u32) -> Result<f64, SwitchError> {
-        let port = self
-            .vci_table
-            .remove(&vci)
-            .ok_or(SwitchError::UnknownVci(vci))?;
-        self.lease.forget(vci);
-        Ok(self.ports[port].release(vci))
+        self.uninstall(vci).ok_or(SwitchError::UnknownVci(vci))
     }
 
     /// Idempotent teardown: release `vci`'s reservation and drop its table
@@ -128,50 +150,63 @@ impl Switch {
     /// machinery's teardown cells use this: a teardown can legitimately
     /// arrive twice when an earlier one was killed mid-path.
     pub fn uninstall(&mut self, vci: u32) -> Option<f64> {
-        let port = self.vci_table.remove(&vci)?;
-        self.lease.forget(vci);
-        Some(self.ports[port].release(vci))
+        let pos = self.table.find(vci)?;
+        let released = self.slot_at(pos).release();
+        self.table.remove(pos);
+        Some(released)
     }
 
     /// Route `vci` to `port` *without* reserving anything — the rerouting
     /// slow path: the table entry is created here and the reservation
-    /// arrives via the absolute-rate cell that follows. No-op if the VCI
-    /// is already routed.
+    /// arrives via the absolute-rate cell that follows. If the VCI is
+    /// already routed its entry is left as it is. Returns the slot either
+    /// way, so the cell that follows needs no second resolve.
     ///
     /// # Panics
     /// Panics on an unknown port.
-    pub fn install(&mut self, vci: u32, port: usize) {
+    pub fn install(&mut self, vci: u32, port: usize) -> VcSlot<'_> {
         assert!(port < self.ports.len(), "unknown port {port}");
-        self.vci_table.entry(vci).or_insert(port);
+        let pos = match self.table.find(vci) {
+            Some(pos) => pos,
+            None => self.table.insert(VcEntry::new(vci, port)),
+        };
+        self.slot_at(pos)
     }
 
     /// Record that an RM cell for `vci` was processed at superstep `now`,
-    /// refreshing its lease.
+    /// refreshing its lease. A VCI that is not routed here has no lease
+    /// to refresh.
     pub fn touch_lease(&mut self, vci: u32, now: u64) {
-        self.lease.touch(vci, now);
+        if let Some(mut slot) = self.slot(vci) {
+            slot.touch_lease(now);
+        }
     }
 
-    /// The superstep `vci`'s lease was last refreshed at.
+    /// The superstep `vci`'s lease was last refreshed at (`0` if never —
+    /// setup time, by the runtime's convention — or not routed).
     pub fn lease_refreshed_at(&self, vci: u32) -> u64 {
-        self.lease.last_refresh(vci)
+        self.table.find(vci).map_or(SETUP_SUPERSTEPS, |pos| {
+            self.table.entries()[pos].lease_refreshed_at
+        })
     }
 
     /// Use-it-or-lose-it reclamation: release the reservation of every
     /// routed VCI whose lease lapsed at `now` (no RM cell for strictly
-    /// more than `lease_supersteps` supersteps). The routing-table entry
-    /// survives — like a crash wipe, expiry reclaims *soft* state only, so
-    /// a late source can rebuild its rate with an absolute resync. Expired
-    /// VCIs get a fresh grace period so one lapse is reclaimed (and
-    /// counted) once. Returns how many VCIs actually had bandwidth
-    /// reclaimed.
+    /// more than `lease_supersteps` supersteps), in ascending VCI order.
+    /// The routing-table entry survives — like a crash wipe, expiry
+    /// reclaims *soft* state only, so a late source can rebuild its rate
+    /// with an absolute resync. Expired VCIs get a fresh grace period so
+    /// one lapse is reclaimed (and counted) once. Returns how many VCIs
+    /// actually had bandwidth reclaimed.
     pub fn expire_leases(&mut self, now: u64, lease_supersteps: u64) -> u64 {
-        let routed = self.vcis();
         let mut reclaimed = 0;
-        for vci in self.lease.expired(&routed, now, lease_supersteps) {
-            self.lease.touch(vci, now);
-            let port = self.vci_table[&vci];
-            if self.ports[port].release(vci) > 0.0 {
-                reclaimed += 1;
+        for entry in self.table.entries_mut() {
+            if now.saturating_sub(entry.lease_refreshed_at) > lease_supersteps {
+                entry.lease_refreshed_at = now;
+                let load = &mut self.ports[entry.port as usize];
+                if (VcSlot { load, entry }).release() > 0.0 {
+                    reclaimed += 1;
+                }
             }
         }
         reclaimed
@@ -183,18 +218,9 @@ impl Switch {
     /// A cell already marked denied passes through untouched — downstream
     /// switches must not reserve for a request that has already failed.
     pub fn process_rm(&mut self, mut cell: RmCell) -> Result<RmCell, SwitchError> {
-        if cell.denied {
-            return Ok(cell);
+        if !cell.denied {
+            cell.denied = !self.routed(cell.vci)?.book(cell.rate);
         }
-        let port = *self
-            .vci_table
-            .get(&cell.vci)
-            .ok_or(SwitchError::UnknownVci(cell.vci))?;
-        let ok = match cell.rate {
-            RateField::Delta(d) => self.ports[port].try_reserve_delta(cell.vci, d),
-            RateField::Absolute(r) => self.ports[port].try_set_absolute(cell.vci, r),
-        };
-        cell.denied = !ok;
         Ok(cell)
     }
 
@@ -211,17 +237,13 @@ impl Switch {
     /// unwound was wiped by a crash-restart in between, or when drift let
     /// another cell consume the headroom a negative delta released.
     pub fn try_rollback_delta(&mut self, vci: u32, delta: f64) -> Result<bool, SwitchError> {
-        let port = *self
-            .vci_table
-            .get(&vci)
-            .ok_or(SwitchError::UnknownVci(vci))?;
-        Ok(self.ports[port].try_reserve_delta(vci, -delta))
+        Ok(self.routed(vci)?.try_reserve_delta(-delta))
     }
 
     /// Set port `port`'s admission booking ceiling (bits/second) — the
     /// runtime's live admission policy publishes its per-window decision
-    /// here; [`OutputPort::try_reserve_delta`] and
-    /// [`OutputPort::try_set_absolute`] compare against it.
+    /// here; [`VcSlot::try_reserve_delta`] and
+    /// [`VcSlot::try_set_absolute`] compare against it.
     ///
     /// # Panics
     /// Panics on an unknown port or a non-positive ceiling.
@@ -242,21 +264,16 @@ impl Switch {
     }
 
     /// Administrative absolute-rate set for `vci`, bypassing the booking
-    /// ceiling (see [`OutputPort::set_unchecked`]). The end-of-run
-    /// audit's floor repair uses this; it is never on the live path.
+    /// ceiling (see [`VcSlot::set_unchecked`]). The end-of-run audit's
+    /// floor repair uses this; it is never on the live path.
     pub fn force_set(&mut self, vci: u32, rate: f64) -> Result<(), SwitchError> {
-        let port = *self
-            .vci_table
-            .get(&vci)
-            .ok_or(SwitchError::UnknownVci(vci))?;
-        self.ports[port].set_unchecked(vci, rate);
+        self.routed(vci)?.set_unchecked(rate);
         Ok(())
     }
 
     /// The reservation this switch holds for `vci`.
     pub fn vci_rate(&self, vci: u32) -> Option<f64> {
-        let port = *self.vci_table.get(&vci)?;
-        Some(self.ports[port].vci_rate(vci))
+        Some(self.table.entries()[self.table.find(vci)?].rate)
     }
 
     /// Crash-restart: wipe every port's *soft* reservation state. The VCI
@@ -269,13 +286,37 @@ impl Switch {
         }
         // Lease history is soft state too: a restarted switch has no idea
         // when it last heard from anyone.
-        self.lease = LeaseTable::new();
+        for entry in self.table.entries_mut() {
+            entry.rate = 0.0;
+            entry.lease_refreshed_at = SETUP_SUPERSTEPS;
+        }
     }
 
-    /// The routed VCIs, ascending (the map is ordered, so iteration is
-    /// deterministic for audits).
+    /// The routed VCIs, ascending (deterministic for audits).
     pub fn vcis(&self) -> Vec<u32> {
-        self.vci_table.keys().copied().collect()
+        self.table.entries().iter().map(|e| e.vci).collect()
+    }
+
+    /// The nonzero reservations, ascending by VCI — the auditor's view
+    /// for cross-checking that torn-down and rerouted-away VCs left
+    /// nothing behind.
+    pub fn vci_entries(&self) -> Vec<(u32, f64)> {
+        let held = self.table.entries().iter().filter(|e| e.rate != 0.0);
+        held.map(|e| (e.vci, e.rate)).collect()
+    }
+
+    /// Audit: every port's aggregate equals the sum of the reservations
+    /// booked on it (used by tests and debug assertions to catch drift
+    /// bugs in the switch).
+    pub fn is_consistent(&self) -> bool {
+        let mut sums = vec![0.0; self.ports.len()];
+        for e in self.table.entries() {
+            sums[e.port as usize] += e.rate;
+        }
+        self.ports
+            .iter()
+            .zip(sums)
+            .all(|(p, sum)| p.matches_sum(sum))
     }
 }
 
@@ -362,7 +403,7 @@ mod tests {
         let out = sw.process_rm(RmCell::resync(1, 300.0)).unwrap();
         assert!(!out.denied);
         assert_eq!(sw.vci_rate(1), Some(300.0));
-        assert!(sw.port(0).unwrap().is_consistent());
+        assert!(sw.is_consistent());
     }
 
     #[test]
@@ -383,7 +424,7 @@ mod tests {
         let out = sw.process_rm(RmCell::resync(2, 200.0)).unwrap();
         assert!(!out.denied);
         assert_eq!(sw.vci_rate(2), Some(200.0));
-        assert!(sw.port(0).unwrap().is_consistent());
+        assert!(sw.is_consistent());
     }
 
     #[test]

@@ -140,6 +140,6 @@ proptest! {
             port.reserved(),
             granted_sum
         );
-        prop_assert!(port.is_consistent());
+        prop_assert!(sw.is_consistent());
     }
 }

@@ -22,9 +22,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rcbr_net::{RmCell, Switch};
+use rcbr_net::{ActiveFaults, RmCell, Switch};
 use serde::{Deserialize, Serialize};
 
+use crate::core::CounterSnapshot;
 use crate::gen::VcRunner;
 use crate::kernel::Shared;
 
@@ -106,29 +107,27 @@ pub(crate) fn reduce_source_loss(finals: &[VcFinal], num_vcs: usize) -> (f64, f6
 /// after every shard published its VCs' believed rates (the round top)
 /// and before these switches see the round's first superstep.
 ///
-/// Counts drifted `(switch, VC)` pairs into `counters.audit_drift`.
+/// Counts drifted `(switch, VC)` pairs into `counts.audit_drift`.
 /// `audit_runs` is bumped by shard 0 only, so the count is independent of
-/// the shard count.
+/// the shard count. `active` is the fault plane's outages at the current
+/// superstep.
 pub(crate) fn audit_shard(
     sh: &Shared<'_>,
     local_switches: &[Switch],
     shard: usize,
     num_shards: usize,
-    superstep: u64,
+    active: &ActiveFaults,
+    counts: &mut CounterSnapshot,
 ) {
     let Shared {
-        plane,
-        counters,
-        believed,
-        routes,
-        ..
+        believed, routes, ..
     } = sh;
     if shard == 0 {
-        counters.audit_runs.fetch_add(1, Ordering::Relaxed);
+        counts.audit_runs += 1;
     }
     for (li, sw) in local_switches.iter().enumerate() {
         let h = shard + li * num_shards;
-        if plane.switch_down(h, superstep) {
+        if active.switch_down(h) {
             // A crashed switch cannot answer an audit probe.
             continue;
         }
@@ -149,11 +148,11 @@ pub(crate) fn audit_shard(
             let b = snapshot_believed(believed, vci);
             let r = sw.vci_rate(vci).expect("routed VCI has a rate");
             if (r - b).abs() > DRIFT_EPS {
-                counters.audit_drift.fetch_add(1, Ordering::Relaxed);
+                counts.audit_drift += 1;
             }
         }
         debug_assert!(
-            sw.port(0).expect("one port per switch").is_consistent(),
+            sw.is_consistent(),
             "port aggregate drifted from its per-VCI sum at switch {h}"
         );
     }
@@ -197,8 +196,7 @@ pub(crate) fn finalize(
         // Read before apply_final: the final verdict collapses a
         // mid-flight reroute to Settled while its residue stays behind.
         let unsettled = runner.unsettled_at_exit();
-        let slot = &sh.vci_states[runner.vci() as usize];
-        if let Some(o) = slot.lock().expect("vci lock").outcome.take() {
+        if let (Some(o), _) = sh.verdicts[runner.vci() as usize].snapshot_take() {
             runner.apply_final(o);
         }
         finals.push(VcFinal {
@@ -313,10 +311,7 @@ pub(crate) fn finalize(
     }
 
     let final_drift = count_drift(switches, &finals);
-    let port_inconsistencies = switches
-        .iter()
-        .filter(|s| !s.port(0).expect("one port per switch").is_consistent())
-        .count() as u64;
+    let port_inconsistencies = switches.iter().filter(|s| !s.is_consistent()).count() as u64;
     let audit = AuditReport {
         final_drift_before,
         drift_repaired,

@@ -6,10 +6,29 @@
 //! latency recording — live in [`advance_job`]; *where* switches live and
 //! *how* jobs travel between hops is the drivers' business.
 //!
+//! A visit is Section III-B's fast path and little else: the fault checks
+//! against the outages in force this superstep (an empty list, mostly),
+//! one [`Switch::slot`] resolve, the booking arithmetic, and plain
+//! integer bumps. The job is advanced in place and copied once, by the
+//! kernel, into wherever it goes next.
+//!
+//! ## Who writes what, between which barriers
+//!
+//! A visit touches only what its shard owns — the switch, the shard's
+//! `Tally`, latency histogram and hold lists — plus one `VerdictCell`.
+//! The shared [`Counters`] are written by `Counters::fold` alone: once
+//! at the end of a shard's round top and once at the end of each
+//! superstep's hop loop, so always before the barrier that opens the next
+//! `Counters::snapshot_drain` window, which therefore reads what it
+//! would have read had every event been counted in place. A verdict cell
+//! is stored by whichever shard owns the hop that completes the VC's one
+//! outstanding attempt, and taken by the VC's owner at the next round
+//! top, two barriers later.
+//!
 //! ## Faults at a hop
 //!
-//! Before a cell is processed at a hop, the [`FaultPlane`] decides its
-//! fate — a pure function of `(seed, seq, hop, salt)`, so every shard
+//! Before a cell is processed at a hop, the
+//! [`FaultPlane`](rcbr_net::FaultPlane) decides its fate — a pure function of `(seed, seq, hop, salt)`, so every shard
 //! count and the sequential replay agree. Dropped, corrupted, and
 //! crash-killed cells die *without a verdict*: the source's retry state
 //! machine (in the load generator) times the request out. Delayed cells
@@ -22,17 +41,16 @@
 //! verdict; a denied ghost unwinds only the hops the ghost itself
 //! touched (its `origin` floor).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use rcbr_net::{
-    FaultAction, FaultPlane, PriorityClass, RateField, RmCell, Switch, SALT_GHOST, SALT_PRIMARY,
+    ActiveFaults, FaultAction, PriorityClass, RateField, RmCell, Switch, SALT_GHOST, SALT_PRIMARY,
 };
 use rcbr_sim::Histogram;
 use serde::{Deserialize, Serialize};
 
 use crate::admission::SwitchAdmission;
-use crate::config::RuntimeConfig;
+use crate::kernel::Shared;
 
 /// Longest route a job can carry inline, in switches.
 pub const MAX_ROUTE: usize = 16;
@@ -182,206 +200,212 @@ pub enum Outcome {
     Shed,
 }
 
-/// Per-VCI slow-path state, guarded by a mutex: the pipeline's completion
-/// side writes the outcome here and the load generator consumes it at the
-/// next round boundary.
+/// One VC's verdict cell: the fate of its outstanding attempt and the
+/// pressure flag its response carried (wire flags bit 1), packed into one
+/// byte — `0` while nothing has arrived. The pipeline's completion side
+/// stores it, the VC's owner shard takes it at the next round top, and
+/// the end-of-run audit takes what the last round left.
+///
+/// All accesses are `Relaxed`: the byte publishes nothing but itself, a
+/// VC has at most one verdict-bearing cell in flight per round so there
+/// is one store between two takes, and the two barriers every driver
+/// puts between a superstep's hop loop and the next round top (the
+/// sequential driver runs both on one thread) order the store before the
+/// take.
 #[derive(Debug, Default)]
-pub struct VciSlot {
-    /// The fate of the VC's outstanding attempt, if it completed.
-    pub outcome: Option<Outcome>,
-    /// The attempt's response carried a hop's overload-pressure flag
-    /// (wire flags bit 1). Consumed alongside `outcome` at the round
-    /// boundary; keeps browned-out BestEffort VCs from renegotiating
-    /// until a response comes back clean.
-    pub pressure: bool,
+pub(crate) struct VerdictCell(AtomicU8);
+
+impl VerdictCell {
+    const PRESSURE: u8 = 4;
+    /// Verdict `OUTCOMES[i]` is stored as `i + 1`.
+    const OUTCOMES: [Outcome; 3] = [Outcome::Granted, Outcome::Denied, Outcome::Shed];
+
+    /// Record the attempt's verdict and whether its response was
+    /// pressure-flagged.
+    pub fn deliver(&self, outcome: Outcome, pressured: bool) {
+        let code = 1 + Self::OUTCOMES
+            .iter()
+            .position(|&o| o == outcome)
+            .expect("listed") as u8;
+        let flag = if pressured { Self::PRESSURE } else { 0 };
+        self.0.store(code | flag, Ordering::Relaxed);
+    }
+
+    /// Read and clear. Call only where the pipeline is quiescent — a round
+    /// top, or after the run — so no store can be racing the take.
+    pub fn snapshot_take(&self) -> (Option<Outcome>, bool) {
+        let packed = self.0.swap(0, Ordering::Relaxed);
+        let code = (packed & !Self::PRESSURE) as usize;
+        let outcome = code.checked_sub(1).map(|i| Self::OUTCOMES[i]);
+        (outcome, packed & Self::PRESSURE != 0)
+    }
 }
 
-/// Shared atomic counters. All increments use relaxed ordering — the
-/// engine's barriers provide the synchronization; the atomics only make
-/// the increments themselves race-free.
-///
-/// Request-level counters (`accepted`, `denied`, `rollbacks`,
-/// `rolled_back_hops`, `resync_repairs`, `completed`, and the retry
-/// family) describe salt-0 attempts only; the cell-level fault counters
-/// (`cells_*`, `crash_killed`) count ghosts too.
-#[derive(Debug, Default)]
-pub struct Counters {
+/// The run's counters, declared once: the shared [`Counters`] every shard
+/// folds into, the plain [`CounterSnapshot`] a report carries (and a
+/// shard's [`Tally`] counts in), and the two functions between them.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Shared atomic counters. Nobody increments them one event at a
+        /// time: every shard counts into its own `Tally` and
+        /// `Counters::fold`s it in before each barrier that opens a read
+        /// window. The adds use relaxed ordering — the barriers provide
+        /// the synchronization; the atomics only make the adds themselves
+        /// race-free.
+        ///
+        /// Request-level counters (`accepted`, `denied`, `rollbacks`,
+        /// `rolled_back_hops`, `resync_repairs`, `completed`, and the
+        /// retry family) describe salt-0 attempts only; the cell-level
+        /// fault counters (`cells_*`, `crash_killed`) count ghosts too.
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            $($(#[$doc])* pub $field: AtomicU64,)*
+            /// Jobs currently in the pipeline (including rollbacks still
+            /// unwinding, delayed cells, and ghosts).
+            pub in_flight: AtomicU64,
+        }
+
+        /// A point-in-time copy of [`Counters`], comparable and
+        /// serializable.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct CounterSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl Counters {
+            /// Copy the current values.
+            pub fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                }
+            }
+
+            /// Add `tally` in and zero it. A shard folds at the end of its
+            /// round top and at the end of each superstep's hop loop, i.e.
+            /// before the barrier that opens the next
+            /// [`snapshot_drain`](Self::snapshot_drain) window, so a read
+            /// window sees every event that happened before it.
+            /// `in_flight` is a wrapping sum of signed deltas: it may
+            /// pass through "negative" while shards fold in turn and is
+            /// exact once all have.
+            pub(crate) fn fold(&self, tally: &mut Tally) {
+                let Tally { counts, in_flight } = std::mem::take(tally);
+                $(if counts.$field != 0 {
+                    self.$field.fetch_add(counts.$field, Ordering::Relaxed);
+                })*
+                if in_flight != 0 {
+                    self.in_flight.fetch_add(in_flight as u64, Ordering::Relaxed);
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Signaling attempts injected into the pipeline (initial + retries).
-    pub injected: AtomicU64,
+    injected,
     /// Requests granted at every hop.
-    pub accepted: AtomicU64,
+    accepted,
     /// Attempts denied at some hop.
-    pub denied: AtomicU64,
+    denied,
     /// Denied attempts that had upstream reservations to unwind.
-    pub rollbacks: AtomicU64,
+    rollbacks,
     /// Individual hop reservations unwound by rollback.
-    pub rolled_back_hops: AtomicU64,
+    rolled_back_hops,
     /// Absolute-rate resync cells injected (periodic + retries).
-    pub resyncs: AtomicU64,
+    resyncs,
     /// Hops whose reservation disagreed with the source's belief when a
     /// resync cell arrived — i.e. drift actually repaired.
-    pub resync_repairs: AtomicU64,
+    resync_repairs,
     /// Requests that reached a terminal fate (granted or abandoned after
     /// retry exhaustion): `completed == accepted + exhausted`.
-    pub completed: AtomicU64,
+    completed,
     /// Cells dropped by the fault plane.
-    pub cells_dropped: AtomicU64,
+    cells_dropped,
     /// Cells delayed by the fault plane.
-    pub cells_delayed: AtomicU64,
+    cells_delayed,
     /// Ghost duplicates spawned by the fault plane.
-    pub cells_duplicated: AtomicU64,
+    cells_duplicated,
     /// Cells bit-corrupted by the fault plane (caught by the checksum and
     /// discarded).
-    pub cells_corrupted: AtomicU64,
+    cells_corrupted,
     /// Cells that arrived at a crashed (down) switch.
-    pub crash_killed: AtomicU64,
+    crash_killed,
     /// Attempts that timed out waiting for a verdict.
-    pub timeouts: AtomicU64,
+    timeouts,
     /// Retry attempts injected after a timeout or denial.
-    pub retries: AtomicU64,
+    retries,
     /// Requests abandoned after exhausting the retry budget.
-    pub exhausted: AtomicU64,
+    exhausted,
     /// VCs that newly entered the degraded state (kept a stale rate).
-    pub degraded_events: AtomicU64,
+    degraded_events,
     /// Cells killed in flight crossing a down link.
-    pub cells_link_killed: AtomicU64,
+    cells_link_killed,
     /// Per-hop reservations reclaimed use-it-or-lose-it because no RM
     /// cell refreshed the lease in time.
-    pub leases_expired: AtomicU64,
+    leases_expired,
     /// Reroute attempts injected (initial + retries).
-    pub reroutes: AtomicU64,
+    reroutes,
     /// Reroutes granted end to end (the VC committed to the new route).
-    pub reroutes_committed: AtomicU64,
+    reroutes_committed,
     /// Reroute attempts denied at some hop (capacity on the new route).
-    pub reroutes_denied: AtomicU64,
+    reroutes_denied,
     /// Teardown walks injected (route switches, stale-hop cleanup, and
     /// break-before-make compensation).
-    pub teardown_cells: AtomicU64,
+    teardown_cells,
     /// Individual switch entries removed by teardown walks.
-    pub teardown_hops: AtomicU64,
+    teardown_hops,
     /// VCs that ran out of live routes and released everything (stranded).
-    pub stranded_events: AtomicU64,
+    stranded_events,
     /// Stranded VCs that later re-established service on a revived route.
-    pub unstranded_events: AtomicU64,
+    unstranded_events,
     /// Periodic invariant audits executed.
-    pub audit_runs: AtomicU64,
+    audit_runs,
     /// (switch, VC) reservation pairs the periodic auditor found drifted
     /// from the source's believed rate.
-    pub audit_drift: AtomicU64,
+    audit_drift,
     /// Per-hop booking checks that admitted an RM cell (delta, resync, or
     /// reroute; ghosts included — every cell that reaches a port faces the
     /// admission test).
-    pub admission_grants: AtomicU64,
+    admission_grants,
     /// Per-hop booking checks that denied an RM cell. These are admission
     /// losses, as distinct from the fault plane's `cells_*` destruction.
-    pub admission_denials: AtomicU64,
+    admission_denials,
     /// Cells shed by over-budget signaling queues (ghosts included):
     /// `cells_shed == sheds_gold + sheds_silver + sheds_best_effort`.
-    pub cells_shed: AtomicU64,
+    cells_shed,
     /// Shed cells whose VC is Gold class.
-    pub sheds_gold: AtomicU64,
+    sheds_gold,
     /// Shed cells whose VC is Silver class.
-    pub sheds_silver: AtomicU64,
+    sheds_silver,
     /// Shed cells whose VC is BestEffort class.
-    pub sheds_best_effort: AtomicU64,
+    sheds_best_effort,
     /// BestEffort VCs that entered brownout (held their granted rate and
     /// stopped renegotiating under pressure).
-    pub brownout_entries: AtomicU64,
+    brownout_entries,
     /// Brownouts that ended on a clean (pressure-free) grant, as opposed
     /// to the hold timer lapsing.
-    pub brownout_exits: AtomicU64,
+    brownout_exits,
     /// (round, switch) pairs where the switch was still advertising
     /// overload pressure at the round top.
-    pub pressure_rounds: AtomicU64,
-    /// Jobs currently in the pipeline (including rollbacks still
-    /// unwinding, delayed cells, and ghosts).
-    pub in_flight: AtomicU64,
+    pressure_rounds,
 }
 
-/// A point-in-time copy of [`Counters`], comparable and serializable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CounterSnapshot {
-    /// Signaling attempts injected into the pipeline (initial + retries).
-    pub injected: u64,
-    /// Requests granted at every hop.
-    pub accepted: u64,
-    /// Attempts denied at some hop.
-    pub denied: u64,
-    /// Denied attempts that required rollback.
-    pub rollbacks: u64,
-    /// Individual hop reservations unwound.
-    pub rolled_back_hops: u64,
-    /// Resync cells injected.
-    pub resyncs: u64,
-    /// Drifted hops repaired by resync.
-    pub resync_repairs: u64,
-    /// Requests that reached a terminal fate (`accepted + exhausted`).
-    pub completed: u64,
-    /// Cells dropped by the fault plane.
-    pub cells_dropped: u64,
-    /// Cells delayed by the fault plane.
-    pub cells_delayed: u64,
-    /// Ghost duplicates spawned.
-    pub cells_duplicated: u64,
-    /// Cells bit-corrupted (detected and discarded).
-    pub cells_corrupted: u64,
-    /// Cells killed at a crashed switch.
-    pub crash_killed: u64,
-    /// Attempts that timed out.
-    pub timeouts: u64,
-    /// Retry attempts injected.
-    pub retries: u64,
-    /// Requests abandoned after retry exhaustion.
-    pub exhausted: u64,
-    /// VCs that newly degraded.
-    pub degraded_events: u64,
-    /// Cells killed crossing a down link.
-    pub cells_link_killed: u64,
-    /// Hop reservations reclaimed by lease expiry.
-    pub leases_expired: u64,
-    /// Reroute attempts injected.
-    pub reroutes: u64,
-    /// Reroutes committed end to end.
-    pub reroutes_committed: u64,
-    /// Reroute attempts denied at some hop.
-    pub reroutes_denied: u64,
-    /// Teardown walks injected.
-    pub teardown_cells: u64,
-    /// Switch entries removed by teardown walks.
-    pub teardown_hops: u64,
-    /// VCs stranded with no live route.
-    pub stranded_events: u64,
-    /// Stranded VCs that recovered onto a revived route.
-    pub unstranded_events: u64,
-    /// Periodic audits executed.
-    pub audit_runs: u64,
-    /// Drifted reservation pairs detected by periodic audits.
-    pub audit_drift: u64,
-    /// Per-hop booking checks that admitted an RM cell.
-    pub admission_grants: u64,
-    /// Per-hop booking checks that denied an RM cell.
-    pub admission_denials: u64,
-    /// Cells shed by over-budget signaling queues (sum of the per-class
-    /// counters below).
-    pub cells_shed: u64,
-    /// Shed cells whose VC is Gold class.
-    pub sheds_gold: u64,
-    /// Shed cells whose VC is Silver class.
-    pub sheds_silver: u64,
-    /// Shed cells whose VC is BestEffort class.
-    pub sheds_best_effort: u64,
-    /// BestEffort VCs that entered brownout.
-    pub brownout_entries: u64,
-    /// Brownouts that ended on a clean grant.
-    pub brownout_exits: u64,
-    /// (round, switch) pairs still under pressure at the round top.
-    pub pressure_rounds: u64,
+/// One shard's counts since its last [`Counters::fold`]: plain integers
+/// only that shard touches.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Increments, field for field.
+    pub counts: CounterSnapshot,
+    /// Net change of `Counters::in_flight`: jobs this shard injected or
+    /// spawned, minus jobs that ended at its switches.
+    pub in_flight: i64,
 }
 
 /// The pair of reads that decides a drain loop's fate, taken together in
 /// the safe window between barriers.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DrainSnapshot {
+pub struct DrainSnapshot {
     /// No job is in the pipeline: the round can end.
     pub quiescent: bool,
     /// Completed-request total as of the same instant, so every shard
@@ -402,84 +426,62 @@ impl Counters {
             completed: self.completed.load(Ordering::Relaxed),
         }
     }
-
-    /// Copy the current values.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        CounterSnapshot {
-            injected: ld(&self.injected),
-            accepted: ld(&self.accepted),
-            denied: ld(&self.denied),
-            rollbacks: ld(&self.rollbacks),
-            rolled_back_hops: ld(&self.rolled_back_hops),
-            resyncs: ld(&self.resyncs),
-            resync_repairs: ld(&self.resync_repairs),
-            completed: ld(&self.completed),
-            cells_dropped: ld(&self.cells_dropped),
-            cells_delayed: ld(&self.cells_delayed),
-            cells_duplicated: ld(&self.cells_duplicated),
-            cells_corrupted: ld(&self.cells_corrupted),
-            crash_killed: ld(&self.crash_killed),
-            timeouts: ld(&self.timeouts),
-            retries: ld(&self.retries),
-            exhausted: ld(&self.exhausted),
-            degraded_events: ld(&self.degraded_events),
-            cells_link_killed: ld(&self.cells_link_killed),
-            leases_expired: ld(&self.leases_expired),
-            reroutes: ld(&self.reroutes),
-            reroutes_committed: ld(&self.reroutes_committed),
-            reroutes_denied: ld(&self.reroutes_denied),
-            teardown_cells: ld(&self.teardown_cells),
-            teardown_hops: ld(&self.teardown_hops),
-            stranded_events: ld(&self.stranded_events),
-            unstranded_events: ld(&self.unstranded_events),
-            audit_runs: ld(&self.audit_runs),
-            audit_drift: ld(&self.audit_drift),
-            admission_grants: ld(&self.admission_grants),
-            admission_denials: ld(&self.admission_denials),
-            cells_shed: ld(&self.cells_shed),
-            sheds_gold: ld(&self.sheds_gold),
-            sheds_silver: ld(&self.sheds_silver),
-            sheds_best_effort: ld(&self.sheds_best_effort),
-            brownout_entries: ld(&self.brownout_entries),
-            brownout_exits: ld(&self.brownout_exits),
-            pressure_rounds: ld(&self.pressure_rounds),
-        }
-    }
 }
 
-/// Where a completing job records its modeled latency.
-pub(crate) struct CompletionSink<'a> {
+/// What a hop visit works with besides its switch: the run's constants,
+/// the clock and the outages in force at it, the verdict cells, and the
+/// shard-owned sinks — counts, latency — the visit records into.
+pub(crate) struct HopCtx<'a> {
+    pub sh: &'a Shared<'a>,
+    /// The fault plane's scheduled outages at `superstep`.
+    pub active: &'a ActiveFaults,
+    pub superstep: u64,
+    pub tally: &'a mut Tally,
     pub latency: &'a mut Histogram,
     pub moments: &'a mut crate::report::RttStats,
 }
 
-/// The fault plane plus the logical clock a hop is processed at.
-pub(crate) struct FaultCtx<'a> {
-    pub plane: &'a FaultPlane,
-    pub superstep: u64,
+impl HopCtx<'_> {
+    /// The job's walk ended at this hop.
+    fn gone(&mut self) -> Hop {
+        self.tally.in_flight -= 1;
+        Hop::Done
+    }
+
+    /// Deliver the attempt's verdict to the source (salt-0 only: ghosts
+    /// are network artifacts, invisible to the load generator), with the
+    /// modeled round trip to the `hops_touched`-th hop.
+    fn deliver(&mut self, job: &Job, outcome: Outcome, hops_touched: usize, pressured: bool) {
+        if job.salt != SALT_PRIMARY {
+            return;
+        }
+        let rtt = self.sh.cfg.hop_latency * 2.0 * hops_touched as f64;
+        self.latency.record(rtt);
+        self.moments.record(hops_touched);
+        match outcome {
+            Outcome::Granted => {
+                self.tally.counts.accepted += 1;
+                self.tally.counts.completed += 1;
+            }
+            Outcome::Denied => self.tally.counts.denied += 1,
+            Outcome::Shed => {}
+        }
+        self.sh.verdicts[job.vci as usize].deliver(outcome, pressured);
+    }
 }
 
-/// Record a booking-check verdict: bump the admission grant/denial
-/// counters and, when a measurement-based policy is live, fold the VC's
-/// post-decision reservation at this switch into the estimator. Ghosts are
-/// observed too — they are real cells that mutated real switch state, and
-/// the estimator measures the switch, not the load generator.
-fn record_admission(
-    cell: &RmCell,
-    vci: u32,
-    sw: &Switch,
-    counters: &Counters,
-    adm: Option<&mut SwitchAdmission>,
-) {
-    if cell.denied {
-        counters.admission_denials.fetch_add(1, Ordering::Relaxed);
-    } else {
-        counters.admission_grants.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(sa) = adm {
-        sa.observe(vci, sw.vci_rate(vci).unwrap_or(0.0));
-    }
+/// What became of a job at a hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Hop {
+    /// Its walk ended here: delivered, denied with nothing left to
+    /// unwind, unwound, torn down, or killed in flight.
+    Done,
+    /// The job now names its next hop (the previous one, for a rollback):
+    /// route it this superstep.
+    Forward,
+    /// Fault-delayed: the job, now `cleared`, stays at this hop and is to
+    /// be presented again at this superstep.
+    Hold(u64),
 }
 
 /// The RM cell a forward job would put on the wire (used to corrupt real
@@ -498,42 +500,26 @@ fn wire_cell(job: &Job) -> RmCell {
 /// over budget this superstep. The cell dies here — partial upstream
 /// deltas stay applied (drift, repaired by the retry-as-resync path or the
 /// audit) — and, for salt-0 attempts, the source is told immediately via
-/// the retryable [`Outcome::Shed`] with the pressure flag set. Ghosts shed
-/// silently but still count: `cells_shed` and the per-class counters see
-/// every cell the queue refused.
-pub(crate) fn shed_job(
-    job: &Job,
-    cfg: &RuntimeConfig,
-    counters: &Counters,
-    vci_states: &[Mutex<VciSlot>],
-    sink: &mut CompletionSink<'_>,
-) {
-    counters.cells_shed.fetch_add(1, Ordering::Relaxed);
+/// the retryable [`Outcome::Shed`] with the pressure flag set: the shed
+/// notification rides back from the refusing hop. Ghosts shed silently
+/// but still count: `cells_shed` and the per-class counters see every
+/// cell the queue refused.
+pub(crate) fn shed_job(job: &Job, ctx: &mut HopCtx<'_>) {
+    let counts = &mut ctx.tally.counts;
+    counts.cells_shed += 1;
     match job.class {
-        PriorityClass::Gold => &counters.sheds_gold,
-        PriorityClass::Silver => &counters.sheds_silver,
-        PriorityClass::BestEffort => &counters.sheds_best_effort,
+        PriorityClass::Gold => counts.sheds_gold += 1,
+        PriorityClass::Silver => counts.sheds_silver += 1,
+        PriorityClass::BestEffort => counts.sheds_best_effort += 1,
     }
-    .fetch_add(1, Ordering::Relaxed);
-    counters.in_flight.fetch_sub(1, Ordering::Relaxed);
-    if job.salt == SALT_PRIMARY {
-        // The shed notification rides back from the refusing hop.
-        let rtt = cfg.hop_latency * 2.0 * (job.hop + 1) as f64;
-        sink.latency.record(rtt);
-        sink.moments.record(job.hop + 1);
-        let mut slot = vci_states[job.vci as usize].lock().expect("vci lock");
-        slot.outcome = Some(Outcome::Shed);
-        slot.pressure = true;
-    }
+    ctx.deliver(job, Outcome::Shed, job.hop + 1, true);
+    ctx.gone();
 }
 
-/// Process `job` at the switch for its current hop.
-///
-/// Returns `(forward, delayed)`: `forward` is the follow-up job to route
-/// this superstep (next hop, or the previous hop of a rollback);
-/// `delayed` is a `(release_superstep, job)` pair the owner must hold —
-/// either the job itself (fault-delayed) or a freshly spawned duplicate
-/// ghost.
+/// Process `job` at the switch for its current hop, in place: on
+/// [`Hop::Forward`] and [`Hop::Hold`] `job` is the follow-up. Also
+/// returns the duplicate ghost the fault plane spawned, if any, which the
+/// owner must hold and present at this hop one superstep later.
 ///
 /// `sw` must be the switch at `job.route.hop(job.hop)` for this job, and
 /// `switch_global` its global index. `adm` is the switch's admission
@@ -542,27 +528,17 @@ pub(crate) fn shed_job(
 /// `under_pressure` is the switch's signaling queue still advertising a
 /// recent shed; it stamps the job's pressure flag, which rides the
 /// response back to the source.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn advance_job(
-    job: Job,
+    job: &mut Job,
     sw: &mut Switch,
     switch_global: usize,
-    cfg: &RuntimeConfig,
-    fx: &FaultCtx<'_>,
-    counters: &Counters,
-    vci_states: &[Mutex<VciSlot>],
-    sink: &mut CompletionSink<'_>,
     adm: Option<&mut SwitchAdmission>,
     under_pressure: bool,
-) -> (Option<Job>, Option<(u64, Job)>) {
-    let mut job = job;
+    ctx: &mut HopCtx<'_>,
+) -> (Hop, Option<Job>) {
     job.pressured |= under_pressure;
-    let job = job;
-    let is_ghost = job.salt != SALT_PRIMARY;
     let path_len = job.route.len();
-    let gone = |counters: &Counters| {
-        counters.in_flight.fetch_sub(1, Ordering::Relaxed);
-    };
+    let teardown = matches!(job.kind, JobKind::Teardown);
     // A forward cell reaching hop `k` just crossed the link
     // `(route[k-1], route[k])`; if that link is down the cell died in
     // flight — no verdict, the source times out. Rollbacks are exempt
@@ -573,303 +549,181 @@ pub(crate) fn advance_job(
         job.kind,
         JobKind::Delta(_) | JobKind::Resync { .. } | JobKind::Reroute { .. }
     ) && job.hop > 0
-        && fx.plane.link_down(
-            job.route.hop(job.hop - 1),
-            job.route.hop(job.hop),
-            fx.superstep,
-        )
+        && ctx
+            .active
+            .link_down(job.route.hop(job.hop - 1), job.route.hop(job.hop))
     {
-        counters.cells_link_killed.fetch_add(1, Ordering::Relaxed);
-        gone(counters);
-        return (None, None);
+        ctx.tally.counts.cells_link_killed += 1;
+        return (ctx.gone(), None);
     }
     // A crashed (or permanently killed) switch kills every arriving cell
     // — no verdict, so the source's retry machinery must time the attempt
     // out. Teardown walks continue past it: the down switch's soft state
     // is wiped on restart (or at end of run) anyway, and the walk must
     // still clean the live switches beyond it.
-    let down = fx.plane.switch_down(switch_global, fx.superstep);
-    if down && !matches!(job.kind, JobKind::Teardown) {
-        counters.crash_killed.fetch_add(1, Ordering::Relaxed);
-        gone(counters);
-        return (None, None);
+    let down = ctx.active.switch_down(switch_global);
+    if down && !teardown {
+        ctx.tally.counts.crash_killed += 1;
+        return (ctx.gone(), None);
     }
 
     // Decide this hop visit's fate exactly once (delayed cells come back
     // `cleared`; teardown is exempt from the fault plane entirely).
-    let mut spawned: Option<(u64, Job)> = None;
-    if !job.cleared && !matches!(job.kind, JobKind::Teardown) {
+    let mut ghost = None;
+    if !job.cleared && !teardown {
         let action = if matches!(job.kind, JobKind::Rollback(_)) {
             // An undo must not be re-applied: rollback cells only drop.
-            fx.plane.decide_rollback(job.seq, job.hop, job.salt)
+            ctx.sh.plane.decide_rollback(job.seq, job.hop, job.salt)
         } else {
-            fx.plane.decide(job.seq, job.hop, job.salt)
+            ctx.sh.plane.decide(job.seq, job.hop, job.salt)
         };
         match action {
             FaultAction::Deliver => {}
             FaultAction::Drop => {
-                counters.cells_dropped.fetch_add(1, Ordering::Relaxed);
-                gone(counters);
-                return (None, None);
+                ctx.tally.counts.cells_dropped += 1;
+                return (ctx.gone(), None);
             }
             FaultAction::Corrupt => {
                 // Put the real bytes on the wire, flip bits, and let the
                 // checksum reject them — the cell dies detected, not by
                 // silently applying a garbled rate.
-                let mut wire = wire_cell(&job).encode();
-                fx.plane.corrupt_wire(&mut wire, job.seq, job.hop);
+                let mut wire = wire_cell(job).encode();
+                ctx.sh.plane.corrupt_wire(&mut wire, job.seq, job.hop);
                 debug_assert!(
                     RmCell::decode(&wire).is_none(),
                     "the checksum must catch fault-plane corruption"
                 );
-                counters.cells_corrupted.fetch_add(1, Ordering::Relaxed);
-                gone(counters);
-                return (None, None);
+                ctx.tally.counts.cells_corrupted += 1;
+                return (ctx.gone(), None);
             }
             FaultAction::Delay(d) => {
-                counters.cells_delayed.fetch_add(1, Ordering::Relaxed);
-                return (
-                    None,
-                    Some((
-                        fx.superstep + d,
-                        Job {
-                            cleared: true,
-                            ..job
-                        },
-                    )),
-                );
+                ctx.tally.counts.cells_delayed += 1;
+                job.cleared = true;
+                return (Hop::Hold(ctx.superstep + d), None);
             }
             FaultAction::Duplicate => {
                 // Process the original now; a ghost copy re-traverses from
                 // this hop one superstep later, double-applying the cell.
-                counters.cells_duplicated.fetch_add(1, Ordering::Relaxed);
-                counters.in_flight.fetch_add(1, Ordering::Relaxed);
-                spawned = Some((
-                    fx.superstep + 1,
-                    Job {
-                        salt: SALT_GHOST,
-                        origin: job.hop as u8,
-                        cleared: false,
-                        ..job
-                    },
-                ));
+                ctx.tally.counts.cells_duplicated += 1;
+                ctx.tally.in_flight += 1;
+                ghost = Some(Job {
+                    salt: SALT_GHOST,
+                    origin: job.hop as u8,
+                    cleared: false,
+                    ..*job
+                });
             }
         }
     }
+    // Whatever happens below, a follow-up faces the fault plane afresh.
+    job.cleared = false;
 
+    if teardown {
+        // Remove the VC from this switch: release the reservation and
+        // drop the routing entry. Idempotent — a hop that never held
+        // the VC (or was already torn) is a no-op — and skipped at a
+        // down switch, whose soft state is wiped on restart or at end
+        // of run anyway.
+        if !down && sw.uninstall(job.vci).is_some() {
+            ctx.tally.counts.teardown_hops += 1;
+        }
+        job.hop += 1;
+        let hop = if job.hop == path_len {
+            ctx.gone()
+        } else {
+            Hop::Forward
+        };
+        return (hop, None);
+    }
+
+    // The one resolve of this visit. A reroute walk establishes-or-repairs:
+    // hops of the new route that never saw this VC get a routing entry
+    // first, then every hop reserves the absolute rate. On hops shared
+    // with the old route this resyncs to the rate the VC already holds —
+    // a no-op that can never be denied — so partial failures only ever
+    // leave residue on *new* hops, which the runner's compensating
+    // teardown (and ultimately the end-of-run audit) reclaims.
+    let mut slot = match job.kind {
+        JobKind::Reroute { .. } => sw.install(job.vci, 0),
+        _ => sw.slot(job.vci).expect("VC is routed through this switch"),
+    };
     // Any RM cell that actually reached the switch refreshes the VC's
     // reservation lease there — ghosts included, they are real cells on
     // the wire. Dropped / corrupted / link-killed cells never arrive, so
     // they refresh nothing: that is exactly the signal loss that lets
     // leases expire.
-    if cfg.lease_supersteps > 0 && !matches!(job.kind, JobKind::Teardown) {
-        sw.touch_lease(job.vci, fx.superstep);
+    if ctx.sh.cfg.lease_supersteps > 0 {
+        slot.touch_lease(ctx.superstep);
     }
 
-    // Deliver the attempt's verdict to the source (salt-0 only: ghosts
-    // are network artifacts, invisible to the load generator).
-    let deliver = |outcome: Outcome,
-                   hops_touched: usize,
-                   counters: &Counters,
-                   sink: &mut CompletionSink<'_>| {
-        let rtt = cfg.hop_latency * 2.0 * hops_touched as f64;
-        sink.latency.record(rtt);
-        sink.moments.record(hops_touched);
-        if outcome == Outcome::Granted {
-            counters.accepted.fetch_add(1, Ordering::Relaxed);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            counters.denied.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut slot = vci_states[job.vci as usize].lock().expect("vci lock");
-        slot.outcome = Some(outcome);
-        slot.pressure = job.pressured;
-    };
-
-    match job.kind {
-        JobKind::Delta(delta) => {
-            let cell = sw
-                .process_rm(RmCell {
-                    vci: job.vci,
-                    rate: RateField::Delta(delta),
-                    denied: false,
-                    pressure: false,
-                })
-                .expect("VC is routed through this switch");
-            record_admission(&cell, job.vci, sw, counters, adm);
-            if !cell.denied {
-                if job.hop + 1 == path_len {
-                    if !is_ghost {
-                        deliver(Outcome::Granted, path_len, counters, sink);
-                    }
-                    gone(counters);
-                    (None, spawned)
-                } else {
-                    (
-                        Some(Job {
-                            hop: job.hop + 1,
-                            cleared: false,
-                            ..job
-                        }),
-                        spawned,
-                    )
-                }
-            } else {
-                // The source learns of the denial now (round trip to the
-                // denying hop); the unwind continues in-pipeline down to
-                // this job's origin hop.
-                if !is_ghost {
-                    deliver(Outcome::Denied, job.hop + 1, counters, sink);
-                }
-                if job.hop == job.origin as usize {
-                    gone(counters);
-                    (None, spawned)
-                } else {
-                    if !is_ghost {
-                        counters.rollbacks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    (
-                        Some(Job {
-                            hop: job.hop - 1,
-                            kind: JobKind::Rollback(delta),
-                            cleared: false,
-                            ..job
-                        }),
-                        spawned,
-                    )
-                }
+    let (request, delta) = match job.kind {
+        JobKind::Rollback(delta) => {
+            // Best-effort: the grant being unwound may have been wiped by
+            // a crash-restart, in which case there is nothing to undo.
+            if slot.try_reserve_delta(-delta) && job.salt == SALT_PRIMARY {
+                ctx.tally.counts.rolled_back_hops += 1;
             }
+            let hop = if job.hop == job.origin as usize {
+                ctx.gone()
+            } else {
+                job.hop -= 1;
+                Hop::Forward
+            };
+            return (hop, None);
         }
+        JobKind::Delta(delta) => (RateField::Delta(delta), Some(delta)),
         JobKind::Resync {
             rate,
             expected_prior,
         } => {
-            let prior = sw
-                .vci_rate(job.vci)
-                .expect("VC is routed through this switch");
-            if prior != expected_prior && !is_ghost {
-                counters.resync_repairs.fetch_add(1, Ordering::Relaxed);
+            if slot.rate() != expected_prior && job.salt == SALT_PRIMARY {
+                ctx.tally.counts.resync_repairs += 1;
             }
-            let cell = sw
-                .process_rm(RmCell {
-                    vci: job.vci,
-                    rate: RateField::Absolute(rate),
-                    denied: false,
-                    pressure: false,
-                })
-                .expect("VC is routed through this switch");
-            record_admission(&cell, job.vci, sw, counters, adm);
-            if cell.denied {
-                // No rollback for resync (Path::resync semantics): hops
-                // already synchronized stay synchronized.
-                if !is_ghost {
-                    deliver(Outcome::Denied, job.hop + 1, counters, sink);
-                }
-                gone(counters);
-                (None, spawned)
-            } else if job.hop + 1 == path_len {
-                if !is_ghost {
-                    deliver(Outcome::Granted, path_len, counters, sink);
-                }
-                gone(counters);
-                (None, spawned)
-            } else {
-                (
-                    Some(Job {
-                        hop: job.hop + 1,
-                        cleared: false,
-                        ..job
-                    }),
-                    spawned,
-                )
-            }
+            (RateField::Absolute(rate), None)
         }
-        JobKind::Rollback(delta) => {
-            // Best-effort: the grant being unwound may have been wiped by
-            // a crash-restart, in which case there is nothing to undo.
-            let unwound = sw
-                .try_rollback_delta(job.vci, delta)
-                .expect("VC is routed through this switch");
-            if unwound && !is_ghost {
-                counters.rolled_back_hops.fetch_add(1, Ordering::Relaxed);
-            }
-            if job.hop == job.origin as usize {
-                gone(counters);
-                (None, None)
-            } else {
-                (
-                    Some(Job {
-                        hop: job.hop - 1,
-                        cleared: false,
-                        ..job
-                    }),
-                    None,
-                )
-            }
-        }
-        JobKind::Reroute { rate } => {
-            // Establish-or-repair: hops of the new route that never saw
-            // this VC get a routing entry first, then every hop reserves
-            // the absolute rate. On hops shared with the old route this
-            // resyncs to the rate the VC already holds — a no-op that can
-            // never be denied — so partial failures only ever leave
-            // residue on *new* hops, which the runner's compensating
-            // teardown (and ultimately the end-of-run audit) reclaims.
-            sw.install(job.vci, 0);
-            let cell = sw
-                .process_rm(RmCell {
-                    vci: job.vci,
-                    rate: RateField::Absolute(rate),
-                    denied: false,
-                    pressure: false,
-                })
-                .expect("installed above");
-            record_admission(&cell, job.vci, sw, counters, adm);
-            if cell.denied {
-                if !is_ghost {
-                    deliver(Outcome::Denied, job.hop + 1, counters, sink);
-                }
-                gone(counters);
-                (None, spawned)
-            } else if job.hop + 1 == path_len {
-                if !is_ghost {
-                    deliver(Outcome::Granted, path_len, counters, sink);
-                }
-                gone(counters);
-                (None, spawned)
-            } else {
-                (
-                    Some(Job {
-                        hop: job.hop + 1,
-                        cleared: false,
-                        ..job
-                    }),
-                    spawned,
-                )
-            }
-        }
-        JobKind::Teardown => {
-            // Remove the VC from this switch: release the reservation and
-            // drop the routing entry. Idempotent — a hop that never held
-            // the VC (or was already torn) is a no-op — and skipped at a
-            // down switch, whose soft state is wiped on restart or at end
-            // of run anyway.
-            if !down && sw.uninstall(job.vci).is_some() {
-                counters.teardown_hops.fetch_add(1, Ordering::Relaxed);
-            }
-            if job.hop + 1 == path_len {
-                gone(counters);
-                (None, None)
-            } else {
-                (
-                    Some(Job {
-                        hop: job.hop + 1,
-                        cleared: false,
-                        ..job
-                    }),
-                    None,
-                )
-            }
-        }
+        JobKind::Reroute { rate } => (RateField::Absolute(rate), None),
+        JobKind::Teardown => unreachable!("handled above"),
+    };
+    // The booking check: bump the admission grant/denial counters and,
+    // when a measurement-based policy is live, fold the VC's post-decision
+    // reservation at this switch into the estimator. Ghosts are observed
+    // too — they are real cells that mutated real switch state, and the
+    // estimator measures the switch, not the load generator.
+    let granted = slot.book(request);
+    if granted {
+        ctx.tally.counts.admission_grants += 1;
+    } else {
+        ctx.tally.counts.admission_denials += 1;
     }
+    if let Some(sa) = adm {
+        sa.observe(job.vci, slot.rate());
+    }
+    let hop = if granted {
+        job.hop += 1;
+        if job.hop == path_len {
+            ctx.deliver(job, Outcome::Granted, path_len, job.pressured);
+            ctx.gone()
+        } else {
+            Hop::Forward
+        }
+    } else {
+        // The source learns of the denial now (round trip to the denying
+        // hop). A denied delta then unwinds in-pipeline, one hop per
+        // superstep, down to this job's origin hop; resync and reroute
+        // walks do not roll back (`Path::resync` semantics): hops already
+        // synchronized stay synchronized.
+        ctx.deliver(job, Outcome::Denied, job.hop + 1, job.pressured);
+        match delta {
+            Some(delta) if job.hop != job.origin as usize => {
+                if job.salt == SALT_PRIMARY {
+                    ctx.tally.counts.rollbacks += 1;
+                }
+                job.hop -= 1;
+                job.kind = JobKind::Rollback(delta);
+                Hop::Forward
+            }
+            _ => ctx.gone(),
+        }
+    };
+    (hop, ghost)
 }

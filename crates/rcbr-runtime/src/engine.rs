@@ -111,16 +111,23 @@ fn worker<'a>(
     }
     let mut state = state?;
     let mut jobs: Vec<Job> = Vec::new();
+    // Received batches, emptied: the next sends go out in these, so the
+    // steady state allocates no batch. One superstep sends at most one
+    // batch per shard, so that many are worth keeping.
+    let mut spare: Vec<Vec<Job>> = Vec::new();
     for round in 0..cfg.max_rounds {
         state.round_top(round);
-        send_batches(state.outbox(), &txs);
+        send_batches(state.outbox(), &txs, &mut spare);
         barrier.wait(); // all injections delivered, all beliefs published
         state.audit_if_due(round);
         // The loop yields the completed-request total as of quiescence,
         // snapshotted at a point all shards agree on.
         let completed = loop {
-            while let Ok(batch) = rx.try_recv() {
-                jobs.extend(batch);
+            while let Ok(mut batch) = rx.try_recv() {
+                jobs.append(&mut batch);
+                if spare.len() < txs.len() {
+                    spare.push(batch);
+                }
             }
             let drain = state.open_superstep(&mut jobs);
             barrier.wait(); // all inboxes drained
@@ -128,7 +135,7 @@ fn worker<'a>(
                 break drain.completed;
             }
             state.advance_superstep(&mut jobs);
-            send_batches(state.outbox(), &txs);
+            send_batches(state.outbox(), &txs, &mut spare);
             barrier.wait(); // all follow-up sends delivered
         };
         if completed >= cfg.target_requests {
@@ -138,10 +145,12 @@ fn worker<'a>(
     Some(state)
 }
 
-fn send_batches(out: &mut [Vec<Job>], txs: &[Sender<Vec<Job>>]) {
+fn send_batches(out: &mut [Vec<Job>], txs: &[Sender<Vec<Job>>], spare: &mut Vec<Vec<Job>>) {
     for (batch, tx) in out.iter_mut().zip(txs) {
         if !batch.is_empty() {
-            tx.send(std::mem::take(batch)).expect("receiver alive");
+            let empty = spare.pop().unwrap_or_default();
+            tx.send(std::mem::replace(batch, empty))
+                .expect("receiver alive");
         }
     }
 }

@@ -51,10 +51,10 @@ use rcbr_schedule::{RetryBudget, RetryPolicy, ShedAccount, VcDriver, LANES};
 use rcbr_sim::SimRng;
 use rcbr_traffic::SyntheticMpegSource;
 
-use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 
 use crate::config::RuntimeConfig;
-use crate::core::{Counters, Job, JobKind, Outcome, Route, MAX_ROUTE};
+use crate::core::{CounterSnapshot as Counts, Job, JobKind, Outcome, Route, MAX_ROUTE};
 
 /// Supersteps a break-before-make teardown round occupies before the
 /// replacement reservation walk goes out: exactly one round, so the
@@ -148,6 +148,9 @@ pub(crate) struct VcRunner {
     /// The old route is torn down (break-before-make window, or
     /// stranded): the VC holds no reservations and believes rate 0.
     torn: bool,
+    /// `active_route` or `torn` changed since the route was last
+    /// published for the auditor.
+    route_moved: bool,
     /// Monotone failure count, for deterministic candidate rotation.
     route_failures: u64,
     /// Consecutive-failure account for reroute attempts; refilled by any
@@ -192,6 +195,7 @@ impl VcRunner {
             active_route,
             route_state: RouteState::Settled,
             torn: false,
+            route_moved: false,
             route_failures: 0,
             budget: RetryBudget::new(cfg.retry_budget),
             pending_tear: Vec::new(),
@@ -218,7 +222,7 @@ impl VcRunner {
         outcome: Option<Outcome>,
         pressured: bool,
         now: u64,
-        counters: &Counters,
+        counts: &mut Counts,
     ) {
         // Brownout timer fallback: probe again once the hold lapses (not
         // counted as an exit — only a clean grant proves pressure cleared).
@@ -228,7 +232,7 @@ impl VcRunner {
         if matches!(self.route_state, RouteState::RerouteAwait { .. }) {
             // The outstanding attempt is a reroute walk; its verdict (or
             // timeout) belongs to the route machinery.
-            self.reroute_verdict(outcome, now, counters);
+            self.reroute_verdict(outcome, now, counts);
         } else {
             match outcome {
                 Some(Outcome::Granted) => {
@@ -242,16 +246,16 @@ impl VcRunner {
                             self.brownout_clear_at = now + cfg.brownout_hold_supersteps;
                         } else {
                             self.brownout = false;
-                            counters.brownout_exits.fetch_add(1, Ordering::Relaxed);
+                            counts.brownout_exits += 1;
                         }
                     }
                 }
-                Some(Outcome::Shed) => self.shed(cfg, now, counters),
+                Some(Outcome::Shed) => self.shed(cfg, now, counts),
                 Some(Outcome::Denied) => {
                     let ReqPhase::Await { failures, .. } = self.phase else {
                         unreachable!("a verdict implies an attempt in flight");
                     };
-                    self.fail(failures + 1, now, counters);
+                    self.fail(failures + 1, now, counts);
                 }
                 None => {
                     if let ReqPhase::Await {
@@ -262,8 +266,8 @@ impl VcRunner {
                         if self.retry.timed_out(injected_at, now) {
                             // The cell was killed (dropped, corrupted, or
                             // crash-killed): no verdict will ever arrive.
-                            counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                            self.fail(failures + 1, now, counters);
+                            counts.timeouts += 1;
+                            self.fail(failures + 1, now, counts);
                         }
                     }
                 }
@@ -273,7 +277,7 @@ impl VcRunner {
     }
 
     /// Process the verdict (or timeout) of an in-flight reroute walk.
-    fn reroute_verdict(&mut self, outcome: Option<Outcome>, now: u64, counters: &Counters) {
+    fn reroute_verdict(&mut self, outcome: Option<Outcome>, now: u64, counts: &mut Counts) {
         let RouteState::RerouteAwait {
             injected_at,
             candidate,
@@ -291,7 +295,7 @@ impl VcRunner {
                 // over *before* tearing down — hops the candidate does not
                 // share with the old route become stale and are reclaimed
                 // by an explicit teardown walk this round.
-                counters.reroutes_committed.fetch_add(1, Ordering::Relaxed);
+                counts.reroutes_committed += 1;
                 let stale: Vec<usize> = self
                     .active_route
                     .iter()
@@ -303,23 +307,24 @@ impl VcRunner {
                 }
                 self.active_route = candidate;
                 self.torn = false;
+                self.route_moved = true;
                 // A successful renegotiation refills the retry account.
                 self.budget.on_success();
                 if self.stranded_sticky {
                     self.stranded_sticky = false;
-                    counters.unstranded_events.fetch_add(1, Ordering::Relaxed);
+                    counts.unstranded_events += 1;
                 }
             }
             Some(Outcome::Denied) => {
                 // Capacity: old + new do not fit side by side. The retry
                 // goes break-before-make.
-                counters.reroutes_denied.fetch_add(1, Ordering::Relaxed);
-                self.reroute_failed(candidate, RerouteMode::BreakBeforeMake, now, counters);
+                counts.reroutes_denied += 1;
+                self.reroute_failed(candidate, RerouteMode::BreakBeforeMake, now, counts);
             }
             None => {
                 if self.retry.timed_out(injected_at, now) {
-                    counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.reroute_failed(candidate, mode, now, counters);
+                    counts.timeouts += 1;
+                    self.reroute_failed(candidate, mode, now, counts);
                 } else {
                     self.route_state = RouteState::RerouteAwait {
                         injected_at,
@@ -338,7 +343,7 @@ impl VcRunner {
         candidate: Vec<usize>,
         mode: RerouteMode,
         now: u64,
-        counters: &Counters,
+        counts: &mut Counts,
     ) {
         self.budget.on_failure();
         self.route_failures += 1;
@@ -358,7 +363,7 @@ impl VcRunner {
             self.queue_tear(comp);
         }
         if self.budget.exhausted() {
-            self.strand(counters);
+            self.strand(counts);
         } else {
             let mode = if self.torn {
                 // No reservations left to keep alive: stay break-first.
@@ -377,17 +382,18 @@ impl VcRunner {
     /// degraded, and park in [`RouteState::Stranded`] — which rechecks
     /// the topology every round, so the VC is degraded but never
     /// deadlocked.
-    fn strand(&mut self, counters: &Counters) {
+    fn strand(&mut self, counts: &mut Counts) {
         if !self.torn {
             self.queue_tear(self.active_route.clone());
             self.torn = true;
+            self.route_moved = true;
         }
-        counters.stranded_events.fetch_add(1, Ordering::Relaxed);
-        counters.exhausted.fetch_add(1, Ordering::Relaxed);
-        counters.completed.fetch_add(1, Ordering::Relaxed);
+        counts.stranded_events += 1;
+        counts.exhausted += 1;
+        counts.completed += 1;
         if !self.driver.is_degraded() {
             self.driver.mark_degraded();
-            counters.degraded_events.fetch_add(1, Ordering::Relaxed);
+            counts.degraded_events += 1;
         }
         self.stranded_sticky = true;
         self.route_state = RouteState::Stranded;
@@ -455,14 +461,14 @@ impl VcRunner {
     /// either back off for a retry, or exhaust the budget and degrade —
     /// the source keeps its last granted rate (the paper's fallback) and
     /// the request completes as abandoned.
-    fn fail(&mut self, failures: u32, now: u64, counters: &Counters) {
+    fn fail(&mut self, failures: u32, now: u64, counts: &mut Counts) {
         if self.retry.exhausted(failures) {
-            counters.exhausted.fetch_add(1, Ordering::Relaxed);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
+            counts.exhausted += 1;
+            counts.completed += 1;
             self.driver.abandon();
             if !self.driver.is_degraded() {
                 self.driver.mark_degraded();
-                counters.degraded_events.fetch_add(1, Ordering::Relaxed);
+                counts.degraded_events += 1;
             }
             self.phase = ReqPhase::Idle;
         } else {
@@ -479,7 +485,7 @@ impl VcRunner {
     /// enters brownout. An exhausted shed account abandons the request
     /// (the source keeps its granted rate) *without* degrading the VC:
     /// shedding is congestion push-back, not a failure.
-    fn shed(&mut self, cfg: &RuntimeConfig, now: u64, counters: &Counters) {
+    fn shed(&mut self, cfg: &RuntimeConfig, now: u64, counts: &mut Counts) {
         let ReqPhase::Await { failures, .. } = self.phase else {
             unreachable!("a shed verdict implies an attempt in flight");
         };
@@ -487,13 +493,13 @@ impl VcRunner {
         if self.class == PriorityClass::BestEffort && !self.brownout {
             self.brownout = true;
             self.brownout_clear_at = now + cfg.brownout_hold_supersteps;
-            counters.brownout_entries.fetch_add(1, Ordering::Relaxed);
+            counts.brownout_entries += 1;
         } else if self.brownout {
             self.brownout_clear_at = now + cfg.brownout_hold_supersteps;
         }
         if self.sheds.exhausted() {
-            counters.exhausted.fetch_add(1, Ordering::Relaxed);
-            counters.completed.fetch_add(1, Ordering::Relaxed);
+            counts.exhausted += 1;
+            counts.completed += 1;
             self.driver.abandon();
             self.phase = ReqPhase::Idle;
             // A fresh account for the next request.
@@ -530,7 +536,7 @@ impl VcRunner {
         round: u64,
         now: u64,
         out: &mut Vec<Job>,
-        counters: &Counters,
+        counts: &mut Counts,
     ) {
         let base_seq = self.base_seq(cfg, round);
 
@@ -557,6 +563,7 @@ impl VcRunner {
                     // the teardown has drained.
                     self.queue_tear(self.active_route.clone());
                     self.torn = true;
+                    self.route_moved = true;
                     self.route_state = RouteState::RerouteBackoff {
                         until: now + BBM_TEAR_SUPERSTEPS,
                         mode,
@@ -564,7 +571,7 @@ impl VcRunner {
                 } else {
                     let cands = self.candidates(cfg, topo, plane, now);
                     if cands.is_empty() {
-                        self.strand(counters);
+                        self.strand(counts);
                     } else {
                         // Deterministic rotation: successive failures try
                         // successive candidates of the (len, lex)-ordered
@@ -607,7 +614,7 @@ impl VcRunner {
                     .driver
                     .pending_rate()
                     .expect("backoff implies a pending request");
-                counters.retries.fetch_add(1, Ordering::Relaxed);
+                counts.retries += 1;
                 out.push(Job {
                     seq: base_seq,
                     vci: self.vci,
@@ -652,7 +659,7 @@ impl VcRunner {
         // Browned out: hold the granted rate and never offer a request to
         // the network — the shed-backoff probe is the only signaling
         // until pressure clears. The driver raises and abandons it on the
-        // spot; no counters move, the request was never injected.
+        // spot; no counts move, the request was never injected.
         let lanes = std::array::from_fn(|_| {
             let r = runners.next()?.as_mut()?;
             debug_assert!(r.steps_slots());
@@ -779,16 +786,21 @@ impl VcRunner {
     /// reservations against, up to date — empty while the VC holds
     /// nothing, so every entry it may still be leaving behind is treated
     /// as off-route residue. A route moves on a reroute commit, a tear or
-    /// a strand; on every other round this only compares.
-    pub fn publish_route(&self, published: &mut Vec<u16>) {
+    /// a strand; on every other round the lock is not taken.
+    pub fn publish_route(&mut self, published: &Mutex<Vec<u16>>) {
         let route: &[usize] = if self.torn { &[] } else { &self.active_route };
-        if !published
-            .iter()
-            .map(|&h| h as usize)
-            .eq(route.iter().copied())
-        {
+        let route = route.iter().map(|&h| h as u16);
+        if std::mem::take(&mut self.route_moved) {
+            let mut published = published.lock().expect("route lock");
             published.clear();
-            published.extend(route.iter().map(|&h| h as u16));
+            published.extend(route);
+        } else {
+            debug_assert!(published
+                .lock()
+                .expect("route lock")
+                .iter()
+                .copied()
+                .eq(route));
         }
     }
 
@@ -841,7 +853,7 @@ mod tests {
         round: u64,
         now: u64,
         out: &mut Vec<Job>,
-        counters: &Counters,
+        counters: &mut Counts,
     ) {
         r.emit_control(cfg, topo, plane, round, now, out, counters);
         if r.steps_slots() {
@@ -858,7 +870,7 @@ mod tests {
         cfg: &RuntimeConfig,
         rounds: u64,
         verdict: Option<Outcome>,
-        counters: &Counters,
+        counters: &mut Counts,
     ) -> Vec<Job> {
         let topo = cfg.topology();
         let plane = FaultPlane::new(cfg.fault.clone());
@@ -885,12 +897,12 @@ mod tests {
     #[test]
     fn construction_is_deterministic() {
         let cfg = quiet_cfg();
-        let ca = Counters::default();
-        let cb = Counters::default();
+        let mut ca = Counts::default();
+        let mut cb = Counts::default();
         let mut a = VcRunner::new(&cfg, 3);
         let mut b = VcRunner::new(&cfg, 3);
-        let ja = drive(&mut a, &cfg, 50, Some(Outcome::Granted), &ca);
-        let jb = drive(&mut b, &cfg, 50, Some(Outcome::Granted), &cb);
+        let ja = drive(&mut a, &cfg, 50, Some(Outcome::Granted), &mut ca);
+        let jb = drive(&mut b, &cfg, 50, Some(Outcome::Granted), &mut cb);
         assert!(
             !ja.is_empty(),
             "the MPEG source must trigger renegotiations"
@@ -908,11 +920,11 @@ mod tests {
         cfg.retry_budget = 2;
         cfg.backoff_base = 1;
         cfg.backoff_jitter = 0;
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 0);
-        let jobs = drive(&mut r, &cfg, 300, Some(Outcome::Denied), &counters);
+        let jobs = drive(&mut r, &cfg, 300, Some(Outcome::Denied), &mut counters);
         assert!(!jobs.is_empty());
-        let snap = counters.snapshot();
+        let snap = counters;
         assert!(snap.retries > 0, "denials must trigger retries");
         assert!(snap.exhausted > 0, "the budget must run out");
         assert_eq!(snap.completed, snap.exhausted);
@@ -929,10 +941,10 @@ mod tests {
         let mut cfg = quiet_cfg();
         cfg.timeout_supersteps = 16;
         cfg.retry_budget = 1;
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 2);
-        drive(&mut r, &cfg, 300, None, &counters);
-        let snap = counters.snapshot();
+        drive(&mut r, &cfg, 300, None, &mut counters);
+        let snap = counters;
         assert!(snap.timeouts > 0, "unanswered attempts must time out");
         assert!(snap.exhausted > 0);
         assert!(r.is_degraded());
@@ -950,12 +962,12 @@ mod tests {
         }];
         let topo = cfg.topology();
         let plane = FaultPlane::new(cfg.fault.clone());
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 1);
 
         let mut jobs = Vec::new();
-        r.begin_round(&cfg, &topo, &plane, None, false, 2, &counters);
-        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &counters);
+        r.begin_round(&cfg, &topo, &plane, None, false, 2, &mut counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &mut counters);
         assert_eq!(jobs.len(), 1, "a dead route emits exactly the reroute walk");
         assert!(matches!(jobs[0].kind, JobKind::Reroute { .. }));
         let walked: Vec<usize> = (0..jobs[0].route.len())
@@ -973,10 +985,10 @@ mod tests {
             Some(Outcome::Granted),
             false,
             8,
-            &counters,
+            &mut counters,
         );
         assert_eq!(r.final_route(), vec![1, 2, 4]);
-        emit_round(&mut r, &cfg, &topo, &plane, 1, 8, &mut jobs, &counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 1, 8, &mut jobs, &mut counters);
         let tears: Vec<&Job> = jobs
             .iter()
             .filter(|j| matches!(j.kind, JobKind::Teardown))
@@ -984,7 +996,7 @@ mod tests {
         assert_eq!(tears.len(), 1, "the stale hop gets one teardown walk");
         assert_eq!(tears[0].route.len(), 1);
         assert_eq!(tears[0].route.hop(0), 3);
-        let snap = counters.snapshot();
+        let snap = counters;
         assert_eq!(snap.reroutes_committed, 1);
         assert_eq!(snap.stranded_events, 0);
     }
@@ -1001,13 +1013,13 @@ mod tests {
         }];
         let topo = cfg.topology();
         let plane = FaultPlane::new(cfg.fault.clone());
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 1);
 
         // Round 0: make-before-break walk along the chord goes out.
         let mut jobs = Vec::new();
-        r.begin_round(&cfg, &topo, &plane, None, false, 2, &counters);
-        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &counters);
+        r.begin_round(&cfg, &topo, &plane, None, false, 2, &mut counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &mut counters);
         assert!(matches!(jobs[0].kind, JobKind::Reroute { .. }));
 
         // The walk is denied (capacity): the retry must go break-first.
@@ -1019,12 +1031,12 @@ mod tests {
             Some(Outcome::Denied),
             false,
             10,
-            &counters,
+            &mut counters,
         );
-        assert_eq!(counters.snapshot().reroutes_denied, 1);
+        assert_eq!(counters.reroutes_denied, 1);
         assert!(r.believed_rate() > 0.0, "nothing torn yet");
         // Backoff elapses: the break round tears the whole old route.
-        emit_round(&mut r, &cfg, &topo, &plane, 1, 20, &mut jobs, &counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 1, 20, &mut jobs, &mut counters);
         let tears: Vec<&Job> = jobs
             .iter()
             .filter(|j| matches!(j.kind, JobKind::Teardown))
@@ -1040,8 +1052,8 @@ mod tests {
         // Next round: the fresh reservation walk goes out, and a grant
         // restores service on the new route.
         jobs.clear();
-        r.begin_round(&cfg, &topo, &plane, None, false, 28, &counters);
-        emit_round(&mut r, &cfg, &topo, &plane, 2, 28, &mut jobs, &counters);
+        r.begin_round(&cfg, &topo, &plane, None, false, 28, &mut counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 2, 28, &mut jobs, &mut counters);
         assert!(jobs
             .iter()
             .any(|j| matches!(j.kind, JobKind::Reroute { .. })));
@@ -1052,9 +1064,9 @@ mod tests {
             Some(Outcome::Granted),
             false,
             36,
-            &counters,
+            &mut counters,
         );
-        assert_eq!(counters.snapshot().reroutes_committed, 1);
+        assert_eq!(counters.reroutes_committed, 1);
         assert!(r.believed_rate() > 0.0);
         assert!(!r.final_route().contains(&3));
     }
@@ -1078,13 +1090,13 @@ mod tests {
         }
         let topo = cfg.topology();
         let plane = FaultPlane::new(cfg.fault.clone());
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 1);
 
         let mut jobs = Vec::new();
-        r.begin_round(&cfg, &topo, &plane, None, false, 2, &counters);
-        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &counters);
-        assert_eq!(counters.snapshot().stranded_events, 1);
+        r.begin_round(&cfg, &topo, &plane, None, false, 2, &mut counters);
+        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &mut counters);
+        assert_eq!(counters.stranded_events, 1);
         assert_eq!(r.believed_rate(), 0.0, "a stranded VC holds nothing");
         assert!(r.final_route().is_empty());
         let tears = jobs
@@ -1096,8 +1108,17 @@ mod tests {
         // Links heal at superstep 101: the recheck re-arms, the walk goes
         // out, and a grant un-strands the VC.
         jobs.clear();
-        r.begin_round(&cfg, &topo, &plane, None, false, 101, &counters);
-        emit_round(&mut r, &cfg, &topo, &plane, 1, 101, &mut jobs, &counters);
+        r.begin_round(&cfg, &topo, &plane, None, false, 101, &mut counters);
+        emit_round(
+            &mut r,
+            &cfg,
+            &topo,
+            &plane,
+            1,
+            101,
+            &mut jobs,
+            &mut counters,
+        );
         assert!(
             jobs.iter()
                 .any(|j| matches!(j.kind, JobKind::Reroute { .. })),
@@ -1110,9 +1131,9 @@ mod tests {
             Some(Outcome::Granted),
             false,
             108,
-            &counters,
+            &mut counters,
         );
-        let snap = counters.snapshot();
+        let snap = counters;
         assert_eq!(snap.unstranded_events, 1);
         assert_eq!(r.final_route(), vec![1, 2, 3, 4]);
         assert!(r.believed_rate() > 0.0);
@@ -1124,12 +1145,12 @@ mod tests {
         cfg.shed_budget = 2;
         cfg.backoff_base = 1;
         cfg.backoff_jitter = 0;
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         // VC 1 is Gold under the default 25/25 mix: sheds must never
         // brown it out, only back it off and eventually abandon.
         let mut r = VcRunner::new(&cfg, 1);
-        drive(&mut r, &cfg, 300, Some(Outcome::Shed), &counters);
-        let snap = counters.snapshot();
+        drive(&mut r, &cfg, 300, Some(Outcome::Shed), &mut counters);
+        let snap = counters;
         assert!(snap.exhausted > 0, "the shed account must run out");
         assert_eq!(snap.completed, snap.exhausted);
         assert_eq!(
@@ -1149,7 +1170,7 @@ mod tests {
         cfg.brownout_hold_supersteps = 10_000;
         let topo = cfg.topology();
         let plane = FaultPlane::new(cfg.fault.clone());
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         // vci % 100 = 51 falls past the Gold + Silver bands.
         assert_eq!(cfg.class_of(51), rcbr_net::PriorityClass::BestEffort);
         let mut r = VcRunner::new(&cfg, 51);
@@ -1159,9 +1180,16 @@ mod tests {
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
+            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
             emit_round(
-                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+                &mut r,
+                &cfg,
+                &topo,
+                &plane,
+                round,
+                now,
+                &mut jobs,
+                &mut counters,
             );
             round += 1;
             now += 8;
@@ -1175,15 +1203,22 @@ mod tests {
             Some(Outcome::Shed),
             false,
             now,
-            &counters,
+            &mut counters,
         );
         assert!(r.in_brownout());
-        assert_eq!(counters.snapshot().brownout_entries, 1);
+        assert_eq!(counters.brownout_entries, 1);
         jobs.clear();
         now += 8;
-        r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
+        r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
         emit_round(
-            &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+            &mut r,
+            &cfg,
+            &topo,
+            &plane,
+            round,
+            now,
+            &mut jobs,
+            &mut counters,
         );
         assert_eq!(
             jobs.len(),
@@ -1201,10 +1236,10 @@ mod tests {
             Some(Outcome::Granted),
             false,
             now,
-            &counters,
+            &mut counters,
         );
         assert!(!r.in_brownout(), "a clean grant ends the brownout");
-        assert_eq!(counters.snapshot().brownout_exits, 1);
+        assert_eq!(counters.brownout_exits, 1);
     }
 
     #[test]
@@ -1215,15 +1250,22 @@ mod tests {
         cfg.brownout_hold_supersteps = 10_000;
         let topo = cfg.topology();
         let plane = FaultPlane::new(cfg.fault.clone());
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 51);
         let mut jobs = Vec::new();
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
+            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
             emit_round(
-                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+                &mut r,
+                &cfg,
+                &topo,
+                &plane,
+                round,
+                now,
+                &mut jobs,
+                &mut counters,
             );
             round += 1;
             now += 8;
@@ -1235,7 +1277,7 @@ mod tests {
             Some(Outcome::Shed),
             false,
             now,
-            &counters,
+            &mut counters,
         );
         assert!(r.in_brownout());
         // The probe's grant still carries a hop's pressure flag: the VC
@@ -1247,10 +1289,10 @@ mod tests {
             Some(Outcome::Granted),
             true,
             now + 8,
-            &counters,
+            &mut counters,
         );
         assert!(r.in_brownout(), "a pressured grant refreshes the brownout");
-        assert_eq!(counters.snapshot().brownout_exits, 0);
+        assert_eq!(counters.brownout_exits, 0);
         // And while browned out with nothing pending, no slot traffic.
         jobs.clear();
         emit_round(
@@ -1261,7 +1303,7 @@ mod tests {
             round,
             now + 8,
             &mut jobs,
-            &counters,
+            &mut counters,
         );
         assert!(jobs.is_empty(), "brownout suppresses slot renegotiation");
     }
@@ -1274,7 +1316,7 @@ mod tests {
         cfg.brownout_hold_supersteps = 10_000;
         let topo = cfg.topology();
         let plane = FaultPlane::new(cfg.fault.clone());
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 51);
         // The same source, stepped one slot at a time beside the runner.
         let mut twin = VcRunner::new(&cfg, 51).driver;
@@ -1282,9 +1324,16 @@ mod tests {
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
+            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
             emit_round(
-                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+                &mut r,
+                &cfg,
+                &topo,
+                &plane,
+                round,
+                now,
+                &mut jobs,
+                &mut counters,
             );
             for _ in 0..cfg.slots_in_round(round) {
                 twin.step();
@@ -1300,7 +1349,7 @@ mod tests {
             Some(Outcome::Shed),
             false,
             now,
-            &counters,
+            &mut counters,
         );
         r.begin_round(
             &cfg,
@@ -1309,7 +1358,7 @@ mod tests {
             Some(Outcome::Granted),
             true,
             now + 8,
-            &counters,
+            &mut counters,
         );
         twin.on_grant();
         assert!(r.in_brownout());
@@ -1318,13 +1367,20 @@ mod tests {
         // Rounds in which the source raises several requests: each is
         // counted and abandoned on the spot, none is injected.
         jobs.clear();
-        let injected = counters.snapshot();
+        let injected = counters;
         let mut most_in_a_round = 0;
         for _ in 0..40 {
             now += 8;
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
+            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
             emit_round(
-                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+                &mut r,
+                &cfg,
+                &topo,
+                &plane,
+                round,
+                now,
+                &mut jobs,
+                &mut counters,
             );
             let before = twin.requests();
             for _ in 0..cfg.slots_in_round(round) {
@@ -1338,7 +1394,7 @@ mod tests {
         }
         assert!(most_in_a_round > 1, "the trace never asks twice in a round");
         assert!(jobs.is_empty(), "a browned-out VC injected {jobs:?}");
-        assert_eq!(counters.snapshot(), injected, "no counter may move");
+        assert_eq!(counters, injected, "no counter may move");
         assert_eq!(r.loss_fraction().to_bits(), twin.loss_fraction().to_bits());
     }
 
@@ -1350,15 +1406,22 @@ mod tests {
         cfg.brownout_hold_supersteps = 16;
         let topo = cfg.topology();
         let plane = FaultPlane::new(cfg.fault.clone());
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 51);
         let mut jobs = Vec::new();
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &counters);
+            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
             emit_round(
-                &mut r, &cfg, &topo, &plane, round, now, &mut jobs, &counters,
+                &mut r,
+                &cfg,
+                &topo,
+                &plane,
+                round,
+                now,
+                &mut jobs,
+                &mut counters,
             );
             round += 1;
             now += 8;
@@ -1370,14 +1433,14 @@ mod tests {
             Some(Outcome::Shed),
             false,
             now,
-            &counters,
+            &mut counters,
         );
         assert!(r.in_brownout());
         // The timer lapses: the VC resumes renegotiating without a grant,
         // and the lapse is not counted as a pressure-cleared exit.
-        r.begin_round(&cfg, &topo, &plane, None, false, now + 17, &counters);
+        r.begin_round(&cfg, &topo, &plane, None, false, now + 17, &mut counters);
         assert!(!r.in_brownout());
-        assert_eq!(counters.snapshot().brownout_exits, 0);
+        assert_eq!(counters.brownout_exits, 0);
     }
 
     #[test]
@@ -1411,9 +1474,9 @@ mod tests {
     fn resync_cadence() {
         let mut cfg = quiet_cfg();
         cfg.resync_interval = 2;
-        let counters = Counters::default();
+        let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 1);
-        let jobs = drive(&mut r, &cfg, 400, Some(Outcome::Granted), &counters);
+        let jobs = drive(&mut r, &cfg, 400, Some(Outcome::Granted), &mut counters);
         let resyncs = jobs
             .iter()
             .filter(|j| matches!(j.kind, JobKind::Resync { .. }))

@@ -8,11 +8,14 @@
 //! [`run_sequential`](crate::run_sequential) steps a single `(0, 1)` shard
 //! that owns everything and swaps its outbox back in as its inbox. Every
 //! sweep, sort, shed plan, hop advance and report reduction is here, once.
+//!
+//! Public (and hidden from the docs) for one outside caller: the
+//! `per_hop` bench, which feeds a shard batches of its own making.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use rcbr_net::{FaultPlane, ShedKey, SignalingQueue, Switch, Topology};
+use rcbr_net::{ActiveFaults, FaultPlane, ShedKey, SignalingQueue, Switch, Topology};
 use rcbr_schedule::LANES;
 use rcbr_sim::Histogram;
 
@@ -20,7 +23,7 @@ use crate::admission::{reduce_admission, SwitchAdmission};
 use crate::audit::{audit_shard, finalize, reduce_source_loss};
 use crate::config::RuntimeConfig;
 use crate::core::{
-    advance_job, shed_job, CompletionSink, Counters, DrainSnapshot, FaultCtx, Job, JobKind, VciSlot,
+    advance_job, shed_job, Counters, DrainSnapshot, Hop, HopCtx, Job, JobKind, Tally, VerdictCell,
 };
 use crate::gen::VcRunner;
 use crate::report::{
@@ -30,21 +33,23 @@ use crate::report::{
 /// What every shard of one run reads (and, through the atomics and
 /// mutexes, writes): built once by the driver, borrowed by each
 /// [`ShardState`].
-pub(crate) struct Shared<'a> {
-    pub cfg: &'a RuntimeConfig,
-    pub plane: FaultPlane,
-    pub topo: Topology,
-    pub counters: Counters,
-    /// Per-VC completion slots: the pipeline writes a verdict, the VC's
-    /// owner shard consumes it at the next round top.
-    pub vci_states: Vec<Mutex<VciSlot>>,
+pub struct Shared<'a> {
+    pub(crate) cfg: &'a RuntimeConfig,
+    pub(crate) plane: FaultPlane,
+    pub(crate) topo: Topology,
+    /// Folded into by every shard before a barrier, read after it.
+    pub(crate) counters: Counters,
+    /// Per-VC verdict cells: the pipeline stores a verdict, the VC's
+    /// owner shard takes it at the next round top.
+    pub(crate) verdicts: Vec<VerdictCell>,
     /// Each VC's believed end-to-end rate (f64 bits), published by its
     /// owner shard every round for the auditor.
-    pub believed: Vec<AtomicU64>,
+    pub(crate) believed: Vec<AtomicU64>,
     /// Each VC's published route, for the auditor's off-route skip. Only
-    /// the owner shard writes (round top); other shards read on audit
-    /// rounds, after the injection hand-off.
-    pub routes: Vec<Mutex<Vec<u16>>>,
+    /// the owner shard writes (at a round top, and only when the route
+    /// moved); other shards read on audit rounds, after the injection
+    /// hand-off.
+    pub(crate) routes: Vec<Mutex<Vec<u16>>>,
 }
 
 impl<'a> Shared<'a> {
@@ -56,9 +61,7 @@ impl<'a> Shared<'a> {
             plane: FaultPlane::new(cfg.fault.clone()),
             topo: cfg.topology(),
             counters: Counters::default(),
-            vci_states: (0..cfg.num_vcs)
-                .map(|_| Mutex::new(VciSlot::default()))
-                .collect(),
+            verdicts: (0..cfg.num_vcs).map(|_| VerdictCell::default()).collect(),
             believed: (0..cfg.num_vcs)
                 .map(|_| AtomicU64::new(cfg.initial_rate.to_bits()))
                 .collect(),
@@ -71,7 +74,7 @@ impl<'a> Shared<'a> {
 
 /// One shard of the signaling plane. Local index `li` is global switch
 /// `shard + li * shards`.
-pub(crate) struct ShardState<'a> {
+pub struct ShardState<'a> {
     sh: &'a Shared<'a>,
     shard: usize,
     shards: usize,
@@ -90,6 +93,13 @@ pub(crate) struct ShardState<'a> {
     held: Vec<Job>,
     /// Crash-restart wipes already applied, per local switch.
     wiped: Vec<bool>,
+    /// The fault plane's scheduled outages at `superstep`.
+    active: ActiveFaults,
+    /// Per local switch, this superstep's shed-eligible meeting set, then
+    /// — ranked by its queue — the keys to shed. Unused without a budget.
+    shed_sets: Vec<Vec<ShedKey>>,
+    /// Every count since the last fold into `sh.counters`.
+    tally: Tally,
     latency: Histogram,
     moments: RttStats,
     report: ShardReport,
@@ -126,10 +136,15 @@ impl<'a> ShardState<'a> {
                 }
             }
         }
+        let mut active = ActiveFaults::default();
+        sh.plane.active_at(0, &mut active);
         Some(Self {
             sh,
             shard,
             shards,
+            active,
+            shed_sets: vec![Vec::new(); switches.len()],
+            tally: Tally::default(),
             admission: switches.iter().map(|_| SwitchAdmission::new(cfg)).collect(),
             queues: switches
                 .iter()
@@ -167,22 +182,20 @@ impl<'a> ShardState<'a> {
     /// lint.toml).
     pub fn round_top(&mut self, round: u64) {
         let sh = self.sh;
-        let (cfg, counters) = (sh.cfg, &sh.counters);
+        let cfg = sh.cfg;
+        let counts = &mut self.tally.counts;
         let now = self.superstep;
         self.rounds = round + 1;
         // The pipeline is quiescent, so every sweep observes a settled
         // switch. Down switches skip theirs — their soft state is
         // mid-crash and wiped on restart anyway.
         for (li, sw) in self.switches.iter_mut().enumerate() {
-            if sh.plane.switch_down(self.shard + li * self.shards, now) {
+            if self.active.switch_down(self.shard + li * self.shards) {
                 continue;
             }
             // Lease sweep: reclaim expired reservations.
             if cfg.lease_supersteps > 0 {
-                let reclaimed = sw.expire_leases(now, cfg.lease_supersteps);
-                counters
-                    .leases_expired
-                    .fetch_add(reclaimed, Ordering::Relaxed);
+                counts.leases_expired += sw.expire_leases(now, cfg.lease_supersteps);
             }
             // Admission sweep. Sampling runs under every policy (the
             // frontier sweep needs the PeakRate baseline's utilization);
@@ -197,23 +210,17 @@ impl<'a> ShardState<'a> {
         // Pressure accounting: one count per (round, local switch) still
         // advertising overload pressure at the round top.
         if cfg.signaling_budget_per_round > 0 {
-            for q in &self.queues {
-                if q.under_pressure(now) {
-                    counters.pressure_rounds.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            let pressured = self.queues.iter().filter(|q| q.under_pressure(now));
+            counts.pressure_rounds += pressured.count() as u64;
         }
         // Phase A: deliver last round's verdicts (grant / deny / timeout)
         // and publish believed rates and routes for the auditor.
         for runner in &mut self.runners {
             let vci = runner.vci() as usize;
-            let (outcome, pressured) = {
-                let mut slot = sh.vci_states[vci].lock().expect("vci lock");
-                (slot.outcome.take(), std::mem::take(&mut slot.pressure))
-            };
-            runner.begin_round(cfg, &sh.topo, &sh.plane, outcome, pressured, now, counters);
+            let (outcome, pressured) = sh.verdicts[vci].snapshot_take();
+            runner.begin_round(cfg, &sh.topo, &sh.plane, outcome, pressured, now, counts);
             sh.believed[vci].store(runner.believed_rate().to_bits(), Ordering::Relaxed);
-            runner.publish_route(&mut sh.routes[vci].lock().expect("route lock"));
+            runner.publish_route(&sh.routes[vci]);
         }
         // Phase B: generate this round's attempts, in three parts — control
         // traffic (a due reroute walk, a due retry), then the traffic
@@ -223,7 +230,7 @@ impl<'a> ShardState<'a> {
         // a total order.
         let out = &mut self.staging;
         for runner in &mut self.runners {
-            runner.emit_control(cfg, &sh.topo, &sh.plane, round, now, out, counters);
+            runner.emit_control(cfg, &sh.topo, &sh.plane, round, now, out, counts);
         }
         let mut settled = self.runners.iter_mut().filter(|r| r.steps_slots());
         loop {
@@ -236,24 +243,20 @@ impl<'a> ShardState<'a> {
         for runner in &mut self.runners {
             runner.emit_tears(cfg, round, out);
         }
+        let injected = self.staging.len() as u64;
+        counts.injected += injected;
+        self.tally.in_flight += injected as i64;
+        self.report.injected += injected;
         for job in self.staging.drain(..) {
-            counters.injected.fetch_add(1, Ordering::Relaxed);
-            counters.in_flight.fetch_add(1, Ordering::Relaxed);
             match job.kind {
-                JobKind::Resync { .. } => {
-                    counters.resyncs.fetch_add(1, Ordering::Relaxed);
-                }
-                JobKind::Reroute { .. } => {
-                    counters.reroutes.fetch_add(1, Ordering::Relaxed);
-                }
-                JobKind::Teardown => {
-                    counters.teardown_cells.fetch_add(1, Ordering::Relaxed);
-                }
+                JobKind::Resync { .. } => counts.resyncs += 1,
+                JobKind::Reroute { .. } => counts.reroutes += 1,
+                JobKind::Teardown => counts.teardown_cells += 1,
                 _ => {}
             }
-            self.report.injected += 1;
             self.outbox[job.route.hop(0) % self.shards].push(job);
         }
+        sh.counters.fold(&mut self.tally);
     }
 
     /// On audit rounds, audit the local switches against the published
@@ -261,11 +264,15 @@ impl<'a> ShardState<'a> {
     /// round top has published, nobody writes a belief or a route before
     /// the next round top, and the local switches stay untouched until
     /// this shard's own next [`advance_superstep`](Self::advance_superstep).
-    pub fn audit_if_due(&self, round: u64) {
+    ///
+    /// What it counts stays in the shard's tally until the next fold: no
+    /// read window looks at an audit counter before the run's end.
+    pub fn audit_if_due(&mut self, round: u64) {
         let every = self.sh.cfg.audit_interval;
         if every > 0 && round > 0 && round.is_multiple_of(every) {
             let (shard, shards) = (self.shard, self.shards);
-            audit_shard(self.sh, &self.switches, shard, shards, self.superstep);
+            let counts = &mut self.tally.counts;
+            audit_shard(self.sh, &self.switches, shard, shards, &self.active, counts);
         }
     }
 
@@ -285,6 +292,7 @@ impl<'a> ShardState<'a> {
     /// every fault-induced straggler has resolved.
     pub fn open_superstep(&mut self, jobs: &mut Vec<Job>) -> DrainSnapshot {
         self.superstep += 1;
+        self.sh.plane.active_at(self.superstep, &mut self.active);
         let mut i = 0;
         while i < self.delayed.len() {
             if self.delayed[i].0 <= self.superstep {
@@ -302,16 +310,16 @@ impl<'a> ShardState<'a> {
     /// `jobs` empty and the follow-ups in the outbox.
     pub fn advance_superstep(&mut self, jobs: &mut Vec<Job>) {
         let sh = self.sh;
-        let (cfg, plane, counters) = (sh.cfg, &sh.plane, &sh.counters);
+        let (cfg, plane) = (sh.cfg, &sh.plane);
         let (shards, superstep) = (self.shards, self.superstep);
         let budget = cfg.signaling_budget_per_round;
         let measuring = cfg.admission.measures();
-        // Crash restarts due this superstep wipe soft state — the
+        // Crash restarts due by this superstep wipe soft state — the
         // admission measurements with it (the EB cache survives).
-        for (li, sw) in self.switches.iter_mut().enumerate() {
-            let h = self.shard + li * shards;
-            if !self.wiped[li] && plane.restart_superstep(h).is_some_and(|at| superstep >= at) {
-                sw.wipe_soft_state();
+        for &h in self.active.restarted() {
+            let li = h / shards;
+            if h % shards == self.shard && self.wiped.get(li) == Some(&false) {
+                self.switches[li].wipe_soft_state();
                 self.admission[li].wipe_measurements();
                 self.wiped[li] = true;
             }
@@ -326,76 +334,64 @@ impl<'a> ShardState<'a> {
         // teardown walks are exempt: undo and repair traffic must not be
         // shed.
         let sheddable = |job: &Job| matches!(job.kind, JobKind::Delta(_) | JobKind::Resync { .. });
-        let mut shed_plans: Vec<Vec<(u64, u8)>> = Vec::new();
         if budget > 0 {
-            let mut candidates: Vec<Vec<ShedKey>> = vec![Vec::new(); self.switches.len()];
+            self.shed_sets.iter_mut().for_each(Vec::clear);
             for job in jobs.iter() {
                 let h = job.route.hop(job.hop);
                 if sheddable(job) && !plane.stalled(h, superstep) {
-                    candidates[h / shards].push(ShedKey {
+                    self.shed_sets[h / shards].push(ShedKey {
                         class: job.class,
                         seq: job.seq,
                         salt: job.salt,
                     });
                 }
             }
-            shed_plans = candidates
-                .into_iter()
-                .zip(&mut self.queues)
-                .map(|(keys, queue)| {
-                    queue
-                        .admit_superstep(keys, superstep, cfg.pressure_hold_supersteps)
-                        .into_iter()
-                        .map(|k| (k.seq, k.salt))
-                        .collect()
-                })
-                .collect();
+            for (keys, queue) in self.shed_sets.iter_mut().zip(&mut self.queues) {
+                let set = std::mem::take(keys);
+                *keys = queue.admit_superstep(set, superstep, cfg.pressure_hold_supersteps);
+            }
         }
-        let fx = FaultCtx { plane, superstep };
-        let mut sink = CompletionSink {
+        let mut ctx = HopCtx {
+            sh,
+            active: &self.active,
+            superstep,
+            tally: &mut self.tally,
             latency: &mut self.latency,
             moments: &mut self.moments,
         };
-        for job in jobs.drain(..) {
+        for job in jobs.iter_mut() {
             let h = job.route.hop(job.hop);
             if plane.stalled(h, superstep) {
                 // The switch is stalled: hold the cell, retry next
                 // superstep (pure latency, no loss).
-                self.held.push(job);
+                self.held.push(*job);
                 continue;
             }
             let li = h / shards;
             self.report.processed += 1;
-            if budget > 0
-                && sheddable(&job)
-                && shed_plans[li].binary_search(&(job.seq, job.salt)).is_ok()
-            {
-                shed_job(&job, cfg, counters, &sh.vci_states, &mut sink);
-                continue;
+            if budget > 0 && sheddable(job) {
+                let shed = &self.shed_sets[li];
+                let key = (job.seq, job.salt);
+                if shed.binary_search_by_key(&key, |k| (k.seq, k.salt)).is_ok() {
+                    shed_job(job, &mut ctx);
+                    continue;
+                }
             }
-            let (forward, hold) = advance_job(
-                job,
-                &mut self.switches[li],
-                h,
-                cfg,
-                &fx,
-                counters,
-                &sh.vci_states,
-                &mut sink,
-                if measuring {
-                    Some(&mut self.admission[li])
-                } else {
-                    None
-                },
-                budget > 0 && self.queues[li].under_pressure(superstep),
-            );
-            if let Some(next) = forward {
-                self.outbox[next.route.hop(next.hop) % shards].push(next);
+            let adm = measuring.then(|| &mut self.admission[li]);
+            let under_pressure = budget > 0 && self.queues[li].under_pressure(superstep);
+            let sw = &mut self.switches[li];
+            let (hop, ghost) = advance_job(job, sw, h, adm, under_pressure, &mut ctx);
+            match hop {
+                Hop::Done => {}
+                Hop::Forward => self.outbox[job.route.hop(job.hop) % shards].push(*job),
+                Hop::Hold(until) => self.delayed.push((until, *job)),
             }
-            if let Some(entry) = hold {
-                self.delayed.push(entry);
+            if let Some(ghost) = ghost {
+                self.delayed.push((superstep + 1, ghost));
             }
         }
+        jobs.clear();
+        sh.counters.fold(&mut self.tally);
     }
 }
 
@@ -425,6 +421,10 @@ pub(crate) fn assemble_report(
 ) -> RunReport {
     let cfg = sh.cfg;
     results.sort_by_key(|r| r.report.shard);
+    for r in &mut results {
+        // What the last audit counted, if no superstep followed it.
+        sh.counters.fold(&mut r.tally);
+    }
     let (rounds, superstep) = (results[0].rounds, results[0].superstep);
     let mut latency = latency_histogram(cfg);
     let mut moments = RttStats::new();

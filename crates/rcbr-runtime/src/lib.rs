@@ -57,7 +57,8 @@ pub mod config;
 pub mod core;
 pub mod engine;
 mod gen;
-mod kernel;
+#[doc(hidden)]
+pub mod kernel;
 pub mod report;
 pub mod sequential;
 

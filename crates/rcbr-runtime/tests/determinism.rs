@@ -208,6 +208,76 @@ fn ragged_lane_groups_are_shard_invariant() {
     }
 }
 
+/// A run stops on the `completed` total it reads in a drain window, and
+/// shards count into tallies of their own that are folded into the shared
+/// counters only at the end of a round top and of a superstep's hop loop.
+/// A fold that came late — after the barrier the read sits behind — would
+/// hide the last completions from that read and let the run go one round
+/// too far, at some shard counts and not at others. Two runs whose target
+/// is met exactly at a fold point: by grants delivered in a round's last
+/// superstep, and by retry budgets exhausted in phase A of a round top
+/// (every cell dropped, so timeouts are all there is).
+#[test]
+fn a_target_met_at_a_tally_fold_stops_every_driver_in_the_same_round() {
+    let calm = |shards| {
+        let mut cfg = RuntimeConfig::balanced(shards, 32);
+        cfg.fault = rcbr_net::FaultConfig::transparent();
+        cfg.port_capacity *= 2.0;
+        cfg
+    };
+    let black_hole = |shards| {
+        let mut cfg = calm(shards);
+        cfg.fault.drop_bp = rcbr_net::FAULT_BP_SCALE;
+        cfg.timeout_supersteps = 3;
+        cfg.retry_budget = 1;
+        cfg.backoff_base = 1;
+        cfg
+    };
+    let cases: [(&str, &dyn Fn(usize) -> RuntimeConfig); 2] =
+        [("grants", &calm), ("exhaustions", &black_hole)];
+    for (what, base) in cases {
+        // The completions of exactly `rounds` rounds, the last of which
+        // added some.
+        let capped = |rounds| {
+            let mut cfg = base(1);
+            cfg.target_requests = u64::MAX;
+            cfg.max_rounds = rounds;
+            run_sequential(&cfg)
+        };
+        let mut before = capped(11);
+        let mut at = capped(12);
+        while at.counters.completed == before.counters.completed {
+            assert!(at.rounds < 400, "{what}: nothing ever completes");
+            before = at;
+            at = capped(before.rounds + 1);
+        }
+        let c = &at.counters;
+        if what == "grants" {
+            assert_eq!((c.accepted, c.exhausted), (c.completed, 0), "{what}");
+        } else {
+            assert_eq!((c.accepted, c.exhausted), (0, c.completed), "{what}");
+        }
+        let cfg = |shards| {
+            let mut cfg = base(shards);
+            cfg.target_requests = c.completed;
+            cfg
+        };
+        let stops = |r: &rcbr_runtime::RunReport| (r.rounds, r.supersteps, r.counters.completed);
+        assert_eq!(
+            stops(&run_sequential(&cfg(1))),
+            stops(&at),
+            "{what}, sequential"
+        );
+        for shards in [1, 2, 4] {
+            assert_eq!(
+                stops(&run(&cfg(shards))),
+                stops(&at),
+                "{what}, {shards} shards"
+            );
+        }
+    }
+}
+
 /// One hop per VC and room for 8.5 base rates per port: 65 VCs overflow a
 /// switch that only one of the 2 shards owns.
 fn one_shard_overflows_cfg() -> RuntimeConfig {

@@ -27,13 +27,11 @@
 //!        `admission_frontier --smoke [--update-baseline]`
 
 use rcbr_bench::{
-    write_json, Args, ScenarioBuilder, ADMISSION_FAULT_SEED_SALT, PAPER_FAILURE_TARGET,
-    PAPER_LOSS_TARGET,
+    run_everywhere, smoke_gate, write_json, Args, ScenarioBuilder, ADMISSION_FAULT_SEED_SALT,
+    PAPER_FAILURE_TARGET, PAPER_LOSS_TARGET,
 };
-use rcbr_runtime::{
-    run, run_sequential, AdmissionPolicy, AdmissionReport, RunReport, RuntimeConfig,
-};
-use serde::{Deserialize, Serialize};
+use rcbr_runtime::{run, AdmissionPolicy, AdmissionReport, RunReport, RuntimeConfig};
+use serde::Serialize;
 
 /// The swept policies: the legacy static check plus both
 /// measurement-based policies at the paper's QoS targets.
@@ -117,7 +115,7 @@ fn point(cfg: &RuntimeConfig, headroom: f64, report: &RunReport) -> FrontierPoin
 /// A smoke instance's deterministic counters. Everything here is a pure
 /// function of the configuration — no wall-clock fields — so CI gates on
 /// exact equality with the committed baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct SmokeRecord {
     policy: String,
     window_supersteps: u64,
@@ -132,46 +130,12 @@ struct SmokeRecord {
     admission: AdmissionReport,
 }
 
-/// Prove one configuration shard-count invariant and return the
-/// sequential reference.
-fn assert_shard_identity(cfg: &RuntimeConfig) -> RunReport {
-    let reference = run_sequential(cfg);
-    for shards in [1usize, 2, 4] {
-        let mut scfg = cfg.clone();
-        scfg.num_shards = shards;
-        let r = run(&scfg);
-        assert_eq!(
-            r.counters,
-            reference.counters,
-            "[{}] {shards}-shard counters diverge from the sequential replay",
-            cfg.admission.name()
-        );
-        assert_eq!(
-            r.vcs,
-            reference.vcs,
-            "[{}] {shards}-shard per-VC outcomes diverge",
-            cfg.admission.name()
-        );
-        assert_eq!(
-            r.admission,
-            reference.admission,
-            "[{}] {shards}-shard admission report diverges",
-            cfg.admission.name()
-        );
-    }
-    reference
-}
-
 fn run_smoke(args: &Args) -> i32 {
-    let baseline_path: String = args.get(
-        "baseline",
-        "results/admission_frontier_smoke_baseline.json".to_string(),
-    );
     let seed: u64 = args.get("seed", 7);
     let mut records = Vec::new();
     for policy in POLICIES {
         let cfg = frontier_cfg(policy, 16, 64, 2_000, 1.05, seed);
-        let reference = assert_shard_identity(&cfg);
+        let reference = run_everywhere(&cfg).same(policy.name());
         if policy.measures() {
             assert!(
                 reference.admission.rolls > 0,
@@ -194,46 +158,11 @@ fn run_smoke(args: &Args) -> i32 {
         });
     }
 
-    if args.flag("update-baseline") {
-        if let Some(dir) = std::path::Path::new(&baseline_path).parent() {
-            std::fs::create_dir_all(dir).expect("create baseline dir");
-        }
-        std::fs::write(
-            &baseline_path,
-            serde_json::to_string_pretty(&records).expect("serialize"),
-        )
-        .expect("write baseline");
-        eprintln!("wrote {baseline_path}");
-        return 0;
-    }
-
-    let committed = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-        panic!("cannot read {baseline_path}: {e}; run with --update-baseline first")
-    });
-    let want: Vec<SmokeRecord> = serde_json::from_str(&committed).expect("parse baseline");
-    if want == records {
-        println!(
-            "admission smoke: {} policies shard-identical and matching the baseline",
-            records.len()
-        );
-        return 0;
-    }
-    eprintln!("admission smoke: counters drifted from {baseline_path}");
-    for (w, g) in want.iter().zip(records.iter()) {
-        if w != g {
-            eprintln!("  baseline: {w:?}");
-            eprintln!("  got:      {g:?}");
-        }
-    }
-    if want.len() != records.len() {
-        eprintln!(
-            "  policy count changed: baseline {}, got {}",
-            want.len(),
-            records.len()
-        );
-    }
-    eprintln!("if the admission change is intentional, rerun with --update-baseline and commit");
-    1
+    smoke_gate(
+        args,
+        "results/admission_frontier_smoke_baseline.json",
+        &records,
+    )
 }
 
 fn main() {

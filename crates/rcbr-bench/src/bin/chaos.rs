@@ -6,8 +6,8 @@
 //! timeouts, degraded VCs, and drift detected/repaired. A determinism
 //! probe then arms *every* fault mode at once — drop + delay + duplicate +
 //! corrupt + a switch crash/restart + a shard-group stall — and checks
-//! that 1/2/4-shard runs and the sequential replay still produce
-//! bit-identical counters with zero residual drift.
+//! that 1/2/4-shard runs and the sequential replay are still the same
+//! run (`RunReport::outcome()` equal), with zero residual drift.
 //!
 //! A second mode, `--survivability`, soaks the *survivable* signaling
 //! plane instead: one permanent switch kill plus two flapping links over
@@ -15,18 +15,21 @@
 //! headline survivability contract — VCs with a surviving alternate path
 //! end non-degraded on valid live routes, no-path VCs end cleanly
 //! degraded (torn down, never deadlocked), the end-of-run audit closes at
-//! zero drift, and the counters stay bit-identical across shard counts
-//! {1, 2, 4} and the sequential replay — and writes
-//! `chaos_survivability.json` (`chaos_survivability_smoke.json` under
-//! `--smoke`).
+//! zero drift, and the run is the same run at shard counts {1, 2, 4} and
+//! on the sequential replay — and writes `chaos_survivability.json`.
 //!
-//! Usage: `chaos [--smoke] [--survivability] [--seed 7] [--out results/]`.
-//! The full sweep writes `chaos_sweep.json`; `--smoke` runs a <60 s
-//! subset (for CI) and writes `chaos_smoke.json`.
+//! Usage: `chaos [--survivability] [--seed 7] [--out results/]`
+//!        `chaos --smoke [--survivability] [--update-baseline]`
+//! The full sweep writes `chaos_sweep.json`. `--smoke` runs a small
+//! subset (for CI) and writes nothing: its record — no wall-clock field in
+//! it — is gated against the committed `results/chaos_smoke.json`
+//! (`chaos_survivability_smoke.json`); any drift is a non-zero exit.
 
-use rcbr_bench::{write_json, Args, ScenarioBuilder, CHAOS_FAULT_SEED_SALT};
+use rcbr_bench::{
+    run_everywhere, smoke_gate, write_json, Args, ScenarioBuilder, CHAOS_FAULT_SEED_SALT,
+};
 use rcbr_net::StallSpec;
-use rcbr_runtime::{run, run_sequential, RunReport, RuntimeConfig};
+use rcbr_runtime::{run, RuntimeConfig};
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -55,7 +58,6 @@ struct Cell {
     drift_repaired: u64,
     final_drift: u64,
     mean_source_loss: f64,
-    wall_seconds: f64,
 }
 
 /// The all-modes-at-once determinism check.
@@ -127,7 +129,6 @@ fn cell(cfg: &RuntimeConfig, intensity_bp: u32) -> Cell {
         drift_repaired: report.audit.drift_repaired,
         final_drift: report.audit.final_drift,
         mean_source_loss: report.mean_source_loss,
-        wall_seconds: report.wall_seconds,
     }
 }
 
@@ -150,27 +151,17 @@ fn probe(seed: u64, target: u64) -> Probe {
         })
         .build();
 
-    let reference = run_sequential(&cfg);
-    let shard_counts = vec![1usize, 2, 4];
-    let mut identical = true;
-    let mut drift_zero = reference.audit.final_drift == 0;
-    for &shards in &shard_counts {
-        let mut scfg = cfg.clone();
-        scfg.num_shards = shards;
-        let report: RunReport = run(&scfg);
-        if report.counters != reference.counters {
-            identical = false;
-            eprintln!("!! {shards}-shard counters diverge from the sequential replay");
-        }
-        if report.audit.final_drift != 0 {
-            drift_zero = false;
-            eprintln!("!! {shards}-shard run left residual drift");
-        }
-    }
+    let ex = run_everywhere(&cfg);
+    let shard_counts = ex.sharded.iter().map(|(shards, ..)| *shards).collect();
+    let reference = ex.same("all-modes probe");
+    assert_eq!(
+        reference.audit.final_drift, 0,
+        "the all-modes probe left residual drift"
+    );
     Probe {
         shard_counts,
-        counters_identical_with_sequential: identical,
-        final_drift_zero: drift_zero,
+        counters_identical_with_sequential: true,
+        final_drift_zero: true,
         completed: reference.counters.completed,
     }
 }
@@ -199,7 +190,6 @@ struct SurvivabilityReport {
     final_drift: u64,
     off_route_residue: u64,
     counters_identical_with_sequential: bool,
-    wall_seconds: f64,
 }
 
 /// The survivability soak: a chorded 8-ring under one permanent kill and
@@ -211,22 +201,7 @@ fn survivability(seed: u64, smoke: bool) -> SurvivabilityReport {
     let scenario = rcbr_bench::survivability_scenario(seed, smoke);
     let (cfg, killed, flapped) = (scenario.cfg, scenario.killed_switch, scenario.flapped_links);
 
-    let reference = run_sequential(&cfg);
-    let mut identical = true;
-    for shards in [1usize, 2, 4] {
-        let mut scfg = cfg.clone();
-        scfg.num_shards = shards;
-        let r = run(&scfg);
-        if r.counters != reference.counters || r.audit != reference.audit || r.vcs != reference.vcs
-        {
-            identical = false;
-            eprintln!("!! {shards}-shard survivability run diverges from the sequential replay");
-        }
-    }
-    assert!(
-        identical,
-        "survivability soak must be shard-count invariant"
-    );
+    let reference = run_everywhere(&cfg).same("survivability soak");
     assert_eq!(reference.audit.final_drift, 0, "audit must close at zero");
     assert_eq!(
         reference.audit.off_route_residue, 0,
@@ -291,8 +266,7 @@ fn survivability(seed: u64, smoke: bool) -> SurvivabilityReport {
         surviving_vcs: surviving,
         final_drift: reference.audit.final_drift,
         off_route_residue: reference.audit.off_route_residue,
-        counters_identical_with_sequential: identical,
-        wall_seconds: reference.wall_seconds,
+        counters_identical_with_sequential: true,
     }
 }
 
@@ -314,12 +288,14 @@ fn main() {
             report.final_drift,
             report.counters_identical_with_sequential
         );
-        let name = if smoke {
-            "chaos_survivability_smoke.json"
-        } else {
-            "chaos_survivability.json"
-        };
-        write_json(&out, name, &report);
+        if smoke {
+            std::process::exit(smoke_gate(
+                &args,
+                "results/chaos_survivability_smoke.json",
+                &report,
+            ));
+        }
+        write_json(&out, "chaos_survivability.json", &report);
         return;
     }
 
@@ -382,8 +358,6 @@ fn main() {
         "# all-modes probe over shards {:?}: counters identical = {}, final drift zero = {}",
         probe.shard_counts, probe.counters_identical_with_sequential, probe.final_drift_zero
     );
-    assert!(probe.counters_identical_with_sequential);
-    assert!(probe.final_drift_zero);
 
     let total: u64 = cells.iter().map(|c| c.completed).sum::<u64>() + probe.completed;
     println!("# total requests swept: {total}");
@@ -396,10 +370,8 @@ fn main() {
         cells,
         probe,
     };
-    let name = if smoke {
-        "chaos_smoke.json"
-    } else {
-        "chaos_sweep.json"
-    };
-    write_json(&out, name, &report);
+    if smoke {
+        std::process::exit(smoke_gate(&args, "results/chaos_smoke.json", &report));
+    }
+    write_json(&out, "chaos_sweep.json", &report);
 }

@@ -33,10 +33,10 @@
 use std::path::{Path, PathBuf};
 
 use rcbr_bench::fuzz::{
-    draw_schedule, execute, fault_window_count, run_oracles, shrink, space::seed_stream, FuzzRepro,
+    draw_schedule, fault_window_count, run_oracles, shrink, space::seed_stream, FuzzRepro,
     FuzzSchedule, OracleFailure, REPRO_FORMAT,
 };
-use rcbr_bench::{write_json, Args};
+use rcbr_bench::{run_everywhere, write_json, Args};
 use serde::Serialize;
 
 /// Version tag of the campaign/smoke report format.
@@ -116,7 +116,7 @@ struct CampaignReport {
 
 /// Execute one schedule and run the oracle suite over it.
 fn check(s: &FuzzSchedule) -> ScheduleRecord {
-    let ex = execute(&s.cfg);
+    let ex = run_everywhere(&s.cfg);
     let failures = run_oracles(&s.cfg, &ex);
     let r = &ex.sequential;
     ScheduleRecord {
@@ -156,7 +156,7 @@ fn shrink_and_persist(s: &FuzzSchedule, first: &OracleFailure, corpus: &Path) {
     let (min, outcome) = shrink(
         s,
         |cfg| {
-            let ex = execute(cfg);
+            let ex = run_everywhere(cfg);
             run_oracles(cfg, &ex).iter().any(|f| f.oracle == oracle)
         },
         SHRINK_BUDGET,
@@ -224,7 +224,7 @@ fn replay(path: &Path) -> bool {
     let repro: FuzzRepro = serde_json::from_str(&raw).expect("parse repro");
     assert_eq!(repro.format, REPRO_FORMAT, "unknown repro format");
     repro.cfg.validate();
-    let ex = execute(&repro.cfg);
+    let ex = run_everywhere(&repro.cfg);
     let failures = run_oracles(&repro.cfg, &ex);
     let ok = match repro.expect.as_str() {
         "clean" => failures.is_empty(),

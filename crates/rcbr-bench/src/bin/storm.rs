@@ -27,9 +27,11 @@
 //! Usage: `storm [--seed 7] [--out results/]`
 //!        `storm --smoke [--update-baseline]`
 
-use rcbr_bench::{write_json, Args, ScenarioBuilder, STORM_FAULT_SEED_SALT};
-use rcbr_runtime::{run, run_sequential, RunReport, RuntimeConfig, StormSpec};
-use serde::{Deserialize, Serialize};
+use rcbr_bench::{
+    run_everywhere, smoke_gate, write_json, Args, ScenarioBuilder, STORM_FAULT_SEED_SALT,
+};
+use rcbr_runtime::{run, RunReport, RuntimeConfig, StormSpec};
+use serde::Serialize;
 
 /// The swept storm intensities (`1` = no storm window at all).
 const BURSTS: [u64; 3] = [1, 3, 10];
@@ -125,7 +127,7 @@ fn point(cfg: &RuntimeConfig, burst: u64, report: &RunReport) -> StormPoint {
 
 /// A smoke instance's deterministic counters — no wall-clock fields, so
 /// CI gates on exact equality with the committed baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct SmokeRecord {
     burst: u64,
     signaling_budget_per_round: u64,
@@ -147,33 +149,6 @@ struct SmokeRecord {
     pressure_rounds: u64,
     degraded_vcs: u64,
     final_drift: u64,
-}
-
-/// Prove one configuration shard-count invariant and return the
-/// sequential reference. Shedding is the new code under test here: the
-/// shed plans must be pure functions of the per-switch meeting sets, so
-/// every counter — including the shed and brownout families — must come
-/// out bit-identical at every shard count.
-fn assert_shard_identity(cfg: &RuntimeConfig, label: &str) -> RunReport {
-    let reference = run_sequential(cfg);
-    for shards in [1usize, 2, 4] {
-        let mut scfg = cfg.clone();
-        scfg.num_shards = shards;
-        let r = run(&scfg);
-        assert_eq!(
-            r.counters, reference.counters,
-            "[{label}] {shards}-shard counters diverge from the sequential replay"
-        );
-        assert_eq!(
-            r.vcs, reference.vcs,
-            "[{label}] {shards}-shard per-VC outcomes diverge"
-        );
-        assert_eq!(
-            r.brownout_vcs, reference.brownout_vcs,
-            "[{label}] {shards}-shard brownout census diverges"
-        );
-    }
-    reference
 }
 
 fn smoke_record(cfg: &RuntimeConfig, burst: u64, seed: u64, r: &RunReport) -> SmokeRecord {
@@ -203,8 +178,6 @@ fn smoke_record(cfg: &RuntimeConfig, burst: u64, seed: u64, r: &RunReport) -> Sm
 }
 
 fn run_smoke(args: &Args) -> i32 {
-    let baseline_path: String =
-        args.get("baseline", "results/storm_smoke_baseline.json".to_string());
     let seed: u64 = args.get("seed", 7);
     // Three instances: a calm legacy run, a x10 storm against unbounded
     // queues (sheds nothing — heavier traffic alone must not change the
@@ -214,7 +187,9 @@ fn run_smoke(args: &Args) -> i32 {
     for (burst, budget) in instances {
         let cfg = storm_cfg(burst, budget, 25, 25, seed);
         let label = format!("burst={burst} budget={budget}");
-        let reference = assert_shard_identity(&cfg, &label);
+        // Shedding must not show the partition: the shed plans are pure
+        // functions of the per-switch meeting sets.
+        let reference = run_everywhere(&cfg).same(&label);
         assert_eq!(
             reference.audit.final_drift, 0,
             "[{label}] the storm left unrepaired drift behind"
@@ -237,48 +212,7 @@ fn run_smoke(args: &Args) -> i32 {
         records.push(smoke_record(&cfg, burst, seed, &reference));
     }
 
-    if args.flag("update-baseline") {
-        if let Some(dir) = std::path::Path::new(&baseline_path).parent() {
-            std::fs::create_dir_all(dir).expect("create baseline dir");
-        }
-        std::fs::write(
-            &baseline_path,
-            serde_json::to_string_pretty(&records).expect("serialize"),
-        )
-        .expect("write baseline");
-        eprintln!("wrote {baseline_path}");
-        return 0;
-    }
-
-    let committed = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-        panic!("cannot read {baseline_path}: {e}; run with --update-baseline first")
-    });
-    let want: Vec<SmokeRecord> = serde_json::from_str(&committed).expect("parse baseline");
-    if want == records {
-        println!(
-            "storm smoke: {} instances shard-identical and matching the baseline",
-            records.len()
-        );
-        return 0;
-    }
-    eprintln!("storm smoke: counters drifted from {baseline_path}");
-    for (w, g) in want.iter().zip(records.iter()) {
-        if w != g {
-            eprintln!("  baseline: {w:?}");
-            eprintln!("  got:      {g:?}");
-        }
-    }
-    if want.len() != records.len() {
-        eprintln!(
-            "  instance count changed: baseline {}, got {}",
-            want.len(),
-            records.len()
-        );
-    }
-    eprintln!(
-        "if the overload-protection change is intentional, rerun with --update-baseline and commit"
-    );
-    1
+    smoke_gate(args, "results/storm_smoke_baseline.json", &records)
 }
 
 fn main() {

@@ -24,11 +24,11 @@
 
 use std::time::Instant;
 
-use rcbr_bench::{write_json, Args, PAPER_BUFFER};
+use rcbr_bench::{smoke_gate, write_json, Args, PAPER_BUFFER};
 use rcbr_schedule::trellis::reference;
 use rcbr_schedule::{CostModel, OfflineOptimizer, RateGrid, TrellisConfig, TrellisStats};
 use rcbr_traffic::FrameTrace;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One benchmark instance: the paper's Fig. 6 configuration at a given
 /// grid size (quantized buffer axis, drain at end).
@@ -54,7 +54,7 @@ struct SweepRow {
 
 /// A smoke instance and its expected counters. The instance parameters
 /// are committed alongside the counters so drift in either is visible.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct SmokeRecord {
     m: usize,
     frames: usize,
@@ -82,24 +82,13 @@ const SMOKE_CASES: [(usize, usize, u64, bool); 3] =
     [(20, 1500, 1, true), (50, 600, 2, true), (10, 400, 3, false)];
 
 fn run_smoke(args: &Args) -> i32 {
-    let baseline_path: String = args.get(
-        "baseline",
-        "results/trellis_smoke_baseline.json".to_string(),
-    );
     let mut records = Vec::new();
     for (m, frames, seed, quantized) in SMOKE_CASES {
         let trace = rcbr_bench::paper_trace(frames, seed);
         let cfg = smoke_config(m, quantized, PAPER_BUFFER);
-        let (_, cost, stats) = OfflineOptimizer::new(cfg.clone())
+        let (_, cost, stats) = OfflineOptimizer::new(cfg)
             .optimize_with_stats(&trace)
             .expect("smoke instance must be feasible");
-        // Sharded expansion must not change the counters (or anything).
-        let (_, cost2, stats2) = OfflineOptimizer::new(cfg)
-            .with_shards(2)
-            .optimize_with_stats(&trace)
-            .expect("smoke instance must be feasible");
-        assert_eq!(cost.to_bits(), cost2.to_bits(), "shards changed the cost");
-        assert_eq!(stats, stats2, "shards changed the work counters");
         records.push(SmokeRecord {
             m,
             frames,
@@ -110,46 +99,7 @@ fn run_smoke(args: &Args) -> i32 {
         });
     }
 
-    if args.flag("update-baseline") {
-        if let Some(dir) = std::path::Path::new(&baseline_path).parent() {
-            std::fs::create_dir_all(dir).expect("create baseline dir");
-        }
-        std::fs::write(
-            &baseline_path,
-            serde_json::to_string_pretty(&records).expect("serialize"),
-        )
-        .expect("write baseline");
-        eprintln!("wrote {baseline_path}");
-        return 0;
-    }
-
-    let committed = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-        panic!("cannot read {baseline_path}: {e}; run with --update-baseline first")
-    });
-    let want: Vec<SmokeRecord> = serde_json::from_str(&committed).expect("parse baseline");
-    if want == records {
-        println!(
-            "trellis smoke: {} instances match the baseline",
-            records.len()
-        );
-        return 0;
-    }
-    eprintln!("trellis smoke: work counters drifted from {baseline_path}");
-    for (w, g) in want.iter().zip(records.iter()) {
-        if w != g {
-            eprintln!("  baseline: {w:?}");
-            eprintln!("  got:      {g:?}");
-        }
-    }
-    if want.len() != records.len() {
-        eprintln!(
-            "  instance count changed: baseline {}, got {}",
-            want.len(),
-            records.len()
-        );
-    }
-    eprintln!("if the algorithm change is intentional, rerun with --update-baseline and commit");
-    1
+    smoke_gate(args, "results/trellis_smoke_baseline.json", &records)
 }
 
 fn time_kernel(
@@ -219,7 +169,7 @@ fn main() {
         }
     }
 
-    println!("#\n# Counters are deterministic: reruns and any shard count reproduce them");
+    println!("#\n# Counters are deterministic: reruns reproduce them");
     println!("# exactly; only the timings vary. cost_bits is identical between kernel");
     println!("# and reference on every row (asserted).");
     write_json(&args.out_dir(), "trellis_bench.json", &rows);

@@ -22,7 +22,7 @@ pub mod oracle;
 pub mod shrink;
 pub mod space;
 
-pub use oracle::{execute, run_oracles, Execution, OracleFailure};
+pub use oracle::{run_oracles, OracleFailure};
 pub use shrink::{candidates, fault_window_count, shrink};
 pub use space::{draw_schedule, FuzzSchedule};
 

@@ -1,13 +1,12 @@
 //! The invariant oracle suite.
 //!
-//! [`execute`] runs one configuration through the sequential replay and
-//! the sharded engine at shard counts {1, 2, 4}; [`run_oracles`] then
-//! checks every invariant the repo has established:
+//! [`run_everywhere`](crate::run_everywhere) runs one configuration
+//! through the sequential replay and the sharded engine at shard counts
+//! {1, 2, 4}; [`run_oracles`] then checks every invariant the repo has
+//! established:
 //!
-//! - **shard-identity** — counters, per-VC outcomes, admission, audit,
-//!   latency, and the superstep clock are bit-identical at every shard
-//!   count and against the sequential replay (wall-clock fields
-//!   excluded; they are the one sanctioned nondeterminism).
+//! - **shard-identity** — `RunReport::outcome()` is bit-identical at
+//!   every shard count and against the sequential replay.
 //! - **final-drift-zero** — the end-of-run audit closes at zero drift.
 //! - **quiescent-residue** — when no VC ended mid-reroute
 //!   (`unsettled_vcs == 0`), torn-down VCs left no bandwidth behind.
@@ -18,7 +17,7 @@
 //! - **denial-loss-split** — admission's loss split is exhaustive:
 //!   fault losses are exactly the four fault-plane kill modes, and the
 //!   admission cells match the counters they were derived from.
-//! - **counter-order** — subset counters never exceed their supersets
+//! - **counter-subsets** — subset counters never exceed their supersets
 //!   (committed/denied reroutes vs. attempts, unstranded vs. stranded).
 //! - **peak-rate-passivity** — under the legacy `PeakRate` policy the
 //!   measurement pipeline never runs: no rolls, no observations, no
@@ -31,16 +30,14 @@
 //!   signaling budget (the legacy default) sheds nothing and counts no
 //!   pressure.
 //!
-//! Oracles are pure functions of [`Execution`]; a failure names the
+//! Oracles are pure functions of [`Everywhere`]; a failure names the
 //! oracle and carries a human-readable detail line, which is what the
 //! shrinker keys on ("still fails the *same* oracle").
 
-use rcbr_runtime::{run, run_sequential, AdmissionPolicy, RunReport, RuntimeConfig};
+use rcbr_runtime::{AdmissionPolicy, RunReport, RuntimeConfig};
 use serde::{Deserialize, Serialize};
 
-/// Shard counts every schedule is executed at (plus the sequential
-/// replay, which is its own engine, not `run` at one shard).
-pub const FUZZ_SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+use crate::Everywhere;
 
 /// One oracle violation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -57,7 +54,7 @@ pub const ORACLE_QUIESCENT_RESIDUE: &str = "quiescent-residue";
 pub const ORACLE_PORT_CONSISTENCY: &str = "port-consistency";
 pub const ORACLE_FATE_ACCOUNTING: &str = "fate-accounting";
 pub const ORACLE_DENIAL_LOSS_SPLIT: &str = "denial-loss-split";
-pub const ORACLE_COUNTER_ORDER: &str = "counter-order";
+pub const ORACLE_COUNTER_SUBSETS: &str = "counter-subsets";
 pub const ORACLE_PEAK_RATE_PASSIVITY: &str = "peak-rate-passivity";
 pub const ORACLE_VC_SANITY: &str = "vc-outcome-sanity";
 pub const ORACLE_SHED_ACCOUNTING: &str = "shed-accounting";
@@ -67,90 +64,9 @@ pub const ORACLE_SHED_ACCOUNTING: &str = "shed-accounting";
 /// violation to minimize (see `tests/fuzz_shrink.rs`).
 pub const ORACLE_SYNTHETIC_LINK_KILL: &str = "synthetic-link-kill";
 
-/// One schedule's full execution: the sequential reference plus the
-/// sharded engine at [`FUZZ_SHARD_COUNTS`].
-pub struct Execution {
-    /// The `run_sequential` reference report.
-    pub sequential: RunReport,
-    /// `run` at shard counts 1, 2, 4 (in [`FUZZ_SHARD_COUNTS`] order).
-    pub sharded: Vec<RunReport>,
-}
-
-/// Execute `cfg` on every engine the oracles compare.
-pub fn execute(cfg: &RuntimeConfig) -> Execution {
-    let sequential = run_sequential(cfg);
-    let sharded = FUZZ_SHARD_COUNTS
-        .iter()
-        .map(|&shards| {
-            let mut c = cfg.clone();
-            c.num_shards = shards;
-            run(&c)
-        })
-        .collect();
-    Execution {
-        sequential,
-        sharded,
-    }
-}
-
-/// The deterministic subset of a [`RunReport`]: everything except the
-/// wall-clock fields (`wall_seconds`, `throughput_per_sec`), the
-/// per-shard pipeline metrics (batch sizes legitimately depend on the
-/// partition), and `num_shards` itself. Serialized to canonical JSON,
-/// two reports are bit-identical iff these strings are equal — the
-/// vendored serde shim round-trips every `f64` exactly.
-#[derive(Serialize)]
-struct ComparableReport {
-    rounds: u64,
-    supersteps: u64,
-    counters: rcbr_runtime::CounterSnapshot,
-    audit: rcbr_runtime::AuditReport,
-    admission: rcbr_runtime::AdmissionReport,
-    degraded_vcs: u64,
-    unsettled_vcs: u64,
-    brownout_vcs: u64,
-    mean_source_loss: f64,
-    max_source_loss: f64,
-    vcs: Vec<rcbr_runtime::VcOutcome>,
-    latency: rcbr_runtime::LatencySummary,
-}
-
-/// Canonical JSON of the deterministic subset of `report`.
-pub fn comparable_json(report: &RunReport) -> String {
-    let c = ComparableReport {
-        rounds: report.rounds,
-        supersteps: report.supersteps,
-        counters: report.counters,
-        audit: report.audit,
-        admission: report.admission.clone(),
-        degraded_vcs: report.degraded_vcs,
-        unsettled_vcs: report.unsettled_vcs,
-        brownout_vcs: report.brownout_vcs,
-        mean_source_loss: report.mean_source_loss,
-        max_source_loss: report.max_source_loss,
-        vcs: report.vcs.clone(),
-        latency: report.latency,
-    };
-    serde_json::to_string_pretty(&c).expect("report serializes")
-}
-
-/// First line on which two canonical JSON reports differ.
-fn first_divergence(a: &str, b: &str) -> String {
-    for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
-        if la != lb {
-            return format!("line {}: `{}` vs `{}`", i + 1, la.trim(), lb.trim());
-        }
-    }
-    format!(
-        "lengths differ: {} vs {} lines",
-        a.lines().count(),
-        b.lines().count()
-    )
-}
-
 /// Run the full oracle suite over one execution. Returns every
 /// violation found (empty = the schedule is clean).
-pub fn run_oracles(cfg: &RuntimeConfig, ex: &Execution) -> Vec<OracleFailure> {
+pub fn run_oracles(cfg: &RuntimeConfig, ex: &Everywhere) -> Vec<OracleFailure> {
     let mut failures = Vec::new();
     let fail = |failures: &mut Vec<OracleFailure>, oracle: &str, detail: String| {
         failures.push(OracleFailure {
@@ -159,30 +75,17 @@ pub fn run_oracles(cfg: &RuntimeConfig, ex: &Execution) -> Vec<OracleFailure> {
         });
     };
 
-    let reference = comparable_json(&ex.sequential);
-    for (i, report) in ex.sharded.iter().enumerate() {
-        let shards = FUZZ_SHARD_COUNTS[i];
-        let got = comparable_json(report);
-        if got != reference {
+    let mut labeled = vec![("seq".to_string(), &ex.sequential)];
+    for (shards, report, diverges) in &ex.sharded {
+        if let Some(at) = diverges {
             fail(
                 &mut failures,
                 ORACLE_SHARD_IDENTITY,
-                format!(
-                    "shards={shards} diverges from sequential: {}",
-                    first_divergence(&reference, &got)
-                ),
+                format!("shards={shards} diverges from sequential: {at}"),
             );
         }
+        labeled.push((format!("shards={shards}"), report));
     }
-
-    let labeled: Vec<(String, &RunReport)> = std::iter::once(("seq".to_string(), &ex.sequential))
-        .chain(
-            ex.sharded
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (format!("shards={}", FUZZ_SHARD_COUNTS[i]), r)),
-        )
-        .collect();
 
     for (label, r) in &labeled {
         let c = &r.counters;
@@ -262,7 +165,7 @@ pub fn run_oracles(cfg: &RuntimeConfig, ex: &Execution) -> Vec<OracleFailure> {
             if sub > sup {
                 fail(
                     &mut failures,
-                    ORACLE_COUNTER_ORDER,
+                    ORACLE_COUNTER_SUBSETS,
                     format!("[{label}] {name}: {sub} > {sup}"),
                 );
             }

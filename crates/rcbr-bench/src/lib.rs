@@ -21,7 +21,7 @@
 //! the binaries are the scientific harness.
 
 use rcbr_net::{CrashSpec, FaultConfig, KillSpec, LinkDownSpec, StallSpec};
-use rcbr_runtime::{AdmissionPolicy, RuntimeConfig};
+use rcbr_runtime::{run, run_sequential, AdmissionPolicy, RunReport, RuntimeConfig};
 use rcbr_schedule::{CostModel, OfflineOptimizer, RateGrid, Schedule, TrellisConfig};
 use rcbr_sim::SimRng;
 use rcbr_traffic::{FrameTrace, SyntheticMpegSource};
@@ -377,6 +377,100 @@ pub fn write_json<T: Serialize>(dir: &Option<PathBuf>, name: &str, value: &T) {
         )
         .expect("write JSON");
         eprintln!("wrote {}", path.display());
+    }
+}
+
+/// One configuration on every engine: see [`run_everywhere`].
+pub struct Everywhere {
+    /// The sequential replay's report, the reference.
+    pub sequential: RunReport,
+    /// `run` at 1, 2 and 4 shards: the shard count, the report, and where
+    /// its [`RunReport::outcome`] first departs from the reference's
+    /// (`None`: the same run).
+    pub sharded: Vec<(usize, RunReport, Option<String>)>,
+}
+
+/// The one shard-identity check: `cfg` through the sequential replay and
+/// through `run` at shard counts {1, 2, 4}, each sharded run's `outcome()`
+/// compared with the replay's as pretty JSON (every `f64` to the bit).
+pub fn run_everywhere(cfg: &RuntimeConfig) -> Everywhere {
+    let text = |r: &RunReport| serde_json::to_string_pretty(&r.outcome()).expect("serialize");
+    let sequential = run_sequential(cfg);
+    let want = text(&sequential);
+    let mut sharded = Vec::new();
+    for shards in [1usize, 2, 4] {
+        let mut scfg = cfg.clone();
+        scfg.num_shards = shards;
+        let report = run(&scfg);
+        let diverges = first_divergence(&want, &text(&report));
+        sharded.push((shards, report, diverges));
+    }
+    Everywhere {
+        sequential,
+        sharded,
+    }
+}
+
+impl Everywhere {
+    /// The sequential report of a run that came out the same everywhere.
+    ///
+    /// # Panics
+    /// Panics, naming the first diverging line, if a shard count did not.
+    pub fn same(self, label: &str) -> RunReport {
+        for (shards, _, diverges) in &self.sharded {
+            if let Some(at) = diverges {
+                panic!("[{label}] {shards} shards diverge from the sequential replay: {at}");
+            }
+        }
+        self.sequential
+    }
+}
+
+/// The first line on which two pretty-printed records differ.
+fn first_divergence(want: &str, got: &str) -> Option<String> {
+    if let Some((i, (w, g))) =
+        (want.lines().zip(got.lines()).enumerate()).find(|(_, (w, g))| w != g)
+    {
+        return Some(format!("line {}: `{}` vs `{}`", i + 1, w.trim(), g.trim()));
+    }
+    let (w, g) = (want.lines().count(), got.lines().count());
+    (w != g).then(|| format!("lengths differ: {w} vs {g} lines"))
+}
+
+/// The one smoke gate: `records` — deterministic fields only — against
+/// the committed baseline at `--baseline <path>` (default
+/// `default_path`), as pretty JSON. Returns the process exit code: 0 on a
+/// match, 1 on drift (the first differing line is printed). With
+/// `--update-baseline` it writes the file instead, for an *intentional*
+/// change.
+pub fn smoke_gate<T: Serialize>(args: &Args, default_path: &str, records: &T) -> i32 {
+    let path = PathBuf::from(args.get("baseline", default_path.to_string()));
+    if args.flag("update-baseline") {
+        let name = path.file_name().and_then(|n| n.to_str());
+        write_json(
+            &path.parent().map(PathBuf::from),
+            name.expect("--baseline names a file"),
+            records,
+        );
+        return 0;
+    }
+    let got = serde_json::to_string_pretty(records).expect("serialize");
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {}: {e}; run with --update-baseline first",
+            path.display()
+        )
+    });
+    match first_divergence(want.trim_end(), &got) {
+        None => {
+            println!("smoke: matches {}", path.display());
+            0
+        }
+        Some(at) => {
+            eprintln!("smoke: drifted from {} at {at}", path.display());
+            eprintln!("if the change is intentional, rerun with --update-baseline and commit");
+            1
+        }
     }
 }
 

@@ -10,7 +10,8 @@
 
 use std::path::PathBuf;
 
-use rcbr_bench::fuzz::{execute, run_oracles, FuzzRepro, REPRO_FORMAT};
+use rcbr_bench::fuzz::{run_oracles, FuzzRepro, REPRO_FORMAT};
+use rcbr_bench::run_everywhere;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -39,7 +40,7 @@ fn every_corpus_entry_replays_to_its_recorded_verdict() {
             path.display()
         );
         repro.cfg.validate();
-        let ex = execute(&repro.cfg);
+        let ex = run_everywhere(&repro.cfg);
         let failures = run_oracles(&repro.cfg, &ex);
         match repro.expect.as_str() {
             "clean" => assert!(

@@ -2,7 +2,7 @@
 //! call edges, built on [`crate::lexer::fn_spans`].
 //!
 //! This is the symbol layer under the cross-function passes
-//! ([`crate::taint`], `phase-discipline`, `counter-order`): line-local
+//! ([`crate::taint`], `phase-discipline`): line-local
 //! token rules see one file at a time, but the hazards that survived to
 //! PR 7 (the fuzzer's two real finds) were *interactions* — a helper two
 //! hops away reading a clock, a mutator reachable from outside the

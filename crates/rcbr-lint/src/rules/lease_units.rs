@@ -1,5 +1,5 @@
-//! `lease-units`: lease/timeout durations must be named, never raw
-//! superstep-count literals.
+//! `lease-units` and `measurement-window`: superstep counts must be
+//! named, never raw literals. One scan, two keyword lists.
 //!
 //! Every duration in the runtime is measured in supersteps, and the
 //! convention is that the count lives in a field, const, or config knob
@@ -7,13 +7,19 @@
 //! use site and a cadence change (e.g. more phases per round) has one
 //! place to audit. A bare `now + 48` next to lease/timeout/deadline
 //! state hard-codes a count whose unit is invisible and silently wrong
-//! the moment the superstep cadence changes.
+//! the moment the superstep cadence changes. The live admission
+//! subsystem schedules its measurement windows on the same clock, and
+//! its determinism argument depends on every shard rolling at the same
+//! instants: a bare `next_roll + 64` next to window/decay state can
+//! silently desynchronize the rolls.
 //!
 //! The check is window-based: tokens are split into statement-ish
 //! windows at `;`, `,`, `{`, `}`. A window trips when it contains
 //!
-//! 1. an identifier naming duration state (`lease`, `timeout`,
-//!    `deadline`, `backoff`, `expir…`, `until`, `grace`, `ttl`), and
+//! 1. an identifier naming the rule's state — duration state (`lease`,
+//!    `timeout`, `deadline`, `backoff`, `expir…`, `until`, `grace`,
+//!    `ttl`) for `lease-units`, estimator cadence state (`window`,
+//!    `decay`, `ewma`, `horizon`) for `measurement-window` — and
 //! 2. an integer literal in a *value* position — directly bound
 //!    (after `=` or `:`) or combined arithmetically / compared
 //!    (adjacent to `+`, `-`, `<`, `>`), and
@@ -28,11 +34,31 @@
 use super::Ctx;
 use crate::lexer::{TokKind, Token};
 
-/// Identifier fragments that mark duration state. `expir` covers
-/// `expire`, `expired`, `expires_at`, `expiry`.
-const DURATION_KEYS: &[&str] = &[
-    "lease", "timeout", "deadline", "backoff", "expir", "until", "grace", "ttl",
-];
+/// What one of the two rules looks for: the identifier fragments that
+/// mark its state, and how its diagnostic names that state and the fix.
+struct Scan {
+    keys: &'static [&'static str],
+    state: &'static str,
+    so_that: &'static str,
+}
+
+/// `expir` covers `expire`, `expired`, `expires_at`, `expiry`.
+const DURATIONS: Scan = Scan {
+    keys: &[
+        "lease", "timeout", "deadline", "backoff", "expir", "until", "grace", "ttl",
+    ],
+    state: "duration state",
+    so_that: "so the unit is named (audited legacy names go in lint.toml allow_idents)",
+};
+
+/// Deliberately excludes `estimat…`: estimator *identifiers* are
+/// everywhere, but only their window/decay schedules carry superstep
+/// units.
+const CADENCES: Scan = Scan {
+    keys: &["window", "decay", "ewma", "horizon"],
+    state: "estimator cadence state",
+    so_that: "so every shard rolls the measurement window on the same named schedule",
+};
 
 /// Does this (lowercased) identifier declare its superstep unit?
 fn sanctioned_name(lower: &str) -> bool {
@@ -54,7 +80,15 @@ fn value_position(win: &[Token], idx: usize) -> bool {
     prev_binds || next_combines
 }
 
-pub(super) fn check(ctx: &mut Ctx<'_>) {
+pub(super) fn check_durations(ctx: &mut Ctx<'_>) {
+    check(ctx, &DURATIONS);
+}
+
+pub(super) fn check_cadences(ctx: &mut Ctx<'_>) {
+    check(ctx, &CADENCES);
+}
+
+fn check(ctx: &mut Ctx<'_>, scan: &Scan) {
     let allow: Vec<String> = ctx
         .cfg_list("allow_idents")
         .iter()
@@ -71,12 +105,12 @@ pub(super) fn check(ctx: &mut Ctx<'_>) {
         if !at_boundary {
             continue;
         }
-        scan_window(ctx, &toks[start..i], &allow);
+        scan_window(ctx, scan, &toks[start..i], &allow);
         start = i + 1;
     }
 }
 
-fn scan_window(ctx: &mut Ctx<'_>, win: &[Token], allow: &[String]) {
+fn scan_window(ctx: &mut Ctx<'_>, scan: &Scan, win: &[Token], allow: &[String]) {
     let mut keyed: Option<String> = None;
     let mut sanctioned = false;
     let mut literal: Option<&Token> = None;
@@ -86,7 +120,7 @@ fn scan_window(ctx: &mut Ctx<'_>, win: &[Token], allow: &[String]) {
                 let lower = t.text.to_ascii_lowercase();
                 if sanctioned_name(&lower) || allow.contains(&lower) {
                     sanctioned = true;
-                } else if keyed.is_none() && DURATION_KEYS.iter().any(|k| lower.contains(k)) {
+                } else if keyed.is_none() && scan.keys.iter().any(|k| lower.contains(k)) {
                     keyed = Some(t.text.clone());
                 }
             }
@@ -103,10 +137,9 @@ fn scan_window(ctx: &mut Ctx<'_>, win: &[Token], allow: &[String]) {
         ctx.emit(
             lit.line,
             format!(
-                "raw integer near duration state `{name}` hard-codes a superstep \
-                 count; route it through a *_supersteps field or const so the \
-                 unit is named (audited legacy names go in lint.toml \
-                 allow_idents)"
+                "raw integer near {} `{name}` hard-codes a superstep count; \
+                 route it through a *_supersteps field or const {}",
+                scan.state, scan.so_that
             ),
         );
     }

@@ -18,11 +18,9 @@
 //! * `// lint:allow(<id>)` on or above a line silences one diagnostic.
 
 mod barrier;
-mod counter_order;
 mod float_accum;
 mod float_sort;
 mod lease_units;
-mod measurement_window;
 mod panic_path;
 mod phase_discipline;
 mod ptr_identity;
@@ -31,7 +29,6 @@ mod salt_registry;
 mod unordered_iter;
 mod unsafe_audit;
 mod wall_clock;
-mod wire_layout;
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
@@ -151,7 +148,7 @@ pub static RULES: &[Rule] = &[
                  stale when the superstep cadence changes. Durations therefore live in \
                  fields or consts named *_supersteps; pre-existing documented names are \
                  grandfathered via allow_idents in lint.toml.",
-        check: Check::File(lease_units::check),
+        check: Check::File(lease_units::check_durations),
     },
     Rule {
         id: "measurement-window",
@@ -163,7 +160,7 @@ pub static RULES: &[Rule] = &[
                  local edit silently desynchronize the rolls (and thus the booking \
                  ceilings) across shard counts. Cadences therefore live in fields or \
                  consts named *_supersteps; audited names go in allow_idents.",
-        check: Check::File(measurement_window::check),
+        check: Check::File(lease_units::check_cadences),
     },
     Rule {
         id: "salt-registry",
@@ -176,16 +173,6 @@ pub static RULES: &[Rule] = &[
                  every salt therefore lives as a named const in the single registry \
                  module configured as `registry` in lint.toml.",
         check: Check::File(salt_registry::check),
-    },
-    Rule {
-        id: "wire-layout",
-        summary: "RM-cell byte offsets and CRC coverage match the documented layout",
-        hazard: "The RM-cell serializer, parser, and checksum each hard-code byte \
-                 offsets. If they drift apart — a field moves but the CRC range \
-                 doesn't — corruption becomes silently undetectable or valid cells get \
-                 rejected. This rule cross-checks encode(), decode(), and cell_crc() \
-                 in rcbr-net/src/rm.rs against the layout declared in lint.toml.",
-        check: Check::File(wire_layout::check),
     },
     Rule {
         id: "phase-discipline",
@@ -215,18 +202,6 @@ pub static RULES: &[Rule] = &[
                  family's start, and every SALT_ const must belong to a declared \
                  family so no unaudited salt can be minted.",
         check: Check::File(salt_disjointness::check),
-    },
-    Rule {
-        id: "counter-order",
-        summary: "RunReport fields are all determinism-classified; the oracle compares exactly the deterministic set",
-        hazard: "The fuzz oracle byte-compares a ComparableReport — the deterministic \
-                 subset of RunReport — across shard counts; that subset *is* the \
-                 bit-identity invariant. If a new RunReport field lands without a \
-                 classification, or the oracle struct drifts from the declared \
-                 deterministic list, divergence goes silently untested (blind spot) \
-                 or wall-clock noise turns the oracle flaky. This rule cross-checks \
-                 the lint.toml registry against both structs on every run.",
-        check: Check::Graph(counter_order::check),
     },
 ];
 
@@ -259,11 +234,6 @@ impl<'a> Ctx<'a> {
     /// A string key from the rule's section.
     pub fn cfg_str(&self, key: &str) -> Option<String> {
         self.cfg.str_(&self.section(), key).map(str::to_string)
-    }
-
-    /// An integer key from the rule's section.
-    pub fn cfg_int(&self, key: &str) -> Option<i64> {
-        self.cfg.int(&self.section(), key)
     }
 
     /// Emit a diagnostic at `line`, unless the line is test code outside
@@ -340,11 +310,6 @@ impl<'a> GraphCtx<'a> {
     /// A string-list key from the rule's section.
     pub fn cfg_list(&self, key: &str) -> Vec<String> {
         self.cfg.list(&self.section(), key)
-    }
-
-    /// A string key from the rule's section.
-    pub fn cfg_str(&self, key: &str) -> Option<String> {
-        self.cfg.str_(&self.section(), key).map(str::to_string)
     }
 
     /// Does this rule's per-file scoping (`crates`/`files`/`allow_files`)
@@ -477,6 +442,5 @@ mod tests {
                 r.id
             );
         }
-        assert!(RULES.len() >= 6, "the catalog must stay at >= 6 rules");
     }
 }

@@ -1,7 +1,5 @@
 //! `salt-disjointness`: the declared fault-plane salt families are
-//! pairwise disjoint and anchor the registry consts — the same
-//! declared-layout cross-check `wire-layout` applies to byte offsets,
-//! applied to salt space.
+//! pairwise disjoint and anchor the registry consts.
 //!
 //! A job's salt feeds the fault hash and breaks same-seq ordering ties,
 //! so two traffic families sharing a salt share fault coin flips — the

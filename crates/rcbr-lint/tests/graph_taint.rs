@@ -1,7 +1,6 @@
 //! Cross-function analysis: transitive taint through the multi-file
-//! fixture tree, phase discipline over seeded mutations, the
-//! counter-order registry, and the determinism / self-gate properties
-//! of the graph passes.
+//! fixture tree, phase discipline over seeded mutations, and the
+//! determinism / self-gate properties of the graph passes.
 
 use std::path::PathBuf;
 

@@ -204,34 +204,6 @@ fn salt_registry_exempts_the_registry_module_itself() {
     );
 }
 
-const WIRE_CFG: &str = r#"
-[rule.wire-layout]
-total = 16
-size_const = "RM_CELL_BYTES"
-crc_field = "crc"
-fields = ["vci=0..4", "kind=4", "denied=5", "crc=6..8", "rate=8..16"]
-"#;
-
-#[test]
-fn wire_layout_fixtures() {
-    // The drifted codec: encode straddles the crc/rate boundary AND
-    // leaves a byte uncovered; the checksum covers itself and misses the
-    // rate field.
-    let trips = lint_rule(
-        "wire-layout",
-        "wire_layout",
-        "trip.rs",
-        "rcbr-net",
-        WIRE_CFG,
-    );
-    assert!(
-        trips.len() >= 3,
-        "drifted codec must trip straddle + coverage checks: {trips:#?}"
-    );
-    let ok = lint_rule("wire-layout", "wire_layout", "ok.rs", "rcbr-net", WIRE_CFG);
-    assert!(ok.is_empty(), "consistent codec must pass: {ok:#?}");
-}
-
 const PHASE_CFG: &str = r#"
 [rule.phase-discipline]
 entry_points = ["worker"]
@@ -296,64 +268,6 @@ fn salt_disjointness_rejects_overlapping_families() {
         diags.iter().any(|d| d.message.contains("overlap")),
         "{diags:#?}"
     );
-}
-
-fn counter_cfg(file: &str) -> String {
-    format!(
-        "[rule.counter-order]\n\
-         report_file = \"crates/rcbr-runtime/src/{file}\"\n\
-         report_struct = \"RunReport\"\n\
-         oracle_file = \"crates/rcbr-runtime/src/{file}\"\n\
-         oracle_struct = \"ComparableReport\"\n\
-         deterministic = [\"rounds\"]\n\
-         wall_clock = [\"wall_seconds\"]\n"
-    )
-}
-
-#[test]
-fn counter_order_fixtures() {
-    // trip.rs: an unclassified RunReport field plus an oracle comparison
-    // of a non-deterministic field.
-    let trips = lint_rule(
-        "counter-order",
-        "counter_order",
-        "trip.rs",
-        "rcbr-runtime",
-        &counter_cfg("trip.rs"),
-    );
-    assert!(trips.len() >= 2, "{trips:#?}");
-    assert!(
-        trips.iter().any(|d| d.message.contains("surprise")),
-        "the unclassified field is named: {trips:#?}"
-    );
-    assert!(
-        trips
-            .iter()
-            .any(|d| d.message.contains("wall_seconds") && d.message.contains("not")),
-        "the over-eager oracle comparison is named: {trips:#?}"
-    );
-    let ok = lint_rule(
-        "counter-order",
-        "counter_order",
-        "ok.rs",
-        "rcbr-runtime",
-        &counter_cfg("ok.rs"),
-    );
-    assert!(ok.is_empty(), "{ok:#?}");
-}
-
-#[test]
-fn counter_order_is_silent_on_partial_scans() {
-    // Linting some other file while the registry points elsewhere must
-    // not error: the subject simply is not on the table.
-    let diags = lint_rule(
-        "counter-order",
-        "counter_order",
-        "ok.rs",
-        "rcbr-runtime",
-        &counter_cfg("absent.rs"),
-    );
-    assert!(diags.is_empty(), "{diags:#?}");
 }
 
 #[test]

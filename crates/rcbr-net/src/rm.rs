@@ -168,6 +168,30 @@ mod tests {
         assert_eq!(cell, back);
     }
 
+    /// The documented layout, pinned from outside the codec: `vci` 0..4,
+    /// kind 4, flags 5, CRC 6..8 over the other fourteen bytes, rate
+    /// 8..16, all big-endian. (The CRCs were computed independently.)
+    #[test]
+    fn golden_vectors_pin_the_documented_offsets() {
+        let delta = [
+            0x01, 0x02, 0x03, 0x04, 0x00, 0x00, 0xff, 0x5e, // vci, Delta, no flag, CRC
+            0xc0, 0xef, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, // -64 000.0
+        ];
+        let cell = RmCell::delta(0x0102_0304, -64_000.0);
+        assert_eq!(cell.encode(), delta);
+        assert_eq!(RmCell::decode(&delta), Some(cell));
+
+        let resync = [
+            0xa1, 0xb2, 0xc3, 0xd4, 0x01, 0x03, 0x9b, 0xcb, // vci, Absolute, both flags, CRC
+            0x41, 0x16, 0xd3, 0xc0, 0x00, 0x00, 0x00, 0x00, // 374 000.0
+        ];
+        let mut cell = RmCell::resync(0xa1b2_c3d4, 374_000.0);
+        cell.denied = true;
+        cell.pressure = true;
+        assert_eq!(cell.encode(), resync);
+        assert_eq!(RmCell::decode(&resync), Some(cell));
+    }
+
     #[test]
     fn roundtrip_resync_and_denial() {
         let mut cell = RmCell::resync(7, 374_000.0);

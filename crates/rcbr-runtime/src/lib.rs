@@ -67,5 +67,5 @@ pub use audit::AuditReport;
 pub use config::{RuntimeConfig, StormSpec};
 pub use core::{CounterSnapshot, Outcome};
 pub use engine::run;
-pub use report::{LatencySummary, RunReport, ShardReport, VcOutcome};
+pub use report::{LatencySummary, RunOutcome, RunReport, ShardReport, VcOutcome};
 pub use sequential::run_sequential;

@@ -141,6 +141,100 @@ pub struct RunReport {
     pub shards: Vec<ShardReport>,
 }
 
+/// The deterministic part of a [`RunReport`]: what must come out the same
+/// from the sequential replay and at every shard count. Two runs are the
+/// same run iff their outcomes print the same text, `{:#?}` or JSON —
+/// both print an `f64` shortest-round-trip, so to the bit, `-0.0` apart
+/// from `0.0`. Each field is the [`RunReport`] field of the same name.
+#[derive(Debug, Clone, Copy)]
+pub struct RunOutcome<'a> {
+    pub rounds: u64,
+    pub supersteps: u64,
+    pub counters: &'a CounterSnapshot,
+    pub audit: &'a AuditReport,
+    pub admission: &'a AdmissionReport,
+    pub degraded_vcs: u64,
+    pub unsettled_vcs: u64,
+    pub brownout_vcs: u64,
+    pub mean_source_loss: f64,
+    pub max_source_loss: f64,
+    pub vcs: &'a [VcOutcome],
+    pub latency: &'a LatencySummary,
+}
+
+impl RunReport {
+    /// The one definition of "the same run". The pattern names every
+    /// field and has no `..`: a field added to [`RunReport`] does not
+    /// compile until it is listed here, above or below `Compared`.
+    pub fn outcome(&self) -> RunOutcome<'_> {
+        let RunReport {
+            // Not compared: the shard count asked for, the configuration
+            // echoed back, wall time, and the per-shard pipeline metrics
+            // (batch sizes depend on the partition).
+            num_shards: _,
+            num_vcs: _,
+            num_switches: _,
+            hops_per_vc: _,
+            wall_seconds: _,
+            throughput_per_sec: _,
+            shards: _,
+            // Compared.
+            rounds,
+            supersteps,
+            counters,
+            audit,
+            admission,
+            degraded_vcs,
+            unsettled_vcs,
+            brownout_vcs,
+            mean_source_loss,
+            max_source_loss,
+            vcs,
+            latency,
+        } = self;
+        RunOutcome {
+            rounds: *rounds,
+            supersteps: *supersteps,
+            counters,
+            audit,
+            admission,
+            degraded_vcs: *degraded_vcs,
+            unsettled_vcs: *unsettled_vcs,
+            brownout_vcs: *brownout_vcs,
+            mean_source_loss: *mean_source_loss,
+            max_source_loss: *max_source_loss,
+            vcs,
+            latency,
+        }
+    }
+}
+
+// By hand: the vendored derive takes no lifetime parameter.
+impl Serialize for RunOutcome<'_> {
+    fn to_json_value(&self) -> serde::Value {
+        let fields = [
+            ("rounds", self.rounds.to_json_value()),
+            ("supersteps", self.supersteps.to_json_value()),
+            ("counters", self.counters.to_json_value()),
+            ("audit", self.audit.to_json_value()),
+            ("admission", self.admission.to_json_value()),
+            ("degraded_vcs", self.degraded_vcs.to_json_value()),
+            ("unsettled_vcs", self.unsettled_vcs.to_json_value()),
+            ("brownout_vcs", self.brownout_vcs.to_json_value()),
+            ("mean_source_loss", self.mean_source_loss.to_json_value()),
+            ("max_source_loss", self.max_source_loss.to_json_value()),
+            ("vcs", self.vcs.to_json_value()),
+            ("latency", self.latency.to_json_value()),
+        ];
+        serde::Value::Object(
+            fields
+                .into_iter()
+                .map(|(name, v)| (name.to_string(), v))
+                .collect(),
+        )
+    }
+}
+
 /// The latency histogram every worker records into (merged at the end);
 /// bounds cover the longest possible modeled round trip.
 pub(crate) fn latency_histogram(cfg: &RuntimeConfig) -> Histogram {
@@ -200,5 +294,45 @@ pub(crate) fn summarize_latency(
         p95: hist.quantile(0.95),
         p99: hist.quantile(0.99),
         max: per_hop * rtt.max_hops as f64,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn text(r: &RunReport) -> String {
+        format!("{:#?}", r.outcome())
+    }
+
+    #[test]
+    fn outcome_ignores_the_partition_and_the_clock_and_nothing_else() {
+        let mut cfg = RuntimeConfig::balanced(1, 8);
+        cfg.target_requests = 200;
+        let base = crate::run_sequential(&cfg);
+        assert!(base.latency.p99 > 0.0 && base.mean_source_loss > 0.0);
+
+        let mut other = base.clone();
+        other.num_shards = 4;
+        other.wall_seconds += 1.0;
+        other.throughput_per_sec *= 0.5;
+        other.shards.clear();
+        assert_eq!(text(&other), text(&base));
+
+        let last_bit: [fn(&mut RunReport) -> &mut f64; 3] = [
+            |r| &mut r.latency.p99,
+            |r| &mut r.mean_source_loss,
+            |r| &mut r.vcs[3].believed,
+        ];
+        for (i, field) in last_bit.into_iter().enumerate() {
+            let mut changed = base.clone();
+            let x = field(&mut changed);
+            *x = f64::from_bits(x.to_bits() + 1);
+            assert_ne!(text(&changed), text(&base), "edit {i}");
+        }
+        let (mut zero, mut minus_zero) = (base.clone(), base);
+        zero.max_source_loss = 0.0;
+        minus_zero.max_source_loss = -0.0;
+        assert_ne!(text(&zero), text(&minus_zero));
     }
 }

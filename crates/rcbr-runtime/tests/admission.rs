@@ -9,7 +9,9 @@
 //! fills), and `PeakRate` must behave exactly like the runtime before
 //! live admission existed: ceilings never move, nothing is estimated.
 
-use rcbr_runtime::{run, run_sequential, AdmissionPolicy, RuntimeConfig};
+mod common;
+
+use rcbr_runtime::{run, AdmissionPolicy, RuntimeConfig};
 
 const POLICIES: [AdmissionPolicy; 3] = [
     AdmissionPolicy::PeakRate,
@@ -36,40 +38,7 @@ fn measured_cfg(policy: AdmissionPolicy, num_shards: usize) -> RuntimeConfig {
 #[test]
 fn every_policy_is_shard_count_invariant() {
     for policy in POLICIES {
-        let reference = run_sequential(&measured_cfg(policy, 1));
-        for shards in [1, 2, 4] {
-            let r = run(&measured_cfg(policy, shards));
-            assert_eq!(
-                r.counters,
-                reference.counters,
-                "[{}] {shards}-shard counters diverged from the sequential replay",
-                policy.name()
-            );
-            assert_eq!(
-                r.vcs,
-                reference.vcs,
-                "[{}] {shards}-shard per-VC outcomes diverged",
-                policy.name()
-            );
-            assert_eq!(
-                r.admission,
-                reference.admission,
-                "[{}] {shards}-shard admission report diverged",
-                policy.name()
-            );
-            assert_eq!(
-                r.audit,
-                reference.audit,
-                "[{}] {shards}-shard audit diverged",
-                policy.name()
-            );
-            assert_eq!(
-                r.supersteps,
-                reference.supersteps,
-                "[{}] {shards}-shard logical clock diverged",
-                policy.name()
-            );
-        }
+        common::same_run_everywhere(&measured_cfg(policy, 1));
     }
 }
 

@@ -10,8 +10,10 @@
 //! space being sampled (seed x four fault intensities) is exactly where a
 //! partition-dependent bug would show as a counter mismatch.
 
+mod common;
+
 use proptest::prelude::*;
-use rcbr_runtime::{run, run_sequential, RuntimeConfig};
+use rcbr_runtime::{run_sequential, RuntimeConfig};
 
 fn chaos_cfg(
     seed: u64,
@@ -50,20 +52,7 @@ proptest! {
         dup_bp in 0u32..200,
         corrupt_bp in 0u32..200,
     ) {
-        let cfg = chaos_cfg(seed, drop_bp, delay_bp, dup_bp, corrupt_bp);
-        let reference = run_sequential(&cfg);
-        for shards in [1usize, 2, 4] {
-            let mut scfg = cfg.clone();
-            scfg.num_shards = shards;
-            let parallel = run(&scfg);
-            prop_assert_eq!(
-                parallel.counters, reference.counters,
-                "{} shards diverged (seed {}, faults {}/{}/{}/{})",
-                shards, seed, drop_bp, delay_bp, dup_bp, corrupt_bp
-            );
-            prop_assert_eq!(parallel.supersteps, reference.supersteps);
-            prop_assert_eq!(parallel.audit, reference.audit);
-        }
+        common::same_run_everywhere(&chaos_cfg(seed, drop_bp, delay_bp, dup_bp, corrupt_bp));
     }
 
     /// Any drop/delay/duplicate/corrupt pattern + final recovery =>

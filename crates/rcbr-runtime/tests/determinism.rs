@@ -6,6 +6,9 @@
 //! the same counters as a sequential replay of the same request log, and
 //! re-running the sharded engine must be bit-identical.
 
+mod common;
+
+use common::same_run_everywhere;
 use rcbr_net::{CrashSpec, KillSpec, StallSpec};
 use rcbr_runtime::{run, run_sequential, RuntimeConfig};
 
@@ -46,27 +49,7 @@ fn contended_cfg(num_shards: usize) -> RuntimeConfig {
 
 #[test]
 fn sharded_counters_match_sequential_replay_under_chaos() {
-    let reference = run_sequential(&contended_cfg(1));
-    for shards in [1, 2, 4] {
-        let parallel = run(&contended_cfg(shards));
-        assert_eq!(
-            parallel.counters, reference.counters,
-            "{shards}-shard run diverged from the sequential replay"
-        );
-        assert_eq!(
-            parallel.supersteps, reference.supersteps,
-            "{shards}-shard run's logical clock diverged"
-        );
-        assert_eq!(
-            parallel.latency.count, reference.latency.count,
-            "{shards}-shard run recorded a different number of latency samples"
-        );
-        assert_eq!(
-            parallel.audit, reference.audit,
-            "{shards}-shard audit diverged from the sequential replay"
-        );
-        assert_eq!(parallel.degraded_vcs, reference.degraded_vcs);
-    }
+    same_run_everywhere(&contended_cfg(1));
 }
 
 #[test]
@@ -152,23 +135,12 @@ fn different_seeds_diverge() {
 /// partition.
 #[test]
 fn twin_ghosts_process_in_the_same_order_at_every_shard_count() {
-    let cfg = |shards| {
-        let mut cfg = RuntimeConfig::balanced(shards, 5000);
-        let flows_per_switch = (cfg.num_vcs * cfg.hops_per_vc) as f64 / cfg.num_switches as f64;
-        cfg.port_capacity = flows_per_switch * cfg.initial_rate * 2.5;
-        cfg.target_requests = 100_000;
-        cfg.seed = 7;
-        cfg
-    };
-    let reference = run_sequential(&cfg(1));
-    for shards in [1, 2, 4] {
-        let parallel = run(&cfg(shards));
-        assert_eq!(parallel.counters, reference.counters, "{shards} shards");
-        assert_eq!(parallel.audit, reference.audit, "{shards} shards");
-        assert_eq!(parallel.supersteps, reference.supersteps, "{shards} shards");
-        assert_eq!(parallel.rounds, reference.rounds, "{shards} shards");
-        assert_eq!(parallel.vcs, reference.vcs, "{shards} shards");
-    }
+    let mut cfg = RuntimeConfig::balanced(1, 5000);
+    let flows_per_switch = (cfg.num_vcs * cfg.hops_per_vc) as f64 / cfg.num_switches as f64;
+    cfg.port_capacity = flows_per_switch * cfg.initial_rate * 2.5;
+    cfg.target_requests = 100_000;
+    cfg.seed = 7;
+    same_run_everywhere(&cfg);
 }
 
 /// Phase B steps the Settled VCs of a shard `LANES` (4) abreast. VC counts
@@ -180,31 +152,20 @@ fn twin_ghosts_process_in_the_same_order_at_every_shard_count() {
 #[test]
 fn ragged_lane_groups_are_shard_invariant() {
     for num_vcs in [1usize, 3, 5, 13] {
-        let cfg = |shards| {
-            let mut cfg = RuntimeConfig::balanced(shards, num_vcs);
-            // A stranded VC completes nothing more: bound by rounds.
-            cfg.max_rounds = 300;
-            cfg.extra_links = vec![(2, 4)];
-            cfg.fault.kills = vec![KillSpec {
-                switch: 3,
-                at_superstep: 40,
-            }];
-            cfg
-        };
-        let reference = run_sequential(&cfg(1));
+        let mut cfg = RuntimeConfig::balanced(1, num_vcs);
+        // A stranded VC completes nothing more: bound by rounds.
+        cfg.max_rounds = 300;
+        cfg.extra_links = vec![(2, 4)];
+        cfg.fault.kills = vec![KillSpec {
+            switch: 3,
+            at_superstep: 40,
+        }];
+        let reference = same_run_everywhere(&cfg);
         assert!(
             reference.counters.stranded_events > 0,
             "{num_vcs} VCs: VC 0 ends on the killed switch"
         );
         assert_eq!(reference.counters.reroutes > 0, num_vcs > 1);
-        for shards in [1, 2, 4] {
-            let parallel = run(&cfg(shards));
-            let at = format!("{num_vcs} VCs, {shards} shards");
-            assert_eq!(parallel.counters, reference.counters, "{at}");
-            assert_eq!(parallel.audit, reference.audit, "{at}");
-            assert_eq!(parallel.supersteps, reference.supersteps, "{at}");
-            assert_eq!(parallel.vcs, reference.vcs, "{at}");
-        }
     }
 }
 
@@ -219,27 +180,27 @@ fn ragged_lane_groups_are_shard_invariant() {
 /// (every cell dropped, so timeouts are all there is).
 #[test]
 fn a_target_met_at_a_tally_fold_stops_every_driver_in_the_same_round() {
-    let calm = |shards| {
-        let mut cfg = RuntimeConfig::balanced(shards, 32);
+    let calm = || {
+        let mut cfg = RuntimeConfig::balanced(1, 32);
         cfg.fault = rcbr_net::FaultConfig::transparent();
         cfg.port_capacity *= 2.0;
         cfg
     };
-    let black_hole = |shards| {
-        let mut cfg = calm(shards);
+    let black_hole = || {
+        let mut cfg = calm();
         cfg.fault.drop_bp = rcbr_net::FAULT_BP_SCALE;
         cfg.timeout_supersteps = 3;
         cfg.retry_budget = 1;
         cfg.backoff_base = 1;
         cfg
     };
-    let cases: [(&str, &dyn Fn(usize) -> RuntimeConfig); 2] =
+    let cases: [(&str, &dyn Fn() -> RuntimeConfig); 2] =
         [("grants", &calm), ("exhaustions", &black_hole)];
     for (what, base) in cases {
         // The completions of exactly `rounds` rounds, the last of which
         // added some.
         let capped = |rounds| {
-            let mut cfg = base(1);
+            let mut cfg = base();
             cfg.target_requests = u64::MAX;
             cfg.max_rounds = rounds;
             run_sequential(&cfg)
@@ -254,27 +215,23 @@ fn a_target_met_at_a_tally_fold_stops_every_driver_in_the_same_round() {
         let c = &at.counters;
         if what == "grants" {
             assert_eq!((c.accepted, c.exhausted), (c.completed, 0), "{what}");
+            // An all-zero fault plan and no signaling budget lose nothing.
+            let lost = c.cells_dropped
+                + c.cells_delayed
+                + c.cells_duplicated
+                + c.cells_corrupted
+                + c.crash_killed
+                + c.cells_link_killed
+                + c.timeouts
+                + c.cells_shed;
+            assert_eq!(lost, 0, "{c:?}");
         } else {
             assert_eq!((c.accepted, c.exhausted), (0, c.completed), "{what}");
         }
-        let cfg = |shards| {
-            let mut cfg = base(shards);
-            cfg.target_requests = c.completed;
-            cfg
-        };
+        let mut cfg = base();
+        cfg.target_requests = c.completed;
         let stops = |r: &rcbr_runtime::RunReport| (r.rounds, r.supersteps, r.counters.completed);
-        assert_eq!(
-            stops(&run_sequential(&cfg(1))),
-            stops(&at),
-            "{what}, sequential"
-        );
-        for shards in [1, 2, 4] {
-            assert_eq!(
-                stops(&run(&cfg(shards))),
-                stops(&at),
-                "{what}, {shards} shards"
-            );
-        }
+        assert_eq!(stops(&same_run_everywhere(&cfg)), stops(&at), "{what}");
     }
 }
 

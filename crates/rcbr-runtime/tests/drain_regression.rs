@@ -16,6 +16,8 @@
 //! Each run must terminate (a deadlock hangs the test harness's timeout)
 //! and stay bit-identical to the sequential replay.
 
+mod common;
+
 use rcbr_runtime::{run, run_sequential, RuntimeConfig};
 
 fn max_delay_cfg(seed: u64) -> RuntimeConfig {
@@ -37,25 +39,11 @@ fn max_delay_cfg(seed: u64) -> RuntimeConfig {
 #[test]
 fn drain_terminates_under_max_delay_faults() {
     for seed in [3u64, 11, 42] {
-        let cfg = max_delay_cfg(seed);
-        let reference = run_sequential(&cfg);
+        let reference = common::same_run_everywhere(&max_delay_cfg(seed));
         assert_eq!(
             reference.audit.final_drift, 0,
             "recovery leaves no residual drift (seed {seed})"
         );
-        for shards in [1usize, 2, 4] {
-            let mut scfg = cfg.clone();
-            scfg.num_shards = shards;
-            let parallel = run(&scfg);
-            assert_eq!(
-                parallel.counters, reference.counters,
-                "counters diverged from the replay at {shards} shards (seed {seed})"
-            );
-            assert_eq!(
-                parallel.supersteps, reference.supersteps,
-                "logical clocks diverged at {shards} shards (seed {seed})"
-            );
-        }
     }
 }
 

@@ -9,7 +9,10 @@
 //! the other direction: a zero signaling budget (the default) must
 //! reproduce the pre-shedding runtime exactly, storm or no storm.
 
-use rcbr_runtime::{run, run_sequential, RuntimeConfig, StormSpec};
+mod common;
+
+use common::same_run_everywhere;
+use rcbr_runtime::{run_sequential, RuntimeConfig, StormSpec};
 
 /// A contended storm scenario: 64 VCs on 8 switches with a per-switch
 /// budget small enough that the storm window must shed, and generous
@@ -35,7 +38,9 @@ const X10: StormSpec = StormSpec {
 
 #[test]
 fn a_x10_storm_sheds_deterministically_and_still_settles() {
-    let reference = run_sequential(&storm_cfg(1, 4, Some(X10)));
+    // Determinism: the shed plan is a pure function of the per-switch
+    // meeting sets, so the partition must not show.
+    let reference = same_run_everywhere(&storm_cfg(1, 4, Some(X10)));
     // Live under overload: the storm shed real cells, yet requests kept
     // completing and every surviving reservation settled.
     assert!(
@@ -57,24 +62,6 @@ fn a_x10_storm_sheds_deterministically_and_still_settles() {
         c.cells_shed
     );
     assert_eq!(c.completed, c.accepted + c.exhausted);
-    // Determinism: the shed plan is a pure function of the per-switch
-    // meeting sets, so the partition must not change a single counter.
-    for shards in [1, 2, 4] {
-        let r = run(&storm_cfg(shards, 4, Some(X10)));
-        assert_eq!(
-            r.counters, reference.counters,
-            "{shards}-shard counters diverged from the sequential replay"
-        );
-        assert_eq!(
-            r.vcs, reference.vcs,
-            "{shards}-shard per-VC outcomes diverged"
-        );
-        assert_eq!(
-            r.brownout_vcs, reference.brownout_vcs,
-            "{shards}-shard brownout census diverged"
-        );
-        assert_eq!(r.audit.final_drift, 0);
-    }
 }
 
 #[test]
@@ -83,16 +70,11 @@ fn a_zero_budget_reproduces_the_unbounded_runtime_bit_for_bit() {
     // it must leave every counter exactly where the pre-shedding
     // runtime put it. The storm only widens the traffic window, so a
     // stormless budget-0 run and the defaults must agree too.
-    let legacy = run_sequential(&storm_cfg(1, 0, None));
+    let legacy = same_run_everywhere(&storm_cfg(1, 0, None));
     assert_eq!(legacy.counters.cells_shed, 0);
     assert_eq!(legacy.counters.pressure_rounds, 0);
     assert_eq!(legacy.counters.brownout_entries, 0);
     assert_eq!(legacy.brownout_vcs, 0);
-    for shards in [1, 2, 4] {
-        let r = run(&storm_cfg(shards, 0, None));
-        assert_eq!(r.counters, legacy.counters);
-        assert_eq!(r.vcs, legacy.vcs);
-    }
     // An unbounded queue under a storm sheds nothing either: heavier
     // traffic alone must never trip the shed machinery.
     let stormy = run_sequential(&storm_cfg(1, 0, Some(X10)));

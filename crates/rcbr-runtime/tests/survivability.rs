@@ -3,34 +3,11 @@
 //! across shard counts and the sequential replay) and a clean end-of-run
 //! audit (`final_drift == 0`).
 
-use rcbr_net::{FaultConfig, KillSpec, LinkDownSpec};
-use rcbr_runtime::{run, run_sequential, RunReport, RuntimeConfig};
+mod common;
 
-/// Run `cfg` at shard counts 1, 2, 4 and sequentially; assert the
-/// counters (and audit) are bit-identical everywhere, and return the
-/// sequential report for scenario-specific assertions.
-fn assert_identical_everywhere(cfg: &RuntimeConfig) -> RunReport {
-    let reference = run_sequential(cfg);
-    for shards in [1usize, 2, 4] {
-        let mut c = cfg.clone();
-        c.num_shards = shards;
-        let r = run(&c);
-        assert_eq!(
-            r.counters, reference.counters,
-            "counters diverged at {shards} shards"
-        );
-        assert_eq!(
-            r.audit, reference.audit,
-            "audit diverged at {shards} shards"
-        );
-        assert_eq!(r.supersteps, reference.supersteps);
-        assert_eq!(
-            r.vcs, reference.vcs,
-            "VC outcomes diverged at {shards} shards"
-        );
-    }
-    reference
-}
+use common::same_run_everywhere;
+use rcbr_net::{FaultConfig, KillSpec, LinkDownSpec};
+use rcbr_runtime::{run, run_sequential, RuntimeConfig};
 
 /// A quiet (no random cell faults) base scenario with enough capacity
 /// that rerouted load never causes denials — failures come only from the
@@ -51,7 +28,7 @@ fn permanent_kill_reroutes_survivors_and_strands_endpoint_vcs() {
         switch: 3,
         at_superstep: 40,
     }];
-    let r = assert_identical_everywhere(&cfg);
+    let r = same_run_everywhere(&cfg);
 
     assert!(r.counters.reroutes_committed > 0, "survivors must reroute");
     assert!(r.counters.stranded_events > 0, "endpoint VCs must strand");
@@ -104,7 +81,7 @@ fn link_flap_reroutes_around_the_outage_without_stranding() {
             down_supersteps: 120,
         },
     ];
-    let r = assert_identical_everywhere(&cfg);
+    let r = same_run_everywhere(&cfg);
 
     assert!(
         r.counters.reroutes_committed > 0,
@@ -146,7 +123,7 @@ fn mid_run_teardown_leaves_zero_reserved_contribution() {
         switch: 0,
         at_superstep: 30,
     }];
-    let r = assert_identical_everywhere(&cfg);
+    let r = same_run_everywhere(&cfg);
 
     for vc in &r.vcs {
         match vc.vci {
@@ -199,7 +176,7 @@ fn capacity_pressure_reroutes_stay_deterministic_and_clean() {
         switch: 0,
         at_superstep: 40,
     }];
-    let r = assert_identical_everywhere(&cfg);
+    let r = same_run_everywhere(&cfg);
 
     assert!(
         r.counters.reroutes_denied > 0,
@@ -232,7 +209,7 @@ fn lease_expiry_reclaims_when_rm_cells_stop_arriving() {
     cfg.retry_budget = 1;
     cfg.timeout_supersteps = 8;
     cfg.target_requests = 200;
-    let r = assert_identical_everywhere(&cfg);
+    let r = same_run_everywhere(&cfg);
 
     assert!(
         r.counters.leases_expired > 0,

@@ -14,7 +14,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use super::kernel::{Cand, SlotCtx, Sweep};
-use super::shard;
 use super::soa::Column;
 
 /// One stream head in the merge heap: the next candidate of target rate
@@ -57,8 +56,6 @@ impl Ord for Head {
 pub(super) struct Scratch {
     heap: BinaryHeap<Head>,
     group: Vec<Cand>,
-    bands: Vec<Vec<Cand>>,
-    band_pos: Vec<usize>,
 }
 
 /// Candidate for stream `mi` at survivor `si`, with the reference's exact
@@ -77,25 +74,10 @@ fn make_cand(ctx: &SlotCtx<'_>, cur: &Column, si: u32, mi: u16) -> Cand {
     }
 }
 
-/// Expand one slot and drive the sweep, serially or sharded by rate band.
+/// Expand one slot and drive the sweep: all streams share one heap;
+/// candidates flow straight from the merge into the sweep with no
+/// materialization.
 pub(super) fn expand(
-    ctx: &SlotCtx<'_>,
-    cur: &Column,
-    cutoffs: &[usize],
-    shards: usize,
-    s: &mut Scratch,
-    sweep: &mut Sweep<'_>,
-) {
-    if shards <= 1 {
-        expand_serial(ctx, cur, cutoffs, s, sweep);
-    } else {
-        expand_sharded(ctx, cur, cutoffs, shards, s, sweep);
-    }
-}
-
-/// Single-threaded path: all streams share one heap; candidates flow
-/// straight from the merge into the sweep with no materialization.
-fn expand_serial(
     ctx: &SlotCtx<'_>,
     cur: &Column,
     cutoffs: &[usize],
@@ -163,88 +145,5 @@ fn flush_group(group: &mut [Cand], sweep: &mut Sweep<'_>) {
     }
     for c in group.iter() {
         sweep.offer(c);
-    }
-}
-
-/// Sharded path: each rate band merges its own streams into a sorted
-/// candidate list on its own thread; the main thread then runs a
-/// deterministic `S`-way merge of the band lists into the same group
-/// sweep. Output is bit-identical to the serial path at any shard count
-/// because groups — the only place float ties are resolved — are formed
-/// from the same exact-q equivalence classes either way.
-fn expand_sharded(
-    ctx: &SlotCtx<'_>,
-    cur: &Column,
-    cutoffs: &[usize],
-    shards: usize,
-    s: &mut Scratch,
-    sweep: &mut Sweep<'_>,
-) {
-    let ranges = shard::band_ranges(cutoffs.len(), shards);
-    s.bands.resize_with(ranges.len(), Vec::new);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for (range, out) in ranges.iter().zip(s.bands.iter_mut()) {
-            let range = range.clone();
-            handles.push(scope.spawn(move || {
-                out.clear();
-                let mut heap: BinaryHeap<Head> = BinaryHeap::new();
-                for mi in range {
-                    if cutoffs[mi] > 0 {
-                        let q = (cur.q[0] + ctx.x - ctx.svc[mi]).max(0.0);
-                        heap.push(Head {
-                            q,
-                            mi: mi as u16,
-                            si: 0,
-                        });
-                    }
-                }
-                while let Some(head) = heap.pop() {
-                    out.push(make_cand(ctx, cur, head.si, head.mi));
-                    let next_si = head.si + 1;
-                    if (next_si as usize) < cutoffs[head.mi as usize] {
-                        let q =
-                            (cur.q[next_si as usize] + ctx.x - ctx.svc[head.mi as usize]).max(0.0);
-                        heap.push(Head {
-                            q,
-                            mi: head.mi,
-                            si: next_si,
-                        });
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("trellis shard worker panicked");
-        }
-    });
-
-    // Merge barrier: S-way merge of the per-band q-sorted lists.
-    s.band_pos.clear();
-    s.band_pos.resize(s.bands.len(), 0);
-    loop {
-        // The band with the smallest head q (band index breaks exact
-        // ties; group re-ordering makes the choice immaterial).
-        let mut best: Option<(usize, f64)> = None;
-        for (b, band) in s.bands.iter().enumerate() {
-            if let Some(c) = band.get(s.band_pos[b]) {
-                best = match best {
-                    Some((_, bq)) if bq.total_cmp(&c.q) != Ordering::Greater => best,
-                    _ => Some((b, c.q)),
-                };
-            }
-        }
-        let Some((_, group_q)) = best else { break };
-        s.group.clear();
-        for (b, band) in s.bands.iter().enumerate() {
-            while let Some(c) = band.get(s.band_pos[b]) {
-                if c.q.total_cmp(&group_q) != Ordering::Equal {
-                    break;
-                }
-                s.group.push(*c);
-                s.band_pos[b] += 1;
-            }
-        }
-        flush_group(&mut s.group, sweep);
     }
 }

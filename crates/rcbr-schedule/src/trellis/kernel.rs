@@ -208,7 +208,6 @@ struct Scratch {
 /// Run the optimizer.
 pub(super) fn run(
     cfg: &TrellisConfig,
-    shards: usize,
     trace: &FrameTrace,
 ) -> Result<(Schedule, f64, TrellisStats), TrellisError> {
     let tau = trace.frame_interval();
@@ -223,7 +222,6 @@ pub(super) fn run(
     let alpha = cfg.cost.alpha;
     let t_len = trace.len();
     let quantize = cfg.q_resolution.is_some();
-    let shards = shards.min(m).max(1);
 
     let mut stats = TrellisStats::default();
     let mut arena = Arena::new();
@@ -307,15 +305,8 @@ pub(super) fn run(
             }
         } else if quantize {
             let res = cfg.q_resolution.expect("quantize implies resolution");
-            let grouped = quantized::expand(
-                &ctx,
-                &s.cur,
-                &s.cutoffs,
-                res,
-                shards,
-                &mut s.reps,
-                &mut s.quant,
-            );
+            let grouped =
+                quantized::expand(&ctx, &s.cur, &s.cutoffs, res, &mut s.reps, &mut s.quant);
             if grouped {
                 sweep.offer_buckets(&s.reps, s.quant.bucket_ends(), &mut s.pick);
             } else {
@@ -324,7 +315,7 @@ pub(super) fn run(
                 }
             }
         } else {
-            exact::expand(&ctx, &s.cur, &s.cutoffs, shards, &mut s.exact, &mut sweep);
+            exact::expand(&ctx, &s.cur, &s.cutoffs, &mut s.exact, &mut sweep);
         }
         stats.nodes_kept += sweep.kept();
         stats.nodes_pruned += expanded - sweep.kept();

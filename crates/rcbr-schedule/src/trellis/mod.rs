@@ -33,10 +33,7 @@
 //!   `O(n·M·log(n·M))` sort;
 //! * parent pointers for path reconstruction live in a mark-and-compacted
 //!   arena ([`arena`]) whose common path prefix is committed and truncated,
-//!   bounding memory by the live survivor set instead of the trace length;
-//! * candidate expansion can optionally be sharded by rate band across
-//!   threads with a deterministic merge barrier ([`shard`]): the output is
-//!   bit-identical at any shard count.
+//!   bounding memory by the live survivor set instead of the trace length.
 //!
 //! The straightforward implementation this kernel replaced is retained in
 //! [`reference`] as the oracle for equivalence tests and the baseline for
@@ -55,7 +52,6 @@ mod kernel;
 mod quantized;
 #[doc(hidden)]
 pub mod reference;
-mod shard;
 mod soa;
 mod stats;
 
@@ -200,7 +196,6 @@ impl std::error::Error for TrellisError {}
 #[derive(Debug, Clone)]
 pub struct OfflineOptimizer {
     config: TrellisConfig,
-    shards: usize,
 }
 
 impl OfflineOptimizer {
@@ -214,27 +209,7 @@ impl OfflineOptimizer {
             config.grid.len() <= u16::MAX as usize,
             "rate grid too fine for the trellis arena"
         );
-        Self { config, shards: 1 }
-    }
-
-    /// Shard candidate expansion over `shards` worker threads, partitioned
-    /// by contiguous rate band with a sequential merge barrier per slot.
-    ///
-    /// The output — schedule, cost, and every work counter — is
-    /// bit-identical at any shard count; sharding changes only which
-    /// thread evaluates which target rate.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        self.shards = shards;
-        self
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
+        Self { config }
     }
 
     /// The configuration.
@@ -259,7 +234,7 @@ impl OfflineOptimizer {
         &self,
         trace: &FrameTrace,
     ) -> Result<(Schedule, f64, TrellisStats), TrellisError> {
-        kernel::run(&self.config, self.shards, trace)
+        kernel::run(&self.config, trace)
     }
 }
 
@@ -563,28 +538,6 @@ mod tests {
                 }
                 (Err(e_k), Err(e_r)) => assert_eq!(e_k, e_r),
                 (got, want) => panic!("feasibility diverged for {cfg:?}: {got:?} vs {want:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn shard_count_does_not_change_output_or_counters() {
-        let trace = bursty_trace(200);
-        for cfg in equivalence_configs() {
-            let baseline = OfflineOptimizer::new(cfg.clone()).optimize_with_stats(&trace);
-            for shards in [2, 4] {
-                let sharded = OfflineOptimizer::new(cfg.clone())
-                    .with_shards(shards)
-                    .optimize_with_stats(&trace);
-                match (&baseline, &sharded) {
-                    (Ok((s0, w0, st0)), Ok((s1, w1, st1))) => {
-                        assert_eq!(w0.to_bits(), w1.to_bits(), "{shards} shards: {cfg:?}");
-                        assert_eq!(s0.to_rates(), s1.to_rates(), "{shards} shards: {cfg:?}");
-                        assert_eq!(st0, st1, "{shards} shards: {cfg:?}");
-                    }
-                    (Err(e0), Err(e1)) => assert_eq!(e0, e1),
-                    other => panic!("feasibility diverged: {other:?}"),
-                }
             }
         }
     }

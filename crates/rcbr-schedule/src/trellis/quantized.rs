@@ -27,7 +27,6 @@
 use std::cmp::Ordering;
 
 use super::kernel::{Rep, SlotCtx};
-use super::shard;
 use super::soa::Column;
 
 /// Above this bucket count the counting-sort footprint stops paying for
@@ -56,8 +55,7 @@ pub(super) fn bucket(q: f64, res: f64) -> u64 {
 /// Order reps by `(bucket, w, generation)` — the reference's stable
 /// `(bucket, w)` sort with its generation tie order `(gsi, mi)` made
 /// explicit. The key is unique per rep (one rep per `(rate, bucket)`
-/// cell), so `sort_unstable` is deterministic regardless of input order —
-/// which is what makes the sharded path bit-identical to the serial one.
+/// cell), so `sort_unstable` is deterministic regardless of input order.
 pub(super) fn sort_reps(reps: &mut [Rep]) {
     reps.sort_unstable_by(|a, b| {
         a.bucket
@@ -119,37 +117,12 @@ pub(super) fn expand(
     cur: &Column,
     cutoffs: &[usize],
     res: f64,
-    shards: usize,
     reps: &mut Vec<Rep>,
     scratch: &mut Scratch,
 ) -> bool {
     reps.clear();
-    if shards <= 1 {
-        for (mi, &cut) in cutoffs.iter().enumerate() {
-            stream_reps(ctx, cur, mi as u16, cut, res, reps);
-        }
-    } else {
-        let ranges = shard::band_ranges(cutoffs.len(), shards);
-        let mut bands: Vec<Vec<Rep>> = ranges.iter().map(|_| Vec::new()).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(ranges.len());
-            for (range, out) in ranges.iter().zip(bands.iter_mut()) {
-                let range = range.clone();
-                handles.push(scope.spawn(move || {
-                    for mi in range {
-                        stream_reps(ctx, cur, mi as u16, cutoffs[mi], res, out);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("trellis shard worker panicked");
-            }
-        });
-        // Merge barrier: band order is immaterial — the sort below is on a
-        // unique key.
-        for band in &bands {
-            reps.extend_from_slice(band);
-        }
+    for (mi, &cut) in cutoffs.iter().enumerate() {
+        stream_reps(ctx, cur, mi as u16, cut, res, reps);
     }
     // Every feasible q' satisfies q' <= b_t, and bucket() is monotone, so
     // bucket(b_t) bounds every rep's bucket.

@@ -4,9 +4,8 @@ use serde::{Deserialize, Serialize};
 
 /// Work counters accumulated by one [`super::OfflineOptimizer`] run.
 ///
-/// Every field is a pure function of `(config, shards-independent
-/// candidate math, trace)`: counters are bit-identical across reruns and
-/// across shard counts, which makes them usable as a CI regression oracle
+/// Every field is a pure function of `(config, trace)`: counters are
+/// bit-identical across reruns, which makes them usable as a CI regression oracle
 /// (a changed counter means a changed algorithm, with none of the noise of
 /// wall-clock gating).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -4,9 +4,7 @@
 //! implementation (`trellis::reference`) *bit for bit* — same `Schedule`,
 //! same cost down to the last mantissa bit, same feasibility verdict — on
 //! random traces, random grids, and every configuration axis: exact,
-//! quantized buffer, beam, `drain_at_end`, and delay bounds. On top of
-//! that, sharded expansion must produce identical output *and* identical
-//! work counters at any shard count.
+//! quantized buffer, beam, `drain_at_end`, and delay bounds.
 
 use proptest::prelude::*;
 use rcbr_schedule::trellis::reference;
@@ -62,37 +60,6 @@ fn assert_equivalent(cfg: &TrellisConfig, trace: &FrameTrace) -> Result<(), Test
     Ok(())
 }
 
-/// Assert shard counts {2, 4} match the single-shard kernel exactly,
-/// including the deterministic work counters.
-fn assert_shard_invariant(cfg: &TrellisConfig, trace: &FrameTrace) -> Result<(), TestCaseError> {
-    let baseline = OfflineOptimizer::new(cfg.clone()).optimize_with_stats(trace);
-    for shards in [2usize, 4] {
-        let sharded = OfflineOptimizer::new(cfg.clone())
-            .with_shards(shards)
-            .optimize_with_stats(trace);
-        match (&baseline, &sharded) {
-            (Ok((s0, w0, st0)), Ok((s1, w1, st1))) => {
-                prop_assert_eq!(w0.to_bits(), w1.to_bits(), "{} shards: {:?}", shards, cfg);
-                prop_assert_eq!(s0.to_rates(), s1.to_rates(), "{} shards: {:?}", shards, cfg);
-                prop_assert_eq!(
-                    st0,
-                    st1,
-                    "counters diverged at {} shards: {:?}",
-                    shards,
-                    cfg
-                );
-            }
-            (Err(e0), Err(e1)) => prop_assert_eq!(e0, e1),
-            other => {
-                return Err(TestCaseError::fail(format!(
-                    "feasibility diverged at {shards} shards for {cfg:?}: {other:?}"
-                )))
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Random strictly-increasing rate grid from positive step sizes.
 fn build_grid(steps: &[f64], with_zero: bool) -> RateGrid {
     let mut levels: Vec<f64> = Vec::with_capacity(steps.len() + 1);
@@ -127,23 +94,6 @@ proptest! {
         }
     }
 
-    /// Shard counts {1, 2, 4} agree on output and counters.
-    #[test]
-    fn shard_counts_agree(
-        bits in collection::vec(0.0..500.0f64, 2..40),
-        steps in collection::vec(1.0..400.0f64, 1..12),
-        with_zero in any::<bool>(),
-        alpha in 0.01..500.0f64,
-        buffer in 0.0..800.0f64,
-    ) {
-        let grid = build_grid(&steps, with_zero);
-        let trace = FrameTrace::new(1.0, bits);
-        let cost = CostModel::new(alpha, 1.0);
-        for cfg in config_variants(grid.clone(), cost, buffer) {
-            assert_shard_invariant(&cfg, &trace)?;
-        }
-    }
-
     /// Tie-heavy workloads: integer arrivals on an integer grid generate
     /// many exactly-equal q and w values, stressing the `gen` tie order.
     #[test]
@@ -160,7 +110,6 @@ proptest! {
         let buffer = buffer as f64 * 10.0;
         for cfg in config_variants(grid.clone(), cost, buffer) {
             assert_equivalent(&cfg, &trace)?;
-            assert_shard_invariant(&cfg, &trace)?;
         }
     }
 }

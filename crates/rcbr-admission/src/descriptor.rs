@@ -1,26 +1,10 @@
 //! Traffic-descriptor utilities.
 //!
 //! The Section VI descriptor of a call is its empirical bandwidth
-//! distribution (`Schedule::empirical_distribution` computes it). These
-//! helpers reshape such distributions for the controllers: quantizing onto
-//! a common rate grid (so measured levels from different calls aggregate)
-//! and building distributions from observed level counts.
+//! distribution (`Schedule::empirical_distribution` computes it). The
+//! controllers build it from observed level counts.
 
-use rcbr_schedule::RateGrid;
 use rcbr_sim::stats::DiscreteDistribution;
-
-/// Project a distribution onto `grid` by moving each level's probability
-/// to the smallest grid level that covers it (rates above the grid go to
-/// the top level — a conservative rounding in the admission direction).
-pub fn quantize_to_grid(dist: &DiscreteDistribution, grid: &RateGrid) -> DiscreteDistribution {
-    let mut weights = vec![0.0; grid.len()];
-    for (r, p) in dist.iter() {
-        let idx = grid.ceil_index(r).unwrap_or(grid.len() - 1);
-        weights[idx] += p;
-    }
-    let pairs: Vec<(f64, f64)> = grid.levels().iter().copied().zip(weights).collect();
-    DiscreteDistribution::from_weights(&pairs)
-}
 
 /// Build a distribution from raw observed rate values (e.g. the snapshot
 /// of current reservations), grouping exactly equal values.
@@ -44,24 +28,6 @@ pub fn distribution_from_observations(values: &[f64]) -> Option<DiscreteDistribu
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantization_moves_mass_up() {
-        let d = DiscreteDistribution::from_weights(&[(90.0, 0.5), (150.0, 0.5)]);
-        let grid = RateGrid::new(vec![100.0, 200.0]);
-        let q = quantize_to_grid(&d, &grid);
-        assert_eq!(q.levels(), &[100.0, 200.0]);
-        assert_eq!(q.probs(), &[0.5, 0.5]);
-        assert!(q.mean() >= d.mean());
-    }
-
-    #[test]
-    fn above_grid_clamps_to_top() {
-        let d = DiscreteDistribution::from_weights(&[(500.0, 1.0)]);
-        let grid = RateGrid::new(vec![100.0, 200.0]);
-        let q = quantize_to_grid(&d, &grid);
-        assert_eq!(q.probs(), &[0.0, 1.0]);
-    }
 
     #[test]
     fn observations_group_equal_values() {

@@ -31,11 +31,8 @@
 pub mod callsim;
 pub mod controllers;
 pub mod descriptor;
-pub mod margin;
 pub mod policy;
 
 pub use callsim::{CallSim, CallSimConfig, CallSimReport};
 pub use controllers::{Memoryless, PeakRate, PerfectKnowledge, WithMemory};
-pub use descriptor::quantize_to_grid;
-pub use margin::SafetyMargin;
 pub use policy::{AdmissionController, AdmissionSnapshot};

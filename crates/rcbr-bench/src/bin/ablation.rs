@@ -9,13 +9,12 @@
 //!
 //! Usage: `ablation [--frames 7200] [--seed 1] [--ratio 1e5] [--out results/]`
 
-use rcbr_bench::{paper_trace, write_json, Args, PAPER_BUFFER};
+use rcbr_bench::{paper_trace, timed_ms, write_json, Args, PAPER_BUFFER};
 use rcbr_schedule::{
     optimal_smoothing, CostModel, OfflineOptimizer, RateGrid, Schedule, TrellisConfig,
 };
 use rcbr_traffic::FrameTrace;
 use serde::Serialize;
-use std::time::Instant;
 
 #[derive(Debug, Serialize)]
 struct Row {
@@ -34,9 +33,7 @@ fn measure(
     cost_model: &CostModel,
     build: impl FnOnce() -> Schedule,
 ) -> Row {
-    let t0 = Instant::now();
-    let schedule = build();
-    let runtime_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (schedule, runtime_ms) = timed_ms(build);
     Row {
         variant: name,
         runtime_ms,

@@ -22,9 +22,7 @@
 //! Usage: `trellis_bench [--frames 20000] [--seed 1] [--out results/]`
 //!        `trellis_bench --smoke [--update-baseline]`
 
-use std::time::Instant;
-
-use rcbr_bench::{smoke_gate, write_json, Args, PAPER_BUFFER};
+use rcbr_bench::{smoke_gate, timed_ms, write_json, Args, PAPER_BUFFER};
 use rcbr_schedule::trellis::reference;
 use rcbr_schedule::{CostModel, OfflineOptimizer, RateGrid, TrellisConfig, TrellisStats};
 use rcbr_traffic::FrameTrace;
@@ -107,18 +105,15 @@ fn time_kernel(
     trace: &FrameTrace,
 ) -> (f64, rcbr_schedule::Schedule, f64, TrellisStats) {
     let opt = OfflineOptimizer::new(cfg.clone());
-    let start = Instant::now();
-    let (schedule, cost, stats) = opt
-        .optimize_with_stats(trace)
-        .expect("bench instance must be feasible");
-    (start.elapsed().as_secs_f64() * 1e3, schedule, cost, stats)
+    let (solved, ms) = timed_ms(|| opt.optimize_with_stats(trace));
+    let (schedule, cost, stats) = solved.expect("bench instance must be feasible");
+    (ms, schedule, cost, stats)
 }
 
 fn time_reference(cfg: &TrellisConfig, trace: &FrameTrace) -> (f64, f64) {
-    let start = Instant::now();
-    let (_, cost) =
-        reference::optimize_with_cost(cfg, trace).expect("bench instance must be feasible");
-    (start.elapsed().as_secs_f64() * 1e3, cost)
+    let (solved, ms) = timed_ms(|| reference::optimize_with_cost(cfg, trace));
+    let (_, cost) = solved.expect("bench instance must be feasible");
+    (ms, cost)
 }
 
 fn main() {

@@ -20,6 +20,11 @@
 //! same pipelines so regressions in the algorithms' *runtime* are caught;
 //! the binaries are the scientific harness.
 
+// A harness times what it runs: `clippy.toml`'s host-clock ban guards the
+// simulation crates, and every reading here lands in a report's timing
+// columns, never in a figure's rows.
+#![allow(clippy::disallowed_methods)]
+
 use rcbr_net::{CrashSpec, FaultConfig, KillSpec, LinkDownSpec, StallSpec};
 use rcbr_runtime::{run, run_sequential, AdmissionPolicy, RunReport, RuntimeConfig};
 use rcbr_schedule::{CostModel, OfflineOptimizer, RateGrid, Schedule, TrellisConfig};
@@ -34,6 +39,13 @@ pub const PAPER_BUFFER: f64 = 300_000.0;
 pub const PAPER_LOSS_TARGET: f64 = 1e-6;
 /// The paper's MBAC QoS target (Section VI).
 pub const PAPER_FAILURE_TARGET: f64 = 1e-3;
+
+/// Run `f` and return its result with the wall-clock milliseconds it took.
+pub fn timed_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = std::time::Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64() * 1e3)
+}
 
 /// Minimal CLI parsing shared by the figure binaries: `--key value` pairs
 /// plus bare boolean flags (`--smoke`), which parse as `true`.

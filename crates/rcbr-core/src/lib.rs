@@ -25,7 +25,6 @@
 //! * [`sigma_rho`] — the Fig. 5 curve: minimum drain rate as a function of
 //!   buffer size for a given loss tolerance.
 
-pub mod adaptive;
 pub mod capacity;
 pub mod latency;
 pub mod scenario;
@@ -34,7 +33,6 @@ pub mod sigma_rho;
 pub mod source;
 pub mod system;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveSource};
 pub use capacity::{search_capacity, CapacityPoint, SearchConfig};
 pub use latency::{offline_with_latency, online_with_latency, LatencyOutcome};
 pub use scenario::{

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule identifier (`wall-clock`, `barrier-discipline`, …).
+    /// Rule identifier (`lease-units`, `phase-discipline`, …).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -52,19 +52,14 @@ pub struct RuleSummary {
 }
 
 /// Call-graph statistics for the report's `graph` block — coverage
-/// evidence for the cross-function passes (a report claiming "clean" is
-/// only as strong as the graph it analyzed).
+/// evidence for `phase-discipline` (a report claiming "clean" is only as
+/// strong as the graph it analyzed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// Production functions in the workspace graph.
     pub functions: usize,
     /// Resolved call edges between them.
     pub call_edges: usize,
-    /// Nondeterminism source sites that seeded taint.
-    pub taint_seeds: usize,
-    /// Functions carrying taint (seeds + transitive callers, minus
-    /// sanctioned boundaries).
-    pub tainted_functions: usize,
 }
 
 /// The complete result of a lint run.
@@ -103,12 +98,8 @@ impl LintReport {
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
         let _ = writeln!(
             out,
-            "  \"graph\": {{\"call_edges\": {}, \"functions\": {}, \"taint_seeds\": {}, \
-             \"tainted_functions\": {}}},",
-            self.graph.call_edges,
-            self.graph.functions,
-            self.graph.taint_seeds,
-            self.graph.tainted_functions
+            "  \"graph\": {{\"call_edges\": {}, \"functions\": {}}},",
+            self.graph.call_edges, self.graph.functions
         );
         out.push_str("  \"rules\": [\n");
         for (i, r) in self.rules.iter().enumerate() {

@@ -1,12 +1,10 @@
 //! The workspace call graph: a per-crate function table plus resolved
 //! call edges, built on [`crate::lexer::fn_spans`].
 //!
-//! This is the symbol layer under the cross-function passes
-//! ([`crate::taint`], `phase-discipline`): line-local
-//! token rules see one file at a time, but the hazards that survived to
-//! PR 7 (the fuzzer's two real finds) were *interactions* — a helper two
-//! hops away reading a clock, a mutator reachable from outside the
-//! quiescence window. The graph makes those chains auditable.
+//! This is the symbol layer under `phase-discipline`: line-local token
+//! rules see one file at a time, but a mutator reachable from outside the
+//! quiescence window is an *interaction* across files. The graph makes
+//! those chains auditable.
 //!
 //! Name resolution is a deliberate heuristic, not rustc:
 //!
@@ -17,7 +15,7 @@
 //! * `.name(...)` method calls resolve to every known method of that
 //!   name, same-crate candidates first (falling back to cross-crate only
 //!   when the caller's crate has none) — an over-approximation, which is
-//!   the safe direction for taint;
+//!   the safe direction for reachability;
 //! * bare `name(...)` calls resolve to free functions the same way;
 //! * functions in binary targets (`src/bin/`, `src/main.rs`) are only
 //!   callable from their own file — no other crate can link them;
@@ -64,7 +62,7 @@ impl FnInfo {
 }
 
 /// One resolved call site: `caller` invokes `callee` at `line`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallEdge {
     pub caller: usize,
     pub callee: usize,

@@ -1,18 +1,17 @@
 //! A small, line-aware Rust tokenizer.
 //!
 //! This is not a full Rust lexer — it is exactly enough to let the rules
-//! in [`crate::rules`] match token *sequences* (`Instant :: now`,
-//! `. load (`, `buf [ 0 .. 4 ]`) without false positives from string
+//! in [`crate::rules`] match token *sequences* (`lease = 12`,
+//! `salt : 3`, `fn name (`) without false positives from string
 //! literals, comments, or doc examples. The properties the rules rely on:
 //!
 //! * identifiers, integer literals, and punctuation come out as separate
 //!   tokens with 1-based line numbers;
 //! * the *contents* of string/char literals and comments never appear as
-//!   identifier tokens (so `"HashMap"` in a message cannot trip the
-//!   unordered-iteration rule);
-//! * comments are collected separately with their line spans, so rules
-//!   can look for `// SAFETY:` justifications and `lint:allow(...)`
-//!   suppressions;
+//!   identifier tokens (so `"lease"` in a message cannot trip the
+//!   `lease-units` rule);
+//! * comments are collected separately with their line spans, so
+//!   `lint:allow(...)` suppressions can be found;
 //! * nested block comments, raw strings (`r#"…"#`), byte strings, raw
 //!   identifiers, lifetimes-vs-char-literals, and numeric suffixes are
 //!   handled well enough that real workspace sources lex losslessly.
@@ -494,14 +493,6 @@ pub fn fn_spans(tokens: &[Token]) -> Vec<FnSpan> {
     spans
 }
 
-/// The name of the innermost function whose body contains token `idx`.
-pub fn enclosing_fn(spans: &[FnSpan], idx: usize) -> Option<&FnSpan> {
-    spans
-        .iter()
-        .filter(|s| s.body_start <= idx && idx < s.body_end)
-        .min_by_key(|s| s.body_end - s.body_start)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,13 +571,10 @@ fn f() {
     fn fn_spans_nest() {
         let lexed = lex("fn outer() { fn inner() { x.load(); } }");
         let spans = fn_spans(&lexed.tokens);
-        assert_eq!(spans.len(), 2);
-        let load_idx = lexed
-            .tokens
-            .iter()
-            .position(|t| t.is_ident("load"))
-            .unwrap();
-        assert_eq!(enclosing_fn(&spans, load_idx).unwrap().name, "inner");
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["outer", "inner"]);
+        let (outer, inner) = (&spans[0], &spans[1]);
+        assert!(outer.body_start < inner.body_start && inner.body_end < outer.body_end);
     }
 
     #[test]

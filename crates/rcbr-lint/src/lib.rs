@@ -1,12 +1,14 @@
-//! rcbr-lint: the in-tree determinism & safety linter.
+//! rcbr-lint: the in-tree determinism linter.
 //!
 //! The runtime's headline invariant — the sharded signaling engine is
 //! bit-identical to the sequential replay under every fault mode — is
-//! *structural*: it survives only if nobody reads wall clocks, iterates
-//! hash containers, races barrier windows, or lets the RM-cell codec
-//! drift from its checksum. Runtime tests catch those failures hours
-//! after the fact; this linter catches them at the source line, before a
-//! test ever runs.
+//! *structural*. rustc and clippy enforce most of it on every build (no
+//! host clock, no hash order, no `unsafe`, no unnamed panics, private
+//! counters, disjoint salts: `clippy.toml` and DESIGN.md §7). This linter
+//! checks the four rules whose compiler replacements would change a
+//! signature the benchmark compiles against: phase-locked state moves only
+//! at quiescence, superstep counts for leases and measurement windows are
+//! named, and salts come from the one registry.
 //!
 //! Architecture (all in-tree, no dependencies — the build environment is
 //! offline and the linter must never be able to break the build it
@@ -15,11 +17,12 @@
 //! * [`lexer`] — a small Rust tokenizer: identifiers, literals, and
 //!   punctuation with line numbers; strings and comments can never
 //!   produce identifier tokens, so rules match real code only.
-//! * [`source`] — per-file metadata: `#[cfg(test)]` regions,
-//!   `lint:allow(rule)` suppressions, `// SAFETY:` lookups.
+//! * [`source`] — per-file metadata: `#[cfg(test)]` regions and
+//!   `lint:allow(rule)` suppressions.
+//! * [`graph`] — the workspace call graph `phase-discipline` walks.
 //! * [`config`] — a minimal TOML-subset reader for `lint.toml`.
 //! * [`rules`] — the registry: one table entry per rule; see
-//!   `DESIGN.md §7` for the catalog and the how-to-add-a-rule recipe.
+//!   `DESIGN.md §7` for the catalog.
 //! * [`diag`] — diagnostics and the canonical (sorted, byte-stable)
 //!   human + JSON rendering.
 //!
@@ -32,7 +35,6 @@ pub mod graph;
 pub mod lexer;
 pub mod rules;
 pub mod source;
-pub mod taint;
 
 use std::fs;
 use std::io;
@@ -42,20 +44,18 @@ use config::Config;
 use diag::{Diagnostic, GraphStats, LintReport, RuleSummary};
 use graph::Workspace;
 use source::SourceFile;
-use taint::TaintSummary;
 
-/// Everything one analysis pass produces: the call graph, the taint
-/// summary, and the (canonically sortable) diagnostics.
+/// Everything one analysis pass produces: the call graph and the
+/// (canonically sortable) diagnostics.
 pub struct Analysis {
     pub workspace: Workspace,
-    pub taint: TaintSummary,
     pub violations: Vec<Diagnostic>,
     /// Per-rule `lint:allow` suppression counts.
     pub suppressed: std::collections::BTreeMap<&'static str, usize>,
 }
 
 /// The full pipeline over pre-lexed sources: per-file rules, then the
-/// workspace call graph, then transitive taint and the graph rules.
+/// workspace call graph and the graph rules.
 /// Output is independent of the order of `files` — the workspace sorts
 /// them by path before anything else looks at them.
 pub fn analyze_sources(files: Vec<SourceFile>, cfg: &Config) -> Analysis {
@@ -68,16 +68,11 @@ pub fn analyze_sources(files: Vec<SourceFile>, cfg: &Config) -> Analysis {
             *suppressed.entry(rule).or_insert(0) += n;
         }
     }
-    let (taint, taint_suppressed) = taint::check(&ws, cfg, &mut violations);
-    for (rule, n) in taint_suppressed {
-        *suppressed.entry(rule).or_insert(0) += n;
-    }
     for (rule, n) in rules::check_graph(&ws, cfg, &mut violations) {
         *suppressed.entry(rule).or_insert(0) += n;
     }
     Analysis {
         workspace: ws,
-        taint,
         violations,
         suppressed,
     }
@@ -86,7 +81,7 @@ pub fn analyze_sources(files: Vec<SourceFile>, cfg: &Config) -> Analysis {
 /// Lint a single source text, as the file `rel_path` of `crate_name`.
 /// Returns the diagnostics plus per-rule suppression counts. This is the
 /// entry point the fixture tests drive directly. A single file is a
-/// (small) workspace: graph rules and taint run over it too.
+/// (small) workspace: graph rules run over it too.
 pub fn check_source(
     rel_path: &str,
     crate_name: &str,
@@ -181,7 +176,7 @@ pub fn run_lint_files(root: &Path, cfg: &Config, files: &[PathBuf]) -> io::Resul
 }
 
 /// Like [`run_lint_files`], but also returns the [`Analysis`] (the call
-/// graph for `--graph`, the taint summary).
+/// graph for `--graph`).
 pub fn run_lint_files_full(
     root: &Path,
     cfg: &Config,
@@ -213,8 +208,6 @@ pub fn run_lint_files_full(
         graph: GraphStats {
             functions: analysis.workspace.fns.len(),
             call_edges: analysis.workspace.edges.len(),
-            taint_seeds: analysis.taint.seeds,
-            tainted_functions: analysis.taint.tainted,
         },
         rules,
         violations: analysis.violations.clone(),
@@ -255,7 +248,7 @@ mod tests {
             ("workspace-root".to_string(), false)
         );
         assert_eq!(
-            classify("crates/rcbr-lint/tests/fixtures/wall_clock/trip.rs"),
+            classify("crates/rcbr-lint/tests/fixtures/lease_units/trip.rs"),
             ("rcbr-lint".to_string(), true)
         );
     }

@@ -2,9 +2,9 @@
 //!
 //! Every rule is one entry in [`RULES`]: an id, a one-line summary, the
 //! hazard it encodes (shown by `lint --explain`), and a check function
-//! over a lexed [`SourceFile`]. Adding a rule is ~30 lines: write the
-//! check in a new module, append one entry here, scope it in `lint.toml`,
-//! and add a tripping + near-miss fixture pair under `tests/fixtures/`.
+//! over a lexed [`SourceFile`] or the workspace call graph. A hazard the
+//! compiler can check belongs in `clippy.toml` or the type system instead
+//! (DESIGN.md §7).
 //!
 //! Shared scoping semantics (all driven by the rule's `[rule.<id>]`
 //! section in `lint.toml`):
@@ -17,18 +17,9 @@
 //!   `#[cfg(test)]` regions (default: production code only);
 //! * `// lint:allow(<id>)` on or above a line silences one diagnostic.
 
-mod barrier;
-mod float_accum;
-mod float_sort;
 mod lease_units;
-mod panic_path;
 mod phase_discipline;
-mod ptr_identity;
-mod salt_disjointness;
 mod salt_registry;
-mod unordered_iter;
-mod unsafe_audit;
-mod wall_clock;
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
@@ -60,84 +51,6 @@ pub struct Rule {
 
 /// The registry. Order here is the order rules run and report in.
 pub static RULES: &[Rule] = &[
-    Rule {
-        id: "wall-clock",
-        summary: "no wall-clock or ambient randomness in deterministic crates",
-        hazard: "Instant::now/SystemTime/thread_rng make run outcomes depend on host \
-                 timing, which breaks the bit-identical replay contract between the \
-                 sharded and the sequential driver. Wall time may only be read through \
-                 the audited WallTimer boundary (crates/rcbr-runtime/src/report.rs), \
-                 which feeds throughput reporting and never simulation state.",
-        check: Check::File(wall_clock::check),
-    },
-    Rule {
-        id: "unordered-iter",
-        summary: "no HashMap/HashSet in deterministic crates",
-        hazard: "std HashMap/HashSet iteration order is randomized per process \
-                 (RandomState), so any fold, serialization, or float accumulation over \
-                 one diverges between runs and between shards. Use BTreeMap/BTreeSet, \
-                 or a Vec with explicit sorting.",
-        check: Check::File(unordered_iter::check),
-    },
-    Rule {
-        id: "ptr-identity",
-        summary: "no pointer-as-identity comparisons",
-        hazard: "std::ptr::eq and `as *const/*mut` casts compare allocation addresses, \
-                 which differ run to run and shard to shard; identity must come from \
-                 stable ids (vci, seq, switch index).",
-        check: Check::File(ptr_identity::check),
-    },
-    Rule {
-        id: "barrier-discipline",
-        summary: "shared-counter loads only inside snapshot_* helpers",
-        hazard: "The PR 2 engine-drain deadlock: an atomic counter read that drives a \
-                 driver's break/continue must be snapshotted between barriers where no \
-                 shard can write — reading after the drain barrier races with the next \
-                 round's phase-A timeout writes and deadlocks the barrier. All \
-                 cross-shard counter loads therefore live in functions prefixed \
-                 `snapshot`, whose call sites are auditable.",
-        check: Check::File(barrier::check),
-    },
-    Rule {
-        id: "panic-path",
-        summary: "no unwrap/panic!/todo! in engine and worker code paths",
-        hazard: "A panic in a worker thread poisons the barrier and hangs every other \
-                 shard (scoped threads join at the end of `run`). Hot paths must use \
-                 `expect(\"<invariant>\")` with a meaningful message for genuine \
-                 invariants, or plumb a Result. Bare unwrap(), panic!, todo!, \
-                 unimplemented!, empty-message expect, and unchecked indexing \
-                 (get_unchecked) are banned; tests and benches are exempt.",
-        check: Check::File(panic_path::check),
-    },
-    Rule {
-        id: "unsafe-audit",
-        summary: "unsafe is banned in product crates; shims need // SAFETY:",
-        hazard: "The product crates target zero unsafe: every determinism argument in \
-                 DESIGN.md assumes no UB-capable code path. In the vendored shim \
-                 crates, each `unsafe` must carry a `// SAFETY:` comment within three \
-                 lines above it explaining why the invariant holds.",
-        check: Check::File(unsafe_audit::check),
-    },
-    Rule {
-        id: "float-sort",
-        summary: "float comparators must use total_cmp",
-        hazard: "sort_by(partial_cmp) on f64 panics (or lies, via unwrap_or) on NaN \
-                 and is not a total order, so sorted output — and everything downstream \
-                 of it, like trellis survivor pruning — can differ between runs the \
-                 moment a NaN or -0.0 appears. f64::total_cmp is total, deterministic, \
-                 and free.",
-        check: Check::File(float_sort::check),
-    },
-    Rule {
-        id: "float-accum",
-        summary: "cross-shard float accumulation only in reduce_* reducers",
-        hazard: "Float addition is not associative: summing per-shard values in \
-                 partition-dependent order changes low bits and breaks bit-identity. \
-                 Reductions over merged shard data therefore live in functions prefixed \
-                 `reduce_`, which document their input ordering; `.sum()` anywhere else \
-                 in the runtime crate is a violation.",
-        check: Check::File(float_accum::check),
-    },
     Rule {
         id: "lease-units",
         summary: "lease/timeout durations flow through *_supersteps names, not raw literals",
@@ -186,22 +99,6 @@ pub static RULES: &[Rule] = &[
                  root that is not a declared entry_points quiescence function, with \
                  the full chain from root to mutation.",
         check: Check::Graph(phase_discipline::check),
-    },
-    Rule {
-        id: "salt-disjointness",
-        summary: "declared salt families are pairwise disjoint and anchor the registry consts",
-        hazard: "A job's salt feeds the fault hash and sits second in the kernel's \
-                 (seq, salt, origin) sort key, so two traffic families sharing salt \
-                 space share fault coin flips and processing-order ties — the PR 5 \
-                 shard-identity regression. (`origin` is in the key because one family \
-                 does collide with itself: a primary duplicated at two hops leaves two \
-                 SALT_GHOST cells of one seq, told apart only by their spawn hop.) `salt-registry` forces every \
-                 construction through named consts; this rule proves the consts \
-                 themselves stay collision-free: the families declared in lint.toml \
-                 must be pairwise disjoint, each anchored by its `const` at the \
-                 family's start, and every SALT_ const must belong to a declared \
-                 family so no unaudited salt can be minted.",
-        check: Check::File(salt_disjointness::check),
     },
 ];
 
@@ -257,7 +154,7 @@ impl<'a> Ctx<'a> {
 }
 
 /// Does `rule` apply to `file` at all, per its `lint.toml` scope?
-pub(crate) fn rule_in_scope(rule: &Rule, file: &SourceFile, cfg: &Config) -> bool {
+fn rule_in_scope(rule: &Rule, file: &SourceFile, cfg: &Config) -> bool {
     let section = format!("rule.{}", rule.id);
     if !cfg.bool_or(&section, "enabled", true) {
         return false;

@@ -15,7 +15,6 @@ pub struct SourceFile {
     /// Under a `tests/`, `benches/`, or `examples/` directory.
     pub is_test_target: bool,
     pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
     /// Raw lines for snippets (1-based access via [`SourceFile::snippet`]).
     pub lines: Vec<String>,
     /// First line of the file's `#[cfg(test)]` region, if any. The
@@ -43,7 +42,6 @@ impl SourceFile {
             crate_name: crate_name.into(),
             is_test_target,
             tokens: lexed.tokens,
-            comments: lexed.comments,
             lines: source.lines().map(str::to_string).collect(),
             cfg_test_line,
             suppressions,
@@ -71,14 +69,6 @@ impl SourceFile {
             .get(line as usize - 1)
             .map(|l| l.trim().to_string())
             .unwrap_or_default()
-    }
-
-    /// Is there a comment containing `needle` on `line` or within the
-    /// `lookback` lines above it? (Used for `// SAFETY:` justifications.)
-    pub fn comment_near(&self, line: u32, lookback: u32, needle: &str) -> bool {
-        self.comments
-            .iter()
-            .any(|c| c.end_line + lookback >= line && c.line <= line && c.text.contains(needle))
     }
 }
 
@@ -129,11 +119,11 @@ mod tests {
             "x.rs",
             "c",
             false,
-            "// lint:allow(wall-clock)\nlet t = now();\nlet u = now();\n",
+            "// lint:allow(lease-units)\nlet t = now();\nlet u = now();\n",
         );
-        assert!(f.is_suppressed("wall-clock", 1));
-        assert!(f.is_suppressed("wall-clock", 2));
-        assert!(!f.is_suppressed("wall-clock", 3));
+        assert!(f.is_suppressed("lease-units", 1));
+        assert!(f.is_suppressed("lease-units", 2));
+        assert!(!f.is_suppressed("lease-units", 3));
         assert!(!f.is_suppressed("other-rule", 2));
     }
 
@@ -154,17 +144,5 @@ mod tests {
         assert!(!f.is_test_at(1));
         assert!(f.is_test_at(2));
         assert!(f.is_test_at(3));
-    }
-
-    #[test]
-    fn safety_comment_lookup() {
-        let f = SourceFile::new(
-            "x.rs",
-            "c",
-            false,
-            "// SAFETY: the slice is live\nunsafe { go() }\n",
-        );
-        assert!(f.comment_near(2, 3, "SAFETY:"));
-        assert!(!f.comment_near(2, 3, "JUSTIFICATION:"));
     }
 }

@@ -1,116 +1,13 @@
-//! Cross-function analysis: transitive taint through the multi-file
-//! fixture tree, phase discipline over seeded mutations, and the
-//! determinism / self-gate properties of the graph passes.
+//! Cross-function analysis: phase discipline over seeded mutations, and
+//! the self-gate and coverage properties of the call-graph pass.
 
 use std::path::PathBuf;
 
 use rcbr_lint::config::Config;
-use rcbr_lint::diag::Diagnostic;
 use rcbr_lint::source::SourceFile;
 use rcbr_lint::{analyze_sources, collect_files, find_root, run_lint_files};
 
-/// Load the `taint_transitive` fixture tree as rcbr-runtime production
-/// sources, in the given filename order (the analysis must not care).
-fn taint_tree(order: &[&str]) -> Vec<SourceFile> {
-    let base = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/taint_transitive");
-    order
-        .iter()
-        .map(|name| {
-            let src = std::fs::read_to_string(base.join(name))
-                .unwrap_or_else(|e| panic!("missing fixture {name}: {e}"));
-            let rel = format!("crates/rcbr-runtime/src/{name}");
-            SourceFile::new(&rel, "rcbr-runtime", false, &src)
-        })
-        .collect()
-}
-
-fn taint_diags(order: &[&str]) -> Vec<Diagnostic> {
-    let cfg = Config::parse("").unwrap();
-    let analysis = analyze_sources(taint_tree(order), &cfg);
-    analysis
-        .violations
-        .into_iter()
-        .filter(|d| d.message.contains("call chain reaches"))
-        .collect()
-}
-
-/// The issue's acceptance shape: a wall-clock read in a helper two call
-/// hops below an engine function is flagged at the engine's call site,
-/// with the full chain named.
-#[test]
-fn three_hop_chain_is_flagged_at_every_link() {
-    let diags = taint_diags(&["engine.rs", "mid.rs", "deep.rs"]);
-    let engine_hit = diags
-        .iter()
-        .find(|d| d.path.ends_with("engine.rs"))
-        .expect("the engine call site two hops from the seed is flagged");
-    assert_eq!(engine_hit.rule, "wall-clock");
-    assert!(
-        engine_hit
-            .message
-            .contains("drive → plan → sample → Instant::now"),
-        "chain names every link: {}",
-        engine_hit.message
-    );
-    // The middle hop is flagged too — the chain is auditable link by link.
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.path.ends_with("mid.rs") && d.message.contains("plan → sample")),
-        "{diags:#?}"
-    );
-}
-
-/// The sanctioned boundary: `tally → snapshot_total → sample` crosses a
-/// snapshot_* function and must not be flagged.
-#[test]
-fn snapshot_boundary_stops_taint() {
-    let diags = taint_diags(&["engine.rs", "mid.rs", "deep.rs"]);
-    assert!(
-        !diags.iter().any(|d| d.message.contains("tally")),
-        "the boundary path is sanctioned: {diags:#?}"
-    );
-    assert!(
-        !diags.iter().any(|d| d.message.contains("snapshot_total")),
-        "boundaries neither carry nor emit taint: {diags:#?}"
-    );
-}
-
-/// A seed rule's allow_files are boundaries at any call depth: routing
-/// the same chain through the audited wall-clock file keeps the caller
-/// clean.
-#[test]
-fn allow_files_are_boundaries_at_depth() {
-    let cfg =
-        Config::parse("[rule.wall-clock]\nallow_files = [\"crates/rcbr-runtime/src/deep.rs\"]\n")
-            .unwrap();
-    let analysis = analyze_sources(taint_tree(&["engine.rs", "mid.rs", "deep.rs"]), &cfg);
-    assert!(
-        !analysis
-            .violations
-            .iter()
-            .any(|d| d.message.contains("call chain reaches")),
-        "{:#?}",
-        analysis.violations
-    );
-}
-
-/// Scan order cannot change the analysis: every permutation of the
-/// fixture tree yields byte-identical diagnostics.
-#[test]
-fn taint_diagnostics_are_scan_order_independent() {
-    let baseline = format!("{:?}", taint_diags(&["engine.rs", "mid.rs", "deep.rs"]));
-    for order in [
-        ["deep.rs", "engine.rs", "mid.rs"],
-        ["mid.rs", "deep.rs", "engine.rs"],
-        ["deep.rs", "mid.rs", "engine.rs"],
-    ] {
-        assert_eq!(baseline, format!("{:?}", taint_diags(&order)));
-    }
-}
-
-/// The issue's second acceptance shape: a RouteState mutation seeded
-/// outside the declared quiescence entry points trips phase-discipline
+/// A RouteState mutation seeded outside the declared quiescence entry points trips phase-discipline
 /// with the chain from the undeclared root down to the mutation.
 #[test]
 fn seeded_route_state_mutation_outside_quiescence_trips() {

@@ -1,4 +1,15 @@
 #![warn(missing_docs)]
+// A worker that panics strands its siblings at the barrier: shipped code
+// panics only through an `expect` or `assert!` that names its invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 //! # rcbr-net — the ATM-style network substrate (Section III)
 //!
@@ -7,8 +18,6 @@
 //! and packet scheduling need only be FIFO", and renegotiation signaling is
 //! two table lookups per hop. This crate models exactly that machinery:
 //!
-//! * [`cell`] — ATM cell arithmetic (53-byte cells, 48-byte payloads) and
-//!   the small cell-scale FIFO buffering CBR multiplexing needs.
 //! * [`rm`] — resource-management cells reused for lightweight
 //!   renegotiation signaling (Section III-B): the ER field carries the
 //!   *difference* between old and new rates so the fast path needs no
@@ -34,9 +43,6 @@
 //!   bounded shard stalls — all replayable, so drift and its repair by
 //!   resync can be asserted bit-exactly.
 
-pub mod advance;
-pub mod cell;
-pub mod cellmux;
 pub mod fault;
 pub mod path;
 pub mod port;
@@ -47,9 +53,6 @@ pub mod switch;
 mod table;
 pub mod topology;
 
-pub use advance::{profile_from_segments, AdvanceBook, BookingOutcome};
-pub use cell::{cells_for_bits, CELL_BITS, CELL_PAYLOAD_BITS};
-pub use cellmux::{simulate_cbr_mux, CellMuxReport};
 pub use fault::{
     ActiveFaults, CrashSpec, FaultAction, FaultConfig, FaultPlane, KillSpec, LinkDownSpec,
     StallSpec, FAULT_BP_SCALE,

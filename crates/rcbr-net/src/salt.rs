@@ -18,9 +18,10 @@
 //! `origin` closes the sort key.
 //!
 //! Every salt in the system is declared here, in one module, so the
-//! disjointness argument is auditable at a glance (and mechanized by
-//! rcbr-lint's `salt-registry` rule: a bare integer literal assigned to
-//! a salt anywhere else is a lint error).
+//! disjointness argument is auditable at a glance. rcbr-lint's
+//! `salt-registry` rule makes a bare integer literal assigned to a salt
+//! anywhere else a lint error, and the `const` assertion at the bottom
+//! makes overlapping families a compile error.
 //!
 //! The concrete values are wire-visible state: they feed the fault hash,
 //! so renumbering them reshuffles every committed baseline. Treat them
@@ -46,3 +47,12 @@ pub const SALT_GHOST: u8 = 1;
 /// fault key or a processing-order tie with the slot traffic it cleans
 /// up after.
 pub const SALT_TEARDOWN_BASE: u8 = 3;
+
+// The three families are disjoint: two singletons, then the teardown
+// family from its base to the top of the `u8`. Evaluated at compile time.
+const _: () = assert!(
+    SALT_PRIMARY != SALT_GHOST
+        && SALT_PRIMARY < SALT_TEARDOWN_BASE
+        && SALT_GHOST < SALT_TEARDOWN_BASE,
+    "fault-plane salt families overlap"
+);

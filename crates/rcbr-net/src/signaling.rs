@@ -22,13 +22,15 @@
 //! flags byte) so sources — BestEffort ones especially — can stop
 //! renegotiating until the storm passes.
 
+use std::cmp::Ordering;
+
 /// The service class a VC's signaling cells carry. Assigned statically by
 /// the load generator (a pure function of the VCI and the configured
 /// class mix), never by arrival order, so every shard agrees on it.
 ///
-/// The derived `Ord` is the shed order: `Gold` sorts first and is served
-/// first, `BestEffort` sorts last and is shed first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// `Ord` is the shed order: `Gold` sorts first and is served first,
+/// `BestEffort` sorts last and is shed first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PriorityClass {
     /// Served first; shed only after every lower class at the hop.
     Gold,
@@ -36,6 +38,22 @@ pub enum PriorityClass {
     Silver,
     /// Shed first; the brownout degradation tier applies to this class.
     BestEffort,
+}
+
+/// By [`rank`](PriorityClass::rank), i.e. declaration order. Both orders
+/// are written out because a derived `PartialOrd` compares through
+/// `partial_cmp`, which `clippy.toml` bans, and clippy rejects a derived
+/// `Ord` beside a hand-written `PartialOrd`.
+impl Ord for PriorityClass {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.rank().cmp(&other.rank())
+    }
+}
+
+impl PartialOrd for PriorityClass {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl PriorityClass {
@@ -66,9 +84,9 @@ impl PriorityClass {
 }
 
 /// The identity of one shed-eligible cell meeting a switch in one
-/// superstep. The derived `Ord` — class first, then `(seq, salt)` — is
-/// the one true shed order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// superstep. Its `Ord` — class first, then `(seq, salt)` — is the one
+/// true shed order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShedKey {
     /// The owning VC's service class.
     pub class: PriorityClass,
@@ -76,6 +94,20 @@ pub struct ShedKey {
     pub seq: u64,
     /// The cell's fault-plane salt (tiebreak for same-seq ghosts).
     pub salt: u8,
+}
+
+/// Field by field, as a derive would; written out for the reason given at
+/// [`PriorityClass`]'s.
+impl Ord for ShedKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.class, self.seq, self.salt).cmp(&(other.class, other.seq, other.salt))
+    }
+}
+
+impl PartialOrd for ShedKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Pure shed selection: given the full meeting set of shed-eligible cells
@@ -270,6 +302,12 @@ mod tests {
             budget in 1u64..70,
         ) {
             let keys = meeting_set(n, stride);
+            // The hand-written `PartialOrd` agrees with `Ord`, read through
+            // the operators (naming `partial_cmp` here trips clippy.toml).
+            for (a, b) in keys.iter().zip(keys.iter().rev()) {
+                let ord = a.cmp(b);
+                prop_assert_eq!((a < b, a <= b, a >= b), (ord.is_lt(), ord.is_le(), ord.is_ge()));
+            }
             let shed = select_shed(budget, keys.clone());
             let expected = (keys.len() as u64).saturating_sub(budget);
             prop_assert_eq!(shed.len() as u64, expected);

@@ -20,8 +20,6 @@
 //!   a reduction everywhere, so recovery itself can never be denied —
 //!   and is marked degraded. Afterwards the residual drift must be zero.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rcbr_net::{ActiveFaults, RmCell, Switch};
 use serde::{Deserialize, Serialize};
 
@@ -83,15 +81,6 @@ pub(crate) struct VcFinal {
     pub brownout: bool,
 }
 
-/// Snapshot one VC's published believed rate. Must be called after the
-/// injection hand-off's barrier guarantees every shard's round-top stores
-/// have happened and before any shard can write again (the next round
-/// top) — the same between-barriers discipline as
-/// `Counters::snapshot_drain`.
-fn snapshot_believed(believed: &[AtomicU64], vci: u32) -> f64 {
-    f64::from_bits(believed[vci as usize].load(Ordering::Relaxed))
-}
-
 /// Reduce per-VC source loss fractions to `(mean, max)`. The input order
 /// is partition-independent: `finals` is in ascending VCI order, so the
 /// float sum accumulates in the same order no matter how many shards
@@ -145,7 +134,7 @@ pub(crate) fn audit_shard(
             if !on_route {
                 continue;
             }
-            let b = snapshot_believed(believed, vci);
+            let b = believed[vci as usize].snapshot();
             let r = sw.vci_rate(vci).expect("routed VCI has a rate");
             if (r - b).abs() > DRIFT_EPS {
                 counts.audit_drift += 1;

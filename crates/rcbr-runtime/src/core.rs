@@ -241,6 +241,32 @@ impl VerdictCell {
     }
 }
 
+/// One VC's believed end-to-end rate (`f64` bits), published by its owner
+/// shard at every round top for the auditor. Like [`VerdictCell`], all
+/// accesses are `Relaxed`: the owner publishes at a round top and the
+/// audit reads after the injection hand-off's barrier, before any shard
+/// can publish again.
+#[derive(Debug)]
+pub(crate) struct BeliefCell(AtomicU64);
+
+impl BeliefCell {
+    pub fn new(rate: f64) -> Self {
+        Self(AtomicU64::new(rate.to_bits()))
+    }
+
+    /// Record the owner's current belief. Round tops only.
+    pub fn publish(&self, rate: f64) {
+        self.0.store(rate.to_bits(), Ordering::Relaxed);
+    }
+
+    /// The last published belief. Call only between the hand-off barrier
+    /// and the next round top, the window `Counters::snapshot_drain` also
+    /// reads in.
+    pub fn snapshot(&self) -> f64 {
+        f64::from_bits(self.0.load(Ordering::Relaxed))
+    }
+}
+
 /// The run's counters, declared once: the shared [`Counters`] every shard
 /// folds into, the plain [`CounterSnapshot`] a report carries (and a
 /// shard's [`Tally`] counts in), and the two functions between them.
@@ -257,12 +283,23 @@ macro_rules! counters {
         /// `rolled_back_hops`, `resync_repairs`, `completed`, and the
         /// retry family) describe salt-0 attempts only; the cell-level
         /// fault counters (`cells_*`, `crash_killed`) count ghosts too.
+        ///
+        /// The atomics are private to this module: a write goes through
+        /// `fold`, a read through [`snapshot`](Self::snapshot) or
+        /// `snapshot_drain`, each documented with the barrier window it
+        /// belongs in. A load anywhere else does not compile:
+        ///
+        /// ```compile_fail,E0616
+        /// use std::sync::atomic::Ordering;
+        /// let counters = rcbr_runtime::core::Counters::default();
+        /// counters.completed.load(Ordering::Relaxed);
+        /// ```
         #[derive(Debug, Default)]
         pub struct Counters {
-            $($(#[$doc])* pub $field: AtomicU64,)*
+            $($(#[$doc])* $field: AtomicU64,)*
             /// Jobs currently in the pipeline (including rollbacks still
             /// unwinding, delayed cells, and ghosts).
-            pub in_flight: AtomicU64,
+            in_flight: AtomicU64,
         }
 
         /// A point-in-time copy of [`Counters`], comparable and

@@ -12,7 +12,6 @@
 //! Public (and hidden from the docs) for one outside caller: the
 //! `per_hop` bench, which feeds a shard batches of its own making.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rcbr_net::{ActiveFaults, FaultPlane, ShedKey, SignalingQueue, Switch, Topology};
@@ -23,7 +22,8 @@ use crate::admission::{reduce_admission, SwitchAdmission};
 use crate::audit::{audit_shard, finalize, reduce_source_loss};
 use crate::config::RuntimeConfig;
 use crate::core::{
-    advance_job, shed_job, Counters, DrainSnapshot, Hop, HopCtx, Job, JobKind, Tally, VerdictCell,
+    advance_job, shed_job, BeliefCell, Counters, DrainSnapshot, Hop, HopCtx, Job, JobKind, Tally,
+    VerdictCell,
 };
 use crate::gen::VcRunner;
 use crate::report::{
@@ -42,9 +42,9 @@ pub struct Shared<'a> {
     /// Per-VC verdict cells: the pipeline stores a verdict, the VC's
     /// owner shard takes it at the next round top.
     pub(crate) verdicts: Vec<VerdictCell>,
-    /// Each VC's believed end-to-end rate (f64 bits), published by its
-    /// owner shard every round for the auditor.
-    pub(crate) believed: Vec<AtomicU64>,
+    /// Each VC's believed end-to-end rate, published by its owner shard
+    /// every round for the auditor.
+    pub(crate) believed: Vec<BeliefCell>,
     /// Each VC's published route, for the auditor's off-route skip. Only
     /// the owner shard writes (at a round top, and only when the route
     /// moved); other shards read on audit rounds, after the injection
@@ -63,7 +63,7 @@ impl<'a> Shared<'a> {
             counters: Counters::default(),
             verdicts: (0..cfg.num_vcs).map(|_| VerdictCell::default()).collect(),
             believed: (0..cfg.num_vcs)
-                .map(|_| AtomicU64::new(cfg.initial_rate.to_bits()))
+                .map(|_| BeliefCell::new(cfg.initial_rate))
                 .collect(),
             routes: (0..cfg.num_vcs as u32)
                 .map(|vci| Mutex::new(cfg.path_of(vci).iter().map(|&h| h as u16).collect()))
@@ -219,7 +219,7 @@ impl<'a> ShardState<'a> {
             let vci = runner.vci() as usize;
             let (outcome, pressured) = sh.verdicts[vci].snapshot_take();
             runner.begin_round(cfg, &sh.topo, &sh.plane, outcome, pressured, now, counts);
-            sh.believed[vci].store(runner.believed_rate().to_bits(), Ordering::Relaxed);
+            sh.believed[vci].publish(runner.believed_rate());
             runner.publish_route(&sh.routes[vci]);
         }
         // Phase B: generate this round's attempts, in three parts — control

@@ -51,6 +51,18 @@
 //! assert!(sharded.counters.completed >= 500);
 //! ```
 
+// A worker that panics strands its siblings at the barrier: shipped code
+// panics only through an `expect` or `assert!` that names its invariant.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod admission;
 mod audit;
 pub mod config;

@@ -1,7 +1,8 @@
 //! Regression coverage for the drain-loop barrier discipline.
 //!
-//! The hazard (PR 2's deadlock, now also encoded as the linter's
-//! `barrier-discipline` rule): the quiescence/stop decision in the drain
+//! The hazard (an early engine deadlock; `Counters`' atomics are private,
+//! so the drivers can read them only through `snapshot_drain`): the
+//! quiescence/stop decision in the drain
 //! loop must come from a single snapshot taken between barriers, where no
 //! shard can write the counters. Reading `completed` after the drain
 //! barrier races the next round's phase-A timeout writes; shards then

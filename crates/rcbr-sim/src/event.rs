@@ -43,11 +43,11 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. Times are finite by construction (`push` rejects NaN).
+        // first. `push` rejects NaN and stores no -0.0, so `total_cmp` ties
+        // exactly the times `==` does and equal times stay FIFO.
         other
             .time
-            .partial_cmp(&self.time)
-            .expect("event times are never NaN")
+            .total_cmp(&self.time)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -67,7 +67,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `payload` at absolute time `time` (seconds).
+    /// Schedule `payload` at absolute time `time` (seconds). `-0.0` is
+    /// stored as `0.0`, the one pair of equal times `total_cmp` would
+    /// otherwise order.
     ///
     /// # Panics
     /// Panics if `time` is NaN; a NaN timestamp would silently corrupt the
@@ -76,7 +78,11 @@ impl<E> EventQueue<E> {
         assert!(!time.is_nan(), "event time must not be NaN");
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { time, seq, payload });
+        self.heap.push(Entry {
+            time: time + 0.0,
+            seq,
+            payload,
+        });
     }
 
     /// Remove and return the earliest event as `(time, payload)`.
@@ -214,6 +220,14 @@ mod tests {
         }
         for i in 0..100 {
             assert_eq!(q.pop(), Some((5.0, i)));
+        }
+        // Signed zeros are one instant: FIFO, and popped as +0.0.
+        q.push(-0.0, 0);
+        q.push(0.0, 1);
+        q.push(-0.0, 2);
+        for i in 0..3 {
+            let (t, e) = q.pop().unwrap();
+            assert_eq!((t.to_bits(), e), (0.0f64.to_bits(), i));
         }
     }
 

@@ -7,9 +7,10 @@
 //! buffer which is drained at a constant rate", and they may renegotiate
 //! the drain rate to match their workload.
 //!
-//! * [`source`] — the RCBR source endpoint: end-system buffer, granted
-//!   rate, and either a precomputed (offline) schedule or a causal online
-//!   policy driving renegotiations.
+//! The source endpoint itself — end-system buffer, granted rate, and a
+//! precomputed schedule or a causal policy driving renegotiations — is
+//! `rcbr_schedule::VcDriver`, the slot the signaling runtime steps too.
+//!
 //! * [`service`] — a source connected through a multi-hop signaling path
 //!   ([`rcbr_net`]), with optional signaling loss and periodic
 //!   absolute-rate resync: the full Section III mechanism.
@@ -30,7 +31,6 @@ pub mod latency;
 pub mod scenario;
 pub mod service;
 pub mod sigma_rho;
-pub mod source;
 pub mod system;
 
 pub use capacity::{search_capacity, CapacityPoint, SearchConfig};
@@ -40,5 +40,4 @@ pub use scenario::{
 };
 pub use service::{RcbrConnection, ServiceConfig};
 pub use sigma_rho::{min_rate_for_buffer, sigma_rho_curve, SigmaRhoPoint};
-pub use source::{RcbrSource, SourceEvent};
 pub use system::{SystemConfig, SystemReport, SystemSim};

@@ -73,7 +73,6 @@ pub struct RcbrConnection {
     renegotiations: u64,
     resyncs: u64,
     lost_cells: u64,
-    pressured_responses: u64,
 }
 
 impl RcbrConnection {
@@ -94,7 +93,6 @@ impl RcbrConnection {
                 renegotiations: 0,
                 resyncs: 0,
                 lost_cells: 0,
-                pressured_responses: 0,
             }),
             Err(hop) => Err(ServiceError::SetupBlocked { hop }),
         }
@@ -125,14 +123,6 @@ impl RcbrConnection {
     /// corrupted and discarded by the checksum).
     pub fn lost_cells(&self) -> u64 {
         self.lost_cells
-    }
-
-    /// Responses that came back carrying a hop's overload-pressure flag —
-    /// the connection-level view of the signaling plane's shedding (see
-    /// `rcbr_net::signaling`): a pressured response tells the source to
-    /// widen its renegotiation cadence until one comes back clean.
-    pub fn pressured_responses(&self) -> u64 {
-        self.pressured_responses
     }
 
     /// Renegotiate to `new_rate`, optimistically. The request cell's fate
@@ -168,17 +158,13 @@ impl RcbrConnection {
             FaultAction::Deliver | FaultAction::Delay(_) => {
                 // This synchronous API has no clock, so a delayed cell is
                 // just a delivered one.
-                let outcome = self.path.renegotiate(switches, self.vci, delta)?;
-                ok = outcome.granted;
-                self.pressured_responses += u64::from(outcome.pressured);
+                ok = self.path.renegotiate(switches, self.vci, delta)?.granted;
                 if ok {
                     self.believed_rate = new_rate;
                 }
             }
             FaultAction::Duplicate => {
-                let outcome = self.path.renegotiate(switches, self.vci, delta)?;
-                ok = outcome.granted;
-                self.pressured_responses += u64::from(outcome.pressured);
+                ok = self.path.renegotiate(switches, self.vci, delta)?.granted;
                 if ok {
                     self.believed_rate = new_rate;
                     // The duplicate applies the delta a second time where

@@ -24,10 +24,6 @@ pub struct RenegotiationOutcome {
     /// One-way request latency plus the confirmation on the way back,
     /// seconds.
     pub round_trip: f64,
-    /// Some hop stamped the overload-pressure flag onto the response (its
-    /// signaling queue shed cells recently): the source should widen its
-    /// renegotiation cadence until a response comes back clean.
-    pub pressured: bool,
 }
 
 /// A source's route: hop indices into a switch population plus per-hop
@@ -116,10 +112,8 @@ impl Path {
         let mut cell = RmCell::delta(vci, delta);
         let mut granted_hops = 0usize;
         let mut denied_at = None;
-        let mut pressured = false;
         for (k, &h) in self.hops.iter().enumerate() {
             cell = switches[h].process_rm(cell)?;
-            pressured |= cell.pressure;
             if cell.denied {
                 denied_at = Some(k);
                 break;
@@ -141,7 +135,6 @@ impl Path {
                     Some(k) => 2.0 * (k + 1) as f64,
                     None => 2.0 * self.hops.len() as f64,
                 },
-            pressured,
         })
     }
 

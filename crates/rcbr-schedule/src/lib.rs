@@ -17,6 +17,11 @@
 //!   bandwidth granularity `Δ` (eqs. (6)–(8)). A GoP-aware variant
 //!   implements the paper's suggested future-work improvement of exploiting
 //!   the MPEG frame structure.
+//! * [`driver`] — the **source endpoint**: a trace, an end-system buffer
+//!   drained at the granted rate, and any [`OnlinePolicy`] (including a
+//!   stored [`Schedule`] through [`SchedulePolicy`]), stepped one slot at
+//!   a time by Fig. 2, the latency study, the service tests and the
+//!   signaling runtime.
 //!
 //! The common [`Schedule`] type carries the piecewise-CBR rate function and
 //! computes the paper's metrics: bandwidth efficiency, mean renegotiation
@@ -35,7 +40,9 @@ pub mod trellis;
 pub use cost::CostModel;
 pub use driver::{VcDriver, LANES};
 pub use grid::RateGrid;
-pub use online::{Ar1Config, Ar1Policy, GopAwareConfig, GopAwarePolicy, OnlinePolicy};
+pub use online::{
+    Ar1Config, Ar1Policy, GopAwareConfig, GopAwarePolicy, OnlinePolicy, SchedulePolicy,
+};
 pub use retry::{RetryBudget, RetryPolicy, ShedAccount};
 pub use schedule::{Schedule, ScheduleMetrics};
 pub use smoothing::{min_peak_rate_bound, optimal_smoothing};

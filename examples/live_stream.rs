@@ -42,20 +42,28 @@ fn main() {
     let plane = FaultPlane::new(FaultConfig::drop_only(drop_percent / 100.0, 5));
 
     let policy = Ar1Policy::new(Ar1Config::fig2(100_000.0, trace.mean_rate(), tau), tau);
-    let mut source = RcbrSource::online(Box::new(policy), tau, buffer);
+    let mut source = VcDriver::new(trace.clone(), policy, buffer);
 
+    let mut denied = 0;
     let mut max_drift = 0.0f64;
-    for t in 0..trace.len() {
-        source.step(trace.bits(t), |_, want| {
-            conn.renegotiate(&mut switches, &plane, want)
+    for _ in 0..trace.len() {
+        if let Some(want) = source.step() {
+            if conn
+                .renegotiate(&mut switches, &plane, want)
                 .unwrap_or(false)
-        });
+            {
+                source.on_grant();
+            } else {
+                source.on_deny();
+                denied += 1;
+            }
+        }
         max_drift = max_drift.max(conn.drift(&switches));
     }
 
     println!("live stream over 3 hops with {drop_percent}% signaling loss:");
-    println!("  renegotiation requests : {}", source.total_requests());
-    println!("  denied by the network  : {}", source.failed_requests());
+    println!("  renegotiation requests : {}", source.requests());
+    println!("  denied by the network  : {denied}");
     println!("  signaling cells dropped: {}", conn.lost_cells());
     println!("  resyncs sent           : {}", conn.resyncs());
     println!("  worst observed drift   : {}", units::fmt_rate(max_drift));

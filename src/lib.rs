@@ -54,7 +54,7 @@ pub use rcbr_traffic as traffic;
 pub mod prelude {
     pub use rcbr::{
         min_rate_for_buffer, scenario_a_loss, search_capacity, sigma_rho_curve, RcbrConnection,
-        RcbrSource, ScenarioBConfig, ScenarioCConfig, SearchConfig, ServiceConfig, SharedBufferSim,
+        ScenarioBConfig, ScenarioCConfig, SearchConfig, ServiceConfig, SharedBufferSim,
         StepwiseCbrMuxSim,
     };
     pub use rcbr_admission::{
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use rcbr_runtime::{run as run_signaling, run_sequential, RunReport, RuntimeConfig};
     pub use rcbr_schedule::{
         Ar1Config, Ar1Policy, CostModel, GopAwareConfig, GopAwarePolicy, OfflineOptimizer,
-        OnlinePolicy, RateGrid, Schedule, TrellisConfig, VcDriver,
+        OnlinePolicy, RateGrid, Schedule, SchedulePolicy, TrellisConfig, VcDriver,
     };
     pub use rcbr_sim::{units, FluidQueue, SimRng};
     pub use rcbr_traffic::{

@@ -30,12 +30,14 @@ fn stored_video_streams_losslessly_over_the_network() {
     let path = Path::new(vec![0, 1, 2], 0.0005);
     let mut conn = RcbrConnection::establish(&mut switches, path, 7, schedule.rate_at(0)).unwrap();
     let plane = FaultPlane::transparent();
-    let mut source = RcbrSource::offline(schedule.clone(), buffer);
+    let policy = SchedulePolicy::new(schedule.clone());
+    let mut source = VcDriver::new(trace.clone(), policy, buffer);
 
-    for t in 0..trace.len() {
-        source.step(trace.bits(t), |_, want| {
-            conn.renegotiate(&mut switches, &plane, want).unwrap()
-        });
+    for _ in 0..trace.len() {
+        if let Some(want) = source.step() {
+            assert!(conn.renegotiate(&mut switches, &plane, want).unwrap());
+            source.on_grant();
+        }
     }
 
     assert_eq!(
@@ -43,11 +45,7 @@ fn stored_video_streams_losslessly_over_the_network() {
         0.0,
         "ample capacity must be lossless"
     );
-    assert_eq!(source.failed_requests(), 0);
-    assert_eq!(
-        source.total_requests() as usize,
-        schedule.num_renegotiations()
-    );
+    assert_eq!(source.requests() as usize, schedule.num_renegotiations());
     // Switch state tracks the source (up to the float residue that
     // delta-encoding accumulates — exactly what resync exists to clean up).
     assert!(

@@ -22,15 +22,15 @@ fn online_source_over_clean_network_keeps_losses_low() {
     let mut conn = RcbrConnection::establish(&mut switches, path, 1, trace.mean_rate()).unwrap();
     let plane = FaultPlane::transparent();
     let policy = fig2_policy(&trace, 64_000.0);
-    let mut source = RcbrSource::online(Box::new(policy), trace.frame_interval(), buffer);
+    let mut source = VcDriver::new(trace.clone(), policy, buffer);
 
-    for t in 0..trace.len() {
-        source.step(trace.bits(t), |_, want| {
-            conn.renegotiate(&mut switches, &plane, want).unwrap()
-        });
+    for _ in 0..trace.len() {
+        if let Some(want) = source.step() {
+            assert!(conn.renegotiate(&mut switches, &plane, want).unwrap());
+            source.on_grant();
+        }
     }
-    assert!(source.total_requests() > 10, "the policy must adapt");
-    assert_eq!(source.failed_requests(), 0);
+    assert!(source.requests() > 10, "the policy must adapt");
     assert!(
         source.loss_fraction() < 2e-3,
         "clean network loss too high: {}",
@@ -50,17 +50,21 @@ fn signaling_loss_drifts_and_resync_repairs() {
         .with_config(ServiceConfig::new(0)); // no automatic resync
     let plane = FaultPlane::new(FaultConfig::drop_only(0.3, 17));
     let policy = fig2_policy(&trace, 100_000.0);
-    let mut source = RcbrSource::online(Box::new(policy), trace.frame_interval(), buffer);
+    let mut source = VcDriver::new(trace.clone(), policy, buffer);
 
     let mut saw_drift = false;
-    for t in 0..trace.len() {
-        source.step(trace.bits(t), |_, want| {
-            conn.renegotiate(&mut switches, &plane, want)
+    for _ in 0..trace.len() {
+        if let Some(want) = source.step() {
+            if conn
+                .renegotiate(&mut switches, &plane, want)
                 .unwrap_or(false)
-        });
-        if conn.drift(&switches) > 0.0 {
-            saw_drift = true;
+            {
+                source.on_grant();
+            } else {
+                source.on_deny();
+            }
         }
+        saw_drift |= conn.drift(&switches) > 0.0;
     }
     assert!(conn.lost_cells() > 0);
     assert!(saw_drift, "30% signaling loss must cause visible drift");
@@ -74,26 +78,27 @@ fn gop_aware_policy_works_end_to_end() {
     let buffer = 300_000.0;
     let tau = trace.frame_interval();
     let ar1 = Ar1Config::fig2(64_000.0, trace.mean_rate(), tau);
-    let gop = GopAwarePolicy::new(GopAwareConfig { ar1, gop_len: 12 }, tau);
-    let frame = Ar1Policy::new(ar1, tau);
+    let mut gop = GopAwarePolicy::new(GopAwareConfig { ar1, gop_len: 12 }, tau);
+    let mut frame = Ar1Policy::new(ar1, tau);
 
-    let run_policy = |policy: Box<dyn OnlinePolicy>| {
+    let run_policy = |policy: &mut dyn OnlinePolicy| {
         let mut switches = vec![Switch::new(&[155_000_000.0])];
         let path = Path::new(vec![0], 0.0);
         let mut conn =
             RcbrConnection::establish(&mut switches, path, 1, trace.mean_rate()).unwrap();
         let plane = FaultPlane::transparent();
-        let mut source = RcbrSource::online(policy, tau, buffer);
-        for t in 0..trace.len() {
-            source.step(trace.bits(t), |_, want| {
-                conn.renegotiate(&mut switches, &plane, want).unwrap()
-            });
+        let mut source = VcDriver::new(trace.clone(), policy, buffer);
+        for _ in 0..trace.len() {
+            if let Some(want) = source.step() {
+                assert!(conn.renegotiate(&mut switches, &plane, want).unwrap());
+                source.on_grant();
+            }
         }
-        (source.total_requests(), source.loss_fraction())
+        (source.requests(), source.loss_fraction())
     };
 
-    let (req_gop, loss_gop) = run_policy(Box::new(gop));
-    let (req_frame, loss_frame) = run_policy(Box::new(frame));
+    let (req_gop, loss_gop) = run_policy(&mut gop);
+    let (req_frame, loss_frame) = run_policy(&mut frame);
     assert!(
         req_gop < req_frame,
         "GoP-aware should renegotiate less: {req_gop} vs {req_frame}"

@@ -116,7 +116,7 @@ fn main() {
         });
     }
 
-    println!("#\n# Expected shape: online loss grows with RTT; buying buffer or headroom");
-    println!("# restores it (at delay x rate worth of either); offline rows are identical.");
+    println!("#\n# Expected shape: online loss grows with RTT; buying buffer restores it,");
+    println!("# headroom does not reliably help; offline rows are identical.");
     write_json(&args.out_dir(), "latency.json", &rows);
 }

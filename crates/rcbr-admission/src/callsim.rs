@@ -240,19 +240,11 @@ impl CallSim {
 
         let mut failure_stats = RunningStats::new();
         let mut util_stats = RunningStats::new();
-        let failure_rule = StoppingRule {
-            relative_precision: cfg.relative_precision,
-            use_ci: true,
-            below_target: Some(cfg.target_failure),
-            min_samples: 5,
-            max_samples: cfg.max_windows,
-        };
+        let failure_rule = StoppingRule::ci_with_target(cfg.relative_precision, cfg.target_failure)
+            .with_max_samples(cfg.max_windows);
         let util_rule = StoppingRule {
-            relative_precision: cfg.relative_precision,
-            use_ci: true,
             below_target: None,
-            min_samples: 5,
-            max_samples: cfg.max_windows,
+            ..failure_rule.clone()
         };
 
         sched.schedule_in(rng.exponential(cfg.arrival_rate), Event::Arrival);

@@ -82,11 +82,6 @@ impl Memoryless {
         Self { target }
     }
 
-    /// The renegotiation-failure probability target.
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
     /// The online, windowed form of the memoryless test, for callers that
     /// measure continuously instead of snapshotting per decision: from a
     /// weighted marginal estimate `levels` (`(rate b/s, weight)` pairs,
@@ -296,7 +291,6 @@ mod tests {
     #[test]
     fn memoryless_needed_capacity_online_form() {
         let ml = Memoryless::new(1e-3);
-        assert_eq!(ml.target(), 1e-3);
         assert!(ml.needed_capacity(&[], 5).is_none());
         assert!(ml.needed_capacity(&[(100_000.0, 1.0)], 0).is_none());
         // A constant-rate marginal needs exactly n calls at that rate.

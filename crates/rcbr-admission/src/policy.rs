@@ -26,11 +26,6 @@ impl AdmissionSnapshot<'_> {
     pub fn num_calls(&self) -> usize {
         self.reservations.len()
     }
-
-    /// Total reserved bandwidth, bits/second.
-    pub fn total_reserved(&self) -> f64 {
-        self.reservations.iter().sum()
-    }
 }
 
 /// An admission controller.
@@ -71,7 +66,6 @@ mod tests {
             reservations: &r,
         };
         assert_eq!(s.num_calls(), 3);
-        assert_eq!(s.total_reserved(), 600.0);
         let mut c = AdmitAll;
         assert!(c.admit(&s));
         c.observe(&s); // default no-op must not panic

@@ -16,7 +16,8 @@
 //!   it issues each scheduled renegotiation `delay` early, so (again as
 //!   the paper claims) offline sources are insensitive to path latency.
 
-use rcbr_schedule::{OnlinePolicy, Schedule, VcDriver};
+use rcbr_schedule::online::run_online_delayed;
+use rcbr_schedule::{OnlinePolicy, Schedule};
 use rcbr_traffic::FrameTrace;
 use serde::{Deserialize, Serialize};
 
@@ -51,32 +52,19 @@ pub fn online_with_latency(
         "delay must be nonnegative"
     );
     let delay_slots = (delay / trace.frame_interval()).ceil() as usize;
-    let mut driver = VcDriver::new(trace.clone(), policy, buffer);
-    // The slot at which the in-flight grant matures.
-    let mut due = None;
-    let mut granted_sum = 0.0f64;
-    for t in 0..trace.len() {
-        if due == Some(t) {
-            driver.on_grant();
-            due = None;
-        }
-        granted_sum += driver.current_rate();
-        if driver.step().is_some() {
-            due = Some(t + 1 + delay_slots);
-        }
-    }
-
+    let run = run_online_delayed(trace, policy, buffer, delay_slots);
+    let granted_sum: f64 = run.schedule.to_rates().iter().sum();
     let mean_granted = granted_sum / trace.len() as f64;
     LatencyOutcome {
         delay,
-        loss_fraction: driver.loss_fraction(),
-        peak_backlog: driver.peak_backlog(),
+        loss_fraction: run.loss_fraction,
+        peak_backlog: run.peak_backlog,
         bandwidth_efficiency: if mean_granted > 0.0 {
             trace.mean_rate() / mean_granted
         } else {
             f64::INFINITY
         },
-        requests: driver.requests(),
+        requests: run.requests as u64,
     }
 }
 
@@ -127,19 +115,6 @@ mod tests {
     fn policy(trace: &FrameTrace) -> Ar1Policy {
         let tau = trace.frame_interval();
         Ar1Policy::new(Ar1Config::fig2(64_000.0, trace.mean_rate(), tau), tau)
-    }
-
-    #[test]
-    fn zero_delay_matches_run_online() {
-        let trace = video(1, 4800);
-        let mut p1 = policy(&trace);
-        let with_latency = online_with_latency(&trace, &mut p1, 300_000.0, 0.0);
-        // Zero delay still takes effect next slot, as run_online's does.
-        let mut p2 = policy(&trace);
-        let base = rcbr_schedule::online::run_online(&trace, &mut p2, 300_000.0);
-        assert_eq!(with_latency.loss_fraction, base.loss_fraction);
-        assert_eq!(with_latency.peak_backlog, base.peak_backlog);
-        assert_eq!(with_latency.requests, base.requests as u64);
     }
 
     #[test]

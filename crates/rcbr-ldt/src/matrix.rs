@@ -69,47 +69,6 @@ impl Matrix {
         }
     }
 
-    /// Build from nested rows.
-    ///
-    /// # Panics
-    /// Panics if rows are empty or ragged.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        assert!(
-            !rows.is_empty() && !rows[0].is_empty(),
-            "matrix must be nonempty"
-        );
-        let n_cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * n_cols);
-        for row in rows {
-            assert_eq!(row.len(), n_cols, "ragged rows");
-            data.extend_from_slice(row);
-        }
-        Self {
-            n_rows: rows.len(),
-            n_cols,
-            data,
-        }
-    }
-
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of columns.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
     /// `ln ρ(A)`, the logarithm of the spectral radius (Perron root) of a
     /// *nonnegative* square matrix; `-∞` for a nilpotent one. Accurate to
     /// about `1e-14` absolute whatever the grading of the entries — see
@@ -151,16 +110,6 @@ impl Matrix {
             weight *= 0.5;
             power.square();
         }
-    }
-
-    /// Spectral radius (Perron root) of a *nonnegative* square matrix:
-    /// `exp` of [`ln_perron_root`](Self::ln_perron_root), which is the
-    /// form to prefer when the root may be far below 1.
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square or has a negative entry.
-    pub fn perron_root(&self) -> f64 {
-        self.ln_perron_root().exp()
     }
 }
 
@@ -221,6 +170,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A matrix from its rows (all of one length).
+    fn from_rows(rows: &[Vec<f64>]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), rows[0].len());
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                m[(i, j)] = x;
+            }
+        }
+        m
+    }
+
     /// `ln ρ` must match `want` to 1e-12 within the squaring cap.
     fn assert_ln_root(m: &Matrix, want: f64) -> SquaringStats {
         let (got, stats) = m.ln_perron_root_with_stats();
@@ -246,13 +206,13 @@ mod tests {
 
     #[test]
     fn perron_of_stochastic_matrix_is_one() {
-        let m = Matrix::from_rows(&[vec![0.9, 0.1], vec![0.4, 0.6]]);
-        assert!((m.perron_root() - 1.0).abs() < 1e-12);
+        let m = from_rows(&[vec![0.9, 0.1], vec![0.4, 0.6]]);
+        assert!((m.ln_perron_root().exp() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn perron_of_diagonal_is_max_entry() {
-        let m = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 5.0]]);
+        let m = from_rows(&[vec![2.0, 0.0], vec![0.0, 5.0]]);
         assert_ln_root(&m, 5f64.ln());
     }
 
@@ -262,7 +222,7 @@ mod tests {
         // generic start oscillates; with unequal weights the quotients of
         // M·1 oscillate too, and it is the square, a diagonal matrix, that
         // closes the enclosure.
-        let m = Matrix::from_rows(&[vec![0.0, 4.0], vec![1.0, 0.0]]);
+        let m = from_rows(&[vec![0.0, 4.0], vec![1.0, 0.0]]);
         let stats = assert_ln_root(&m, 2f64.ln());
         assert_eq!(stats.squarings, 1);
     }
@@ -277,7 +237,7 @@ mod tests {
             [0.0, 1.0, 1e-40, 0.0],
             [3e-200, 1e-10, 1e-10, 1e-120],
         ] {
-            let m = Matrix::from_rows(&[vec![a, b], vec![c, d]]);
+            let m = from_rows(&[vec![a, b], vec![c, d]]);
             let rho = ((a + d) + ((a - d) * (a - d) + 4.0 * b * c).sqrt()) / 2.0;
             assert_ln_root(&m, rho.ln());
         }
@@ -287,7 +247,6 @@ mod tests {
     fn perron_of_zero_and_nilpotent_matrices() {
         let zero = Matrix::zeros(3, 3);
         assert_eq!(zero.ln_perron_root(), f64::NEG_INFINITY);
-        assert_eq!(zero.perron_root(), 0.0);
         // Strictly upper triangular: A³ = 0.
         let mut nilpotent = Matrix::zeros(3, 3);
         nilpotent[(0, 1)] = 4.0;
@@ -299,7 +258,7 @@ mod tests {
 
     #[test]
     fn identity_and_indexing() {
-        let mut m = Matrix::identity(2);
+        let mut m = from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
         m[(0, 1)] = 7.0;
         assert_eq!(m[(0, 0)], 1.0);
         assert_eq!(m[(0, 1)], 7.0);
@@ -348,7 +307,7 @@ mod tests {
         // (root 1e-40), coupled above the diagonal by entries of 5: the
         // dominant block holds none of the large entries.
         let s = 1e-30;
-        let m = Matrix::from_rows(&[
+        let m = from_rows(&[
             vec![2.0 * s, s, 5.0, 0.0],
             vec![s, 2.0 * s, 0.0, 5.0],
             vec![0.0, 0.0, 0.0, 1.0],
@@ -356,7 +315,7 @@ mod tests {
         ]);
         assert_ln_root(&m, (3.0 * s).ln());
         // And with the blocks in the other order (coupling below).
-        let m = Matrix::from_rows(&[
+        let m = from_rows(&[
             vec![0.0, 1.0, 0.0, 0.0],
             vec![1e-80, 0.0, 0.0, 0.0],
             vec![5.0, 0.0, 2.0 * s, s],
@@ -375,32 +334,26 @@ mod tests {
             .map(|ui| v.iter().map(|vj| ui * vj).collect())
             .collect();
         let want: f64 = u.iter().zip(&v).map(|(a, b)| a * b).sum();
-        assert_ln_root(&Matrix::from_rows(&rows), want.ln());
+        assert_ln_root(&from_rows(&rows), want.ln());
     }
 
     #[test]
     fn work_counters_are_pinned() {
         // A stochastic matrix has the Perron vector 1: the first quotients
         // already meet, and no product is needed.
-        let p = Matrix::from_rows(&[vec![0.9, 0.1], vec![0.4, 0.6]]);
+        let p = from_rows(&[vec![0.9, 0.1], vec![0.4, 0.6]]);
         assert_eq!(p.ln_perron_root_with_stats().1, SquaringStats::default());
         // Well conditioned (λ₂/ρ = 0.38): the quotients meet once
         // 0.38^(2^k) is below 1e-14, a handful of dense products.
-        let m = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
+        let m = from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
         let stats = assert_ln_root(&m, ((5.0 + 5f64.sqrt()) / 2.0).ln());
         assert_eq!((stats.squarings, stats.nnz_products), (5, 5 * 4 * 2));
     }
 
     #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_rows_rejected() {
-        Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    #[test]
     #[should_panic(expected = "nonnegative")]
     fn negative_entries_rejected() {
-        Matrix::from_rows(&[vec![1.0, -1.0], vec![0.0, 1.0]]).perron_root();
+        from_rows(&[vec![1.0, -1.0], vec![0.0, 1.0]]).ln_perron_root();
     }
 
     /// A 4×4 nonnegative matrix from `(value, keep)` cells, about a
@@ -414,7 +367,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        Matrix::from_rows(&rows)
+        from_rows(&rows)
     }
 
     /// Equal as `ln ρ`, counting two nilpotent answers (−∞) as equal.
@@ -430,11 +383,11 @@ mod tests {
             rows in proptest::collection::vec(
                 proptest::collection::vec(0.0..1.0f64, 3), 3),
         ) {
-            let m = Matrix::from_rows(&rows);
+            let m = from_rows(&rows);
             let sums: Vec<f64> = rows.iter().map(|r| r.iter().sum()).collect();
             let lo = sums.iter().cloned().fold(f64::INFINITY, f64::min);
             let hi = sums.iter().cloned().fold(0.0, f64::max);
-            let rho = m.perron_root();
+            let rho = m.ln_perron_root().exp();
             prop_assert!(rho >= lo * (1.0 - 1e-12), "rho {rho} below min row sum {lo}");
             prop_assert!(rho <= hi * (1.0 + 1e-12), "rho {rho} above max row sum {hi}");
         }

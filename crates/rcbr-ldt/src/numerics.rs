@@ -102,13 +102,6 @@ pub fn maximize_on_ray(mut g: impl FnMut(f64) -> f64, initial: f64, tol: f64) ->
     (hi, g(hi))
 }
 
-/// Numerical first derivative by central differences with a
-/// magnitude-scaled step.
-pub fn derivative(mut f: impl FnMut(f64) -> f64, x: f64) -> f64 {
-    let h = 1e-6 * x.abs().max(1.0);
-    (f(x + h) - f(x - h)) / (2.0 * h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,11 +143,5 @@ mod tests {
         let (x, v) = maximize_on_ray(|s| -(s - 100.0) * (s - 100.0) + 4.0, 1.0, 1e-9);
         assert!((x - 100.0).abs() < 1e-3, "argmax {x}");
         assert!((v - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn derivative_of_square() {
-        let d = derivative(|x| x * x, 3.0);
-        assert!((d - 6.0).abs() < 1e-5);
     }
 }

@@ -304,16 +304,6 @@ impl FaultPlane {
         Self::new(FaultConfig::transparent())
     }
 
-    /// The configuration this plane decides from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// Whether no fault can ever fire.
-    pub fn is_transparent(&self) -> bool {
-        self.transparent
-    }
-
     fn hash(&self, seq: u64, hop: usize, salt: u8, lane: u64) -> u64 {
         mix(self.cfg.seed.wrapping_add(0x9e37_79b9_7f4a_7c15)
             ^ mix(seq ^ ((hop as u64) << 48) ^ ((salt as u64) << 40) ^ lane))
@@ -474,7 +464,7 @@ mod tests {
             assert!(!p.switch_down(3, seq));
             assert!(!p.stalled(3, seq));
         }
-        assert!(p.is_transparent());
+        assert!(p.transparent);
     }
 
     #[test]
@@ -648,7 +638,7 @@ mod tests {
             "killed switches never restart"
         );
         assert!(!p.switch_killed(2, 60));
-        assert!(!p.is_transparent());
+        assert!(!p.transparent);
     }
 
     #[test]
@@ -677,7 +667,7 @@ mod tests {
         assert!(p.link_down(1, 2, 31), "second flap window");
         assert!(!p.link_down(1, 2, 34));
         assert!(!p.link_down(1, 3, 12), "other links unaffected");
-        assert!(!p.is_transparent());
+        assert!(!p.transparent);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   *difference* between old and new rates so the fast path needs no
 //!   per-VCI state, with periodic absolute-rate resync cells repairing the
 //!   parameter drift that delta-encoding suffers when RM cells are lost.
-//!   Cells have a real wire encoding (exercised by the `bytes` crate).
+//!   Cells have a real wire encoding, CRC-checked at decode.
 //! * [`port`] — an output port: capacity, aggregate reservation, the
 //!   two-lookup admission check (`utilization + delta <= capacity`), and
 //!   slow-path per-VCI accounting for resync.
@@ -31,7 +31,7 @@
 //!   port lookup + reservation check, denying by clearing the ER field.
 //! * [`path`] — multi-hop renegotiation: every hop is a possible point of
 //!   failure (Section III-C); a denial at hop `k` rolls back reservations
-//!   made at hops `1..k`. Per-hop latency accumulates into the
+//!   made at hops `0..k`. Per-hop latency accumulates into the
 //!   request/confirm round-trip time.
 //! * [`signaling`] — bounded per-switch signaling queues: a per-superstep
 //!   service budget for renegotiation cells with deterministic,
@@ -42,6 +42,10 @@
 //!   scheduled switch crashes that wipe soft reservation state, and
 //!   bounded shard stalls — all replayable, so drift and its repair by
 //!   resync can be asserted bit-exactly.
+//! * [`salt`] — the registry of every fault-plane salt, so no two traffic
+//!   families share a `(seq, salt)` fault key.
+//! * [`topology`] — switches wired into a graph: shortest-path and
+//!   live-route selection, and turning a route into a signaling [`Path`].
 
 pub mod fault;
 pub mod path;

@@ -54,21 +54,6 @@ impl Path {
         &self.hops
     }
 
-    /// Number of hops.
-    pub fn len(&self) -> usize {
-        self.hops.len()
-    }
-
-    /// Always `false` (construction rejects empty paths).
-    pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
-    }
-
-    /// One-way path latency, seconds.
-    pub fn one_way_latency(&self) -> f64 {
-        self.hop_latency * self.hops.len() as f64
-    }
-
     /// Set up the connection on every hop at `rate`; on a hop that cannot
     /// fit it, tears down the hops already set up and reports the blocking
     /// hop.

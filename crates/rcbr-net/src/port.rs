@@ -89,11 +89,6 @@ impl PortLoad {
         self.reserved / self.capacity
     }
 
-    /// Unreserved headroom, bits/second.
-    pub fn headroom(&self) -> f64 {
-        (self.capacity - self.reserved).max(0.0)
-    }
-
     /// Crash-wipe the aggregate; the owner zeroes the per-VC rates. The
     /// booking ceiling is policy soft state too: a restarted switch
     /// starts back at the legacy peak-rate check until the admission
@@ -224,19 +219,9 @@ impl OutputPort {
         self.switch.port(0).expect("one port")
     }
 
-    /// See [`Switch::set_admit_ceiling`].
-    pub fn set_admit_ceiling(&mut self, ceiling: f64) {
-        self.switch.set_admit_ceiling(0, ceiling);
-    }
-
     /// Current reservation of a VCI (0 if unknown).
     pub fn vci_rate(&self, vci: u32) -> f64 {
         self.switch.vci_rate(vci).unwrap_or(0.0)
-    }
-
-    /// The nonzero per-VCI reservations, ascending by VCI.
-    pub fn vci_entries(&self) -> Vec<(u32, f64)> {
-        self.switch.vci_entries()
     }
 
     /// See [`VcSlot::try_reserve_delta`].
@@ -249,28 +234,10 @@ impl OutputPort {
         self.switch.install(vci, 0).try_set_absolute(rate)
     }
 
-    /// See [`VcSlot::set_unchecked`].
-    pub fn set_unchecked(&mut self, vci: u32, rate: f64) {
-        self.switch.install(vci, 0).set_unchecked(rate);
-    }
-
     /// Release everything reserved by `vci` (teardown). Returns the rate
     /// released.
     pub fn release(&mut self, vci: u32) -> f64 {
         self.switch.slot(vci).map_or(0.0, |mut slot| slot.release())
-    }
-
-    /// Crash-wipe: forget every reservation. Models the loss of *soft*
-    /// state when a switch restarts — recovery must come from the
-    /// sources' absolute-rate resync cells.
-    pub fn wipe(&mut self) {
-        self.switch.wipe_soft_state();
-    }
-
-    /// Audit: aggregate equals the sum of per-VCI reservations (used by
-    /// tests and debug assertions to catch drift bugs).
-    pub fn is_consistent(&self) -> bool {
-        self.switch.is_consistent()
     }
 }
 
@@ -289,7 +256,7 @@ mod tests {
         assert!(!p.try_reserve_delta(3, 200.0)); // would exceed capacity
         assert_eq!(p.release(1), 400.0);
         assert!(p.try_reserve_delta(3, 200.0));
-        assert!(p.is_consistent());
+        assert!(p.switch.is_consistent());
     }
 
     #[test]
@@ -298,7 +265,7 @@ mod tests {
         assert!(p.try_reserve_delta(1, 100.0));
         assert!(p.try_reserve_delta(1, -40.0));
         assert_eq!(p.vci_rate(1), 60.0);
-        assert_eq!(p.load().headroom(), 40.0);
+        assert_eq!(p.load().capacity() - p.load().reserved(), 40.0);
     }
 
     #[test]
@@ -317,7 +284,7 @@ mod tests {
         assert!(p.try_set_absolute(1, 500.0));
         assert_eq!(p.vci_rate(1), 500.0);
         assert_eq!(p.load().reserved(), 500.0);
-        assert!(p.is_consistent());
+        assert!(p.switch.is_consistent());
     }
 
     #[test]
@@ -334,33 +301,33 @@ mod tests {
         let mut p = OutputPort::new(1000.0);
         assert_eq!(p.load().admit_ceiling(), 1000.0);
         // Overbooked ceiling: bookings past the capacity are admitted.
-        p.set_admit_ceiling(1500.0);
+        p.switch.set_admit_ceiling(0, 1500.0);
         assert!(p.try_reserve_delta(1, 1200.0));
         assert!(p.load().reserved() > p.load().capacity());
         // Tightened ceiling: even a within-capacity increase is denied,
         // but decreases still fit (delta path) and the checked absolute
         // path denies while the total stays above the ceiling.
-        p.set_admit_ceiling(800.0);
+        p.switch.set_admit_ceiling(0, 800.0);
         assert!(!p.try_reserve_delta(2, 100.0));
         assert!(p.try_reserve_delta(1, -600.0));
         assert!(!p.try_set_absolute(1, 900.0));
         assert!(p.try_set_absolute(1, 700.0));
-        assert!(p.is_consistent());
+        assert!(p.switch.is_consistent());
     }
 
     #[test]
     fn wipe_resets_ceiling_and_unchecked_set_bypasses_it() {
         let mut p = OutputPort::new(1000.0);
-        p.set_admit_ceiling(2000.0);
+        p.switch.set_admit_ceiling(0, 2000.0);
         assert!(p.try_reserve_delta(1, 1800.0));
-        p.set_admit_ceiling(500.0);
+        p.switch.set_admit_ceiling(0, 500.0);
         // Checked reduction fails while the aggregate stays overbooked;
         // the administrative path applies it regardless.
         assert!(!p.try_set_absolute(1, 1700.0));
-        p.set_unchecked(1, 1700.0);
+        p.switch.install(1, 0).set_unchecked(1700.0);
         assert_eq!(p.vci_rate(1), 1700.0);
-        assert!(p.is_consistent());
-        p.wipe();
+        assert!(p.switch.is_consistent());
+        p.switch.wipe_soft_state();
         assert_eq!(p.load().admit_ceiling(), p.load().capacity());
     }
 
@@ -368,7 +335,7 @@ mod tests {
     fn release_unknown_vci_is_noop() {
         let mut p = OutputPort::new(10.0);
         assert_eq!(p.release(99), 0.0);
-        assert!(p.is_consistent());
+        assert!(p.switch.is_consistent());
     }
 
     proptest! {
@@ -386,7 +353,7 @@ mod tests {
                 } else {
                     p.try_reserve_delta(vci, rate);
                 }
-                prop_assert!(p.is_consistent());
+                prop_assert!(p.switch.is_consistent());
                 prop_assert!(p.load().reserved() <= p.load().capacity() + 1e-6);
                 prop_assert!(p.load().reserved() >= -1e-9);
             }

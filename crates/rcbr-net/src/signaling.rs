@@ -155,11 +155,6 @@ impl SignalingQueue {
         }
     }
 
-    /// The per-superstep service budget (0 = unbounded).
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
     /// Rank this superstep's meeting set, shed the overflow, and — if
     /// anything was shed — advertise pressure for the next
     /// `pressure_hold_supersteps` supersteps. Returns the shed keys,

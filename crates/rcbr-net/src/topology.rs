@@ -275,8 +275,12 @@ mod tests {
         let t = grid();
         let r = t.shortest_route(0, 3).unwrap();
         let p = t.route_to_path(&r);
-        assert_eq!(p.len(), 3);
-        assert!((p.one_way_latency() - 0.003).abs() < 1e-12);
+        assert_eq!(p.hops(), &r[..]);
+        // Three hops each way at 1 ms a hop.
+        let mut sw: Vec<Switch> = (0..4).map(|_| Switch::new(&[1000.0])).collect();
+        assert_eq!(p.setup(&mut sw, 1, 0, 100.0).unwrap(), Ok(()));
+        let out = p.renegotiate(&mut sw, 1, 100.0).unwrap();
+        assert!((out.round_trip - 0.006).abs() < 1e-12);
     }
 
     #[test]

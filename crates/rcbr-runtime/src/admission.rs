@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 
 use rcbr_admission::controllers::Memoryless;
-use rcbr_ldt::eb::{EbCache, EbCacheStats, QosTarget};
+use rcbr_ldt::eb::{EbCache, QosTarget};
 use rcbr_net::Switch;
 use rcbr_traffic::markov::{MarkovChain, MarkovModulatedSource};
 use serde::{Deserialize, Serialize};
@@ -361,16 +361,6 @@ impl SwitchAdmission {
     pub fn wipe_measurements(&mut self) {
         self.est.wipe();
     }
-
-    /// Window rolls performed so far.
-    pub fn rolls(&self) -> u64 {
-        self.rolls
-    }
-
-    /// Equivalent-bandwidth cache counters.
-    pub fn cache_stats(&self) -> EbCacheStats {
-        self.cache.stats()
-    }
 }
 
 /// The admission slice of a run report: grant/denial accounting split from
@@ -571,7 +561,7 @@ mod tests {
             sa.observe(vci, 50_000.0);
         }
         sa.roll(&cfg, 64, &mut sw);
-        assert_eq!(sa.rolls(), 1);
+        assert_eq!(sa.rolls, 1);
         assert_eq!(sa.next_roll_at, 128);
         let ceiling = sw.port(0).expect("one port").admit_ceiling();
         assert!(ceiling > 1_000_000.0, "expected overbooking, got {ceiling}");
@@ -597,7 +587,7 @@ mod tests {
             sa.observe(vci, 100_000.0);
         }
         sa.roll(&cfg, 64, &mut sw);
-        let s1 = sa.cache_stats();
+        let s1 = sa.cache.stats();
         assert_eq!((s1.hits, s1.misses, s1.entries), (0, 1, 1));
         // Next window continues the cycle. The per-VC last level (100k)
         // survives the roll, so 200k -> 100k again yields exactly one
@@ -608,7 +598,7 @@ mod tests {
             sa.observe(vci, 100_000.0);
         }
         sa.roll(&cfg, 128, &mut sw);
-        let s2 = sa.cache_stats();
+        let s2 = sa.cache.stats();
         assert_eq!((s2.hits, s2.misses, s2.entries), (1, 1, 1));
     }
 
@@ -630,7 +620,7 @@ mod tests {
         let needed = sa.estimator().active_vcs() as f64 * rcbr_ldt::equivalent_bandwidth(&src, qos);
         sa.roll(&cfg, 64, &mut sw);
         // One model fit and one cache lookup, whatever the port count.
-        let stats = sa.cache_stats();
+        let stats = sa.cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
         for (idx, &capacity) in capacities.iter().enumerate() {
             let got = sw.port(idx).expect("three ports").admit_ceiling();

@@ -47,7 +47,7 @@
 
 use rcbr_net::{FaultPlane, PriorityClass, Topology, SALT_PRIMARY, SALT_TEARDOWN_BASE};
 use rcbr_schedule::online::{Ar1Config, Ar1Policy};
-use rcbr_schedule::{RetryBudget, RetryPolicy, ShedAccount, VcDriver, LANES};
+use rcbr_schedule::{RetryBudget, RetryPolicy, VcDriver, LANES};
 use rcbr_sim::SimRng;
 use rcbr_traffic::SyntheticMpegSource;
 
@@ -166,7 +166,7 @@ pub(crate) struct VcRunner {
     class: PriorityClass,
     /// Consecutive-shed account, deliberately separate from the failure
     /// budget: sheds are congestion push-back, not verdicts.
-    sheds: ShedAccount,
+    sheds: RetryBudget,
     /// BestEffort brownout: the VC holds its last granted rate and stops
     /// offering slot renegotiations until pressure clears (a clean grant)
     /// or the hold timer lapses.
@@ -201,7 +201,7 @@ impl VcRunner {
             pending_tear: Vec::new(),
             stranded_sticky: false,
             class: cfg.class_of(vci),
-            sheds: ShedAccount::new(cfg.shed_budget),
+            sheds: RetryBudget::new(cfg.shed_budget),
             brownout: false,
             brownout_clear_at: 0,
         }
@@ -489,7 +489,7 @@ impl VcRunner {
         let ReqPhase::Await { failures, .. } = self.phase else {
             unreachable!("a shed verdict implies an attempt in flight");
         };
-        let sheds = self.sheds.on_shed();
+        let sheds = self.sheds.on_failure();
         if self.class == PriorityClass::BestEffort && !self.brownout {
             self.brownout = true;
             self.brownout_clear_at = now + cfg.brownout_hold_supersteps;

@@ -47,20 +47,6 @@ impl CostModel {
     pub fn from_ratio(alpha_over_beta: f64) -> Self {
         Self::new(alpha_over_beta, 1.0)
     }
-
-    /// The ratio `α/β` (infinite if `β = 0`).
-    pub fn ratio(&self) -> f64 {
-        if self.beta > 0.0 {
-            self.alpha / self.beta
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Cost of one slot: `β·rate·τ` plus `α` if the rate changed.
-    pub fn slot_cost(&self, rate: f64, slot_duration: f64, renegotiated: bool) -> f64 {
-        self.beta * rate * slot_duration + if renegotiated { self.alpha } else { 0.0 }
-    }
 }
 
 #[cfg(test)]
@@ -68,20 +54,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slot_cost_components() {
-        let c = CostModel::new(10.0, 2.0);
-        assert_eq!(c.slot_cost(100.0, 0.5, false), 100.0);
-        assert_eq!(c.slot_cost(100.0, 0.5, true), 110.0);
-        assert_eq!(c.ratio(), 5.0);
-    }
-
-    #[test]
     fn ratio_parameterization() {
         let c = CostModel::from_ratio(1e6);
         assert_eq!(c.alpha, 1e6);
         assert_eq!(c.beta, 1.0);
-        let free_bw = CostModel::new(1.0, 0.0);
-        assert_eq!(free_bw.ratio(), f64::INFINITY);
     }
 
     #[test]

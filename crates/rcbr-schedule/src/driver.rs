@@ -5,9 +5,10 @@
 //! buffer which is drained at a constant rate", Section III-A) and
 //! [`OnlinePolicy`], and emits renegotiation *requests* whose verdicts
 //! (grant, deny, or a lost RM cell) its caller answers whenever the
-//! network decides: [`run_online`](crate::online::run_online) at once,
-//! the latency study a round trip later, `RcbrConnection` over a
-//! multi-hop path, the signaling runtime asynchronously.
+//! network decides: [`run_online_delayed`](crate::online::run_online_delayed)
+//! a fixed number of slots later (Fig. 2 and the latency study),
+//! `RcbrConnection` over a multi-hop path, the signaling runtime
+//! asynchronously.
 //!
 //! A runtime that steps hundreds of AR(1) drivers a round (some tens of
 //! slots) at a time between verdicts uses [`VcDriver::step_round`]

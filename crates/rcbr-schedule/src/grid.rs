@@ -3,8 +3,7 @@
 //! Renegotiated rates are drawn from a finite set `R = {r_1 < … < r_M}`
 //! (Section IV-A assumes "the service rate during any time slot is in a
 //! given set"). The paper's experiments use levels "chosen uniformly within
-//! 48 kb/s and 2.4 Mb/s", and the online heuristic quantizes to a
-//! granularity `Δ` — both are [`RateGrid`]s.
+//! 48 kb/s and 2.4 Mb/s" ([`RateGrid::uniform`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -42,21 +41,6 @@ impl RateGrid {
         Self::new((0..m).map(|i| lo + i as f64 * step).collect())
     }
 
-    /// Multiples of a granularity `Δ`: `{0, Δ, 2Δ, …}` up to at least
-    /// `max_rate` — the online heuristic's quantization lattice.
-    ///
-    /// # Panics
-    /// Panics unless `delta > 0` and `max_rate >= 0`.
-    pub fn granular(delta: f64, max_rate: f64) -> Self {
-        assert!(
-            delta > 0.0 && delta.is_finite(),
-            "granularity must be positive"
-        );
-        assert!(max_rate >= 0.0, "max rate must be nonnegative");
-        let n = (max_rate / delta).ceil() as usize + 1;
-        Self::new((0..=n).map(|i| i as f64 * delta).collect())
-    }
-
     /// The levels, ascending.
     pub fn levels(&self) -> &[f64] {
         &self.levels
@@ -67,7 +51,7 @@ impl RateGrid {
         self.levels.len()
     }
 
-    /// Whether the grid is empty (never true by construction).
+    /// Whether the grid has no levels (never: construction rejects it).
     pub fn is_empty(&self) -> bool {
         self.levels.is_empty()
     }
@@ -75,32 +59,6 @@ impl RateGrid {
     /// Level at index `i`.
     pub fn level(&self, i: usize) -> f64 {
         self.levels[i]
-    }
-
-    /// Largest level.
-    pub fn max(&self) -> f64 {
-        *self.levels.last().expect("grid is nonempty")
-    }
-
-    /// Smallest level.
-    pub fn min(&self) -> f64 {
-        self.levels[0]
-    }
-
-    /// Index of the smallest level `>= rate`, or `None` if `rate` exceeds
-    /// the grid maximum.
-    pub fn ceil_index(&self, rate: f64) -> Option<usize> {
-        // partition_point: first index with level >= rate.
-        let i = self.levels.partition_point(|&l| l < rate);
-        (i < self.levels.len()).then_some(i)
-    }
-
-    /// The smallest level `>= rate`, clamped to the maximum level.
-    pub fn ceil(&self, rate: f64) -> f64 {
-        match self.ceil_index(rate) {
-            Some(i) => self.levels[i],
-            None => self.max(),
-        }
     }
 }
 
@@ -112,33 +70,13 @@ mod tests {
     fn uniform_grid_spans_range() {
         let g = RateGrid::uniform(48_000.0, 2_400_000.0, 20);
         assert_eq!(g.len(), 20);
-        assert_eq!(g.min(), 48_000.0);
-        assert_eq!(g.max(), 2_400_000.0);
+        assert_eq!(g.level(0), 48_000.0);
+        assert_eq!(g.level(19), 2_400_000.0);
         // Evenly spaced.
         let step = g.level(1) - g.level(0);
         for i in 1..g.len() {
             assert!((g.level(i) - g.level(i - 1) - step).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn granular_grid_is_multiples() {
-        let g = RateGrid::granular(64_000.0, 200_000.0);
-        assert_eq!(g.min(), 0.0);
-        assert!(g.max() >= 200_000.0);
-        assert_eq!(g.level(1), 64_000.0);
-        assert_eq!(g.level(3), 192_000.0);
-    }
-
-    #[test]
-    fn ceil_snaps_up() {
-        let g = RateGrid::new(vec![100.0, 200.0, 300.0]);
-        assert_eq!(g.ceil(150.0), 200.0);
-        assert_eq!(g.ceil(200.0), 200.0);
-        assert_eq!(g.ceil(0.0), 100.0);
-        assert_eq!(g.ceil(1000.0), 300.0); // clamped
-        assert_eq!(g.ceil_index(1000.0), None);
-        assert_eq!(g.ceil_index(250.0), Some(2));
     }
 
     #[test]

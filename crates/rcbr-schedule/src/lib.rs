@@ -43,7 +43,7 @@ pub use grid::RateGrid;
 pub use online::{
     Ar1Config, Ar1Policy, GopAwareConfig, GopAwarePolicy, OnlinePolicy, SchedulePolicy,
 };
-pub use retry::{RetryBudget, RetryPolicy, ShedAccount};
+pub use retry::{RetryBudget, RetryPolicy};
 pub use schedule::{Schedule, ScheduleMetrics};
 pub use smoothing::{min_peak_rate_bound, optimal_smoothing};
 pub use trellis::{OfflineOptimizer, TrellisConfig, TrellisError, TrellisStats};

@@ -319,7 +319,8 @@ pub struct OnlineRun {
     pub loss_fraction: f64,
     /// Largest backlog observed, bits.
     pub peak_backlog: f64,
-    /// Number of renegotiation requests (== granted, in this driver).
+    /// Number of renegotiation requests; each is granted, the last
+    /// possibly after the trace ends.
     pub requests: usize,
 }
 
@@ -346,14 +347,36 @@ pub struct OnlineRun {
 /// ```
 ///
 /// A granted rate takes effect at the next slot (renegotiation signaling
-/// proceeds in parallel with data transfer, Section III-A).
+/// proceeds in parallel with data transfer, Section III-A). This is
+/// [`run_online_delayed`] with no extra delay.
 pub fn run_online(trace: &FrameTrace, policy: &mut dyn OnlinePolicy, buffer: f64) -> OnlineRun {
+    run_online_delayed(trace, policy, buffer, 0)
+}
+
+/// [`run_online`] over a network whose grants take `delay_slots` more
+/// slots to come into effect: a request issued in slot `t` is answered at
+/// the start of slot `t + 1 + delay_slots`. While it is in flight the
+/// policy's further requests are dropped (one outstanding RM cell), and
+/// the policy learns of the grant only when it matures. The returned
+/// schedule records the rate in effect in each slot.
+pub fn run_online_delayed(
+    trace: &FrameTrace,
+    policy: &mut dyn OnlinePolicy,
+    buffer: f64,
+    delay_slots: usize,
+) -> OnlineRun {
     let mut driver = VcDriver::new(trace.clone(), policy, buffer);
+    // The slot at which the in-flight grant matures.
+    let mut due = None;
     let rates: Vec<f64> = (0..trace.len())
-        .map(|_| {
+        .map(|t| {
+            if due == Some(t) {
+                driver.on_grant();
+                due = None;
+            }
             let rate = driver.current_rate();
             if driver.step().is_some() {
-                driver.on_grant();
+                due = Some(t + 1 + delay_slots);
             }
             rate
         })

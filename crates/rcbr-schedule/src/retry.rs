@@ -40,12 +40,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Panic on an inconsistent policy.
-    pub fn validate(&self) {
-        assert!(self.timeout_supersteps >= 1, "timeout must be >= 1");
-        assert!(self.backoff_base >= 1, "backoff base must be >= 1");
-    }
-
     /// Whether a request injected at `injected_at` has timed out at `now`.
     pub fn timed_out(&self, injected_at: u64, now: u64) -> bool {
         now.saturating_sub(injected_at) >= self.timeout_supersteps
@@ -63,14 +57,7 @@ impl RetryPolicy {
     /// `(seed, vci, failures)`.
     pub fn backoff(&self, vci: u32, failures: u32) -> u64 {
         assert!(failures >= 1, "backoff is only defined after a failure");
-        let exp = (failures - 1).min(16);
-        let base = self.backoff_base.saturating_mul(1u64 << exp);
-        let jitter = if self.backoff_jitter == 0 {
-            0
-        } else {
-            mix(self.seed ^ ((vci as u64) << 32) ^ failures as u64) % (self.backoff_jitter + 1)
-        };
-        base + jitter
+        self.widen(0, vci, failures)
     }
 
     /// Backoff before retrying a request the network *shed* (an over-budget
@@ -82,55 +69,20 @@ impl RetryPolicy {
     /// very storm the shedding is dissipating.
     pub fn shed_backoff(&self, vci: u32, sheds: u32) -> u64 {
         assert!(sheds >= 1, "shed backoff is only defined after a shed");
-        let exp = (sheds - 1).min(16);
+        self.widen(0x5348_4544, vci, sheds) // "SHED"
+    }
+
+    /// `base * 2^(n-1)` (exponent capped at 16) plus jitter hashed from
+    /// `(seed ^ stream, vci, n)`; `n >= 1`.
+    fn widen(&self, stream: u64, vci: u32, n: u32) -> u64 {
+        let exp = (n - 1).min(16);
         let base = self.backoff_base.saturating_mul(1u64 << exp);
         let jitter = if self.backoff_jitter == 0 {
             0
         } else {
-            mix(self.seed ^ 0x5348_4544 ^ ((vci as u64) << 32) ^ sheds as u64) // "SHED"
-                % (self.backoff_jitter + 1)
+            mix(self.seed ^ stream ^ ((vci as u64) << 32) ^ n as u64) % (self.backoff_jitter + 1)
         };
         base + jitter
-    }
-}
-
-/// Shed accounting for one request, parallel to — and deliberately
-/// separate from — [`RetryBudget`]: a shed is the network asking for
-/// patience, not a verdict on the request, so sheds must never draw down
-/// the failure budget that decides degradation. Consecutive sheds draw
-/// this account instead; any successful renegotiation refills it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShedAccount {
-    cap: u32,
-    sheds: u32,
-}
-
-impl ShedAccount {
-    /// A full account allowing `cap` shed-retries after the first shed.
-    pub fn new(cap: u32) -> Self {
-        Self { cap, sheds: 0 }
-    }
-
-    /// Record a shed; returns the consecutive-shed count.
-    pub fn on_shed(&mut self) -> u32 {
-        self.sheds += 1;
-        self.sheds
-    }
-
-    /// A renegotiation succeeded: refill the account.
-    pub fn on_success(&mut self) {
-        self.sheds = 0;
-    }
-
-    /// Consecutive sheds since the last success.
-    pub fn sheds(&self) -> u32 {
-        self.sheds
-    }
-
-    /// Whether consecutive sheds exhaust the account (the source gives up
-    /// on this request and keeps its granted rate).
-    pub fn exhausted(&self) -> bool {
-        self.sheds > self.cap
     }
 }
 
@@ -141,6 +93,10 @@ impl ShedAccount {
 /// renegotiation refills it in full — a source that just proved the
 /// control plane works again deserves a fresh budget for the next
 /// failure, not the tail end of the previous one.
+///
+/// Sheds draw a second, separate account of this type: a shed is the
+/// network asking for patience, not a verdict on the request, so sheds
+/// must never draw down the failure budget that decides degradation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryBudget {
     budget: u32,
@@ -267,15 +223,15 @@ mod tests {
 
     #[test]
     fn sheds_do_not_touch_the_denial_budget() {
-        // Satellite: a request that is shed (then eventually succeeds)
-        // must leave the failure budget exactly where it was — sheds have
-        // their own account.
+        // A request that is shed (then eventually succeeds) must leave the
+        // failure budget exactly where it was — sheds have their own
+        // account.
         let mut denials = RetryBudget::new(2);
-        let mut sheds = ShedAccount::new(2);
+        let mut sheds = RetryBudget::new(2);
         denials.on_failure();
         let failures_before = denials.failures();
-        assert_eq!(sheds.on_shed(), 1);
-        assert_eq!(sheds.on_shed(), 2);
+        assert_eq!(sheds.on_failure(), 1);
+        assert_eq!(sheds.on_failure(), 2);
         assert!(!sheds.exhausted());
         assert_eq!(
             denials.failures(),
@@ -286,14 +242,40 @@ mod tests {
         // is refilled by the same success, as before.
         sheds.on_success();
         denials.on_success();
-        assert_eq!(sheds.sheds(), 0);
+        assert_eq!(sheds.failures(), 0);
         assert_eq!(denials.failures(), 0);
         // And the shed account exhausts independently.
-        let mut s = ShedAccount::new(1);
-        s.on_shed();
+        let mut s = RetryBudget::new(1);
+        s.on_failure();
         assert!(!s.exhausted());
-        s.on_shed();
+        s.on_failure();
         assert!(s.exhausted(), "2 consecutive sheds exceed cap 1");
+    }
+
+    #[test]
+    fn both_backoff_streams_are_pinned() {
+        // `RuntimeConfig::balanced`'s policy (seed 7 ^ "RTRY"); each row is
+        // `n = 1..=4`. A change to either stream constant or to the order
+        // of the hashed inputs moves these.
+        let p = RetryPolicy {
+            timeout_supersteps: 32,
+            retry_budget: 3,
+            backoff_base: 4,
+            backoff_jitter: 3,
+            seed: 7 ^ 0x5254_5259,
+        };
+        let pins: [(u32, [u64; 4], [u64; 4]); 3] = [
+            (0, [6, 10, 19, 33], [4, 11, 16, 33]),
+            (1, [6, 9, 19, 32], [7, 10, 19, 32]),
+            (97, [7, 10, 18, 34], [6, 9, 19, 33]),
+        ];
+        for (vci, backoff, shed) in pins {
+            for n in 1..=4u32 {
+                let i = n as usize - 1;
+                assert_eq!(p.backoff(vci, n), backoff[i], "backoff({vci}, {n})");
+                assert_eq!(p.shed_backoff(vci, n), shed[i], "shed_backoff({vci}, {n})");
+            }
+        }
     }
 
     #[test]

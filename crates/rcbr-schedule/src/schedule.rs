@@ -87,46 +87,6 @@ impl Schedule {
         }
     }
 
-    /// Build directly from segments (starts strictly increasing, first at
-    /// slot 0; consecutive equal rates are merged).
-    ///
-    /// # Panics
-    /// Panics on malformed segment lists.
-    pub fn from_segments(slot_duration: f64, num_slots: usize, segments: Vec<Segment>) -> Self {
-        assert!(
-            slot_duration > 0.0 && slot_duration.is_finite(),
-            "invalid slot duration"
-        );
-        assert!(num_slots > 0, "schedule must cover at least one slot");
-        assert!(!segments.is_empty(), "need at least one segment");
-        assert_eq!(segments[0].start, 0, "first segment must start at slot 0");
-        let mut merged: Vec<Segment> = Vec::with_capacity(segments.len());
-        for seg in segments {
-            assert!(seg.start < num_slots, "segment starts past the end");
-            assert!(
-                seg.rate.is_finite() && seg.rate >= 0.0,
-                "invalid segment rate"
-            );
-            match merged.last() {
-                Some(last) => {
-                    assert!(
-                        seg.start > last.start,
-                        "segment starts must strictly increase"
-                    );
-                    if seg.rate != last.rate {
-                        merged.push(seg);
-                    }
-                }
-                None => merged.push(seg),
-            }
-        }
-        Self {
-            slot_duration,
-            num_slots,
-            segments: merged,
-        }
-    }
-
     /// Slot duration, seconds.
     pub fn slot_duration(&self) -> f64 {
         self.slot_duration
@@ -357,44 +317,6 @@ mod tests {
         assert_eq!(d.levels(), &[10.0, 20.0]);
         assert_eq!(d.probs(), &[0.5, 0.5]);
         assert_eq!(s.num_renegotiations(), 3);
-    }
-
-    #[test]
-    fn from_segments_merges_and_validates() {
-        let s = Schedule::from_segments(
-            1.0,
-            6,
-            vec![
-                Segment {
-                    start: 0,
-                    rate: 5.0,
-                },
-                Segment {
-                    start: 2,
-                    rate: 5.0,
-                }, // same rate: merged away
-                Segment {
-                    start: 4,
-                    rate: 9.0,
-                },
-            ],
-        );
-        assert_eq!(s.segments().len(), 2);
-        assert_eq!(s.rate_at(3), 5.0);
-        assert_eq!(s.rate_at(4), 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "start at slot 0")]
-    fn segments_must_start_at_zero() {
-        Schedule::from_segments(
-            1.0,
-            4,
-            vec![Segment {
-                start: 1,
-                rate: 1.0,
-            }],
-        );
     }
 
     proptest! {

@@ -212,11 +212,6 @@ impl OfflineOptimizer {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &TrellisConfig {
-        &self.config
-    }
-
     /// Compute the optimal schedule for `trace`.
     pub fn optimize(&self, trace: &FrameTrace) -> Result<Schedule, TrellisError> {
         self.optimize_with_cost(trace).map(|(s, _)| s)

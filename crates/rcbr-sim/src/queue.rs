@@ -128,11 +128,6 @@ impl FluidQueue {
         self.peak_backlog
     }
 
-    /// Buffer size in bits (`f64::INFINITY` for unbounded queues).
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Total bits offered so far.
     pub fn total_arrived(&self) -> f64 {
         self.total_arrived
@@ -143,11 +138,6 @@ impl FluidQueue {
         self.total_lost
     }
 
-    /// Total bits served so far.
-    pub fn total_served(&self) -> f64 {
-        self.total_served
-    }
-
     /// Fraction of offered bits lost so far (0 if nothing has arrived).
     pub fn loss_fraction(&self) -> f64 {
         if self.total_arrived > 0.0 {
@@ -155,27 +145,6 @@ impl FluidQueue {
         } else {
             0.0
         }
-    }
-
-    /// Virtual delay of a bit arriving now, were the queue drained at
-    /// `rate` bits/second: `backlog / rate`.
-    pub fn virtual_delay(&self, rate: f64) -> f64 {
-        if rate > 0.0 {
-            self.backlog / rate
-        } else if self.backlog == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Reset the backlog and all counters, keeping the capacity.
-    pub fn reset(&mut self) {
-        self.backlog = 0.0;
-        self.total_arrived = 0.0;
-        self.total_lost = 0.0;
-        self.total_served = 0.0;
-        self.peak_backlog = 0.0;
     }
 }
 
@@ -227,26 +196,6 @@ mod tests {
         assert_eq!(o.backlog, 0.0);
     }
 
-    #[test]
-    fn virtual_delay() {
-        let mut q = FluidQueue::new(1000.0);
-        q.offer(500.0, 0.0);
-        assert_eq!(q.virtual_delay(250.0), 2.0);
-        assert_eq!(q.virtual_delay(0.0), f64::INFINITY);
-        q.reset();
-        assert_eq!(q.virtual_delay(0.0), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut q = FluidQueue::new(10.0);
-        q.offer(100.0, 0.0);
-        q.reset();
-        assert_eq!(q.backlog(), 0.0);
-        assert_eq!(q.total_arrived(), 0.0);
-        assert_eq!(q.loss_fraction(), 0.0);
-    }
-
     proptest! {
         /// Conservation: arrivals = served + lost + backlog, and the backlog
         /// never exceeds capacity.
@@ -261,7 +210,7 @@ mod tests {
                 prop_assert!(o.backlog <= cap + 1e-6);
                 prop_assert!(o.lost >= 0.0 && o.served >= 0.0);
             }
-            let balance = q.total_arrived() - q.total_served() - q.total_lost() - q.backlog();
+            let balance = q.total_arrived() - q.total_served - q.total_lost() - q.backlog();
             prop_assert!(balance.abs() <= 1e-6 * q.total_arrived().max(1.0));
         }
 

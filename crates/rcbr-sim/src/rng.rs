@@ -9,7 +9,7 @@
 //! machines and compiler versions by construction.
 //!
 //! The distribution samplers (exponential, normal, lognormal, bounded
-//! Pareto, geometric) are implemented here from their textbook inverses /
+//! Pareto) are implemented here from their textbook inverses /
 //! transforms rather than pulling in `rand_distr`.
 
 /// ChaCha block-function constants, "expand 32-byte k".
@@ -151,11 +151,6 @@ impl SimRng {
         self.inner.next_u64()
     }
 
-    /// Next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-
     /// Uniform draw in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         // 53 high bits -> the standard dyadic uniform on [0, 1).
@@ -248,23 +243,6 @@ impl SimRng {
         let ha = hi.powf(alpha);
         // Inverse CDF of the Pareto truncated to [lo, hi].
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
-    /// Geometric draw: number of Bernoulli(`p`) trials up to and including
-    /// the first success (support `1, 2, 3, ...`).
-    ///
-    /// # Panics
-    /// Panics unless `0 < p <= 1`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        assert!(
-            p > 0.0 && p <= 1.0,
-            "geometric p must be in (0, 1], got {p}"
-        );
-        if p == 1.0 {
-            return 1;
-        }
-        let u = 1.0 - self.uniform(); // in (0, 1]
-        (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as u64
     }
 
     /// Bernoulli draw with success probability `p`.
@@ -409,16 +387,6 @@ mod tests {
             let x = rng.bounded_pareto(1.2, 1.0, 100.0);
             assert!((1.0..=100.0).contains(&x), "{x} out of range");
         }
-    }
-
-    #[test]
-    fn geometric_mean_matches() {
-        let mut rng = SimRng::from_seed(5);
-        let p = 0.25;
-        let n = 20_000;
-        let m = (0..n).map(|_| rng.geometric(p) as f64).sum::<f64>() / n as f64;
-        assert!((m - 1.0 / p).abs() < 0.1, "mean {m} != 4");
-        assert_eq!(rng.geometric(1.0), 1);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl ConfidenceInterval {
         self.mean + self.half_width
     }
 
-    /// Whether the interval contains `x`.
-    pub fn contains(&self, x: f64) -> bool {
-        (self.lo()..=self.hi()).contains(&x)
-    }
-
     /// 95% Student-t interval for the mean of `stats`.
     ///
     /// Returns `None` with fewer than two observations (no variance
@@ -134,18 +129,6 @@ pub struct StoppingRule {
 }
 
 impl StoppingRule {
-    /// The Section V-B rule: standard error within `relative_precision` of
-    /// the mean.
-    pub fn relative_std_error(relative_precision: f64) -> Self {
-        Self {
-            relative_precision,
-            use_ci: false,
-            below_target: None,
-            min_samples: 5,
-            max_samples: u64::MAX,
-        }
-    }
-
     /// The Section VI rule: 95% CI half-width within `relative_precision`
     /// of the mean, with early exit below `target`.
     pub fn ci_with_target(relative_precision: f64, target: f64) -> Self {
@@ -161,12 +144,6 @@ impl StoppingRule {
     /// Replace the sample budget.
     pub fn with_max_samples(mut self, max: u64) -> Self {
         self.max_samples = max;
-        self
-    }
-
-    /// Replace the minimum sample count.
-    pub fn with_min_samples(mut self, min: u64) -> Self {
-        self.min_samples = min;
         self
     }
 
@@ -205,24 +182,33 @@ impl StoppingRule {
             StopDecision::Continue
         }
     }
+}
 
-    /// Drive `sample` until the rule fires; returns the accumulated stats
-    /// and the final decision.
-    pub fn run(&self, mut sample: impl FnMut() -> f64) -> (RunningStats, StopDecision) {
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The Section V-B rule: standard error within `relative_precision`
+    /// of the mean.
+    fn std_error_rule(relative_precision: f64) -> StoppingRule {
+        StoppingRule {
+            use_ci: false,
+            below_target: None,
+            ..StoppingRule::ci_with_target(relative_precision, 0.0)
+        }
+    }
+
+    /// Push `sample()` until `rule` fires.
+    fn drive(rule: &StoppingRule, mut sample: impl FnMut() -> f64) -> (RunningStats, StopDecision) {
         let mut stats = RunningStats::new();
         loop {
-            let d = self.evaluate(&stats);
+            let d = rule.evaluate(&stats);
             if d.should_stop() {
                 return (stats, d);
             }
             stats.push(sample());
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn t_table_matches_known_values() {
@@ -241,9 +227,7 @@ mod tests {
         let s: RunningStats = [5.0; 10].into_iter().collect();
         let ci = ConfidenceInterval::t95(&s).unwrap();
         assert_eq!(ci.mean, 5.0);
-        assert_eq!(ci.half_width, 0.0);
-        assert!(ci.contains(5.0));
-        assert!(!ci.contains(5.1));
+        assert_eq!((ci.lo(), ci.hi()), (5.0, 5.0));
     }
 
     #[test]
@@ -254,7 +238,7 @@ mod tests {
 
     #[test]
     fn std_error_rule_stops_on_tight_sample() {
-        let rule = StoppingRule::relative_std_error(0.2);
+        let rule = std_error_rule(0.2);
         // 10 identical observations: std error 0, well within 20%.
         let s: RunningStats = [3.0; 10].into_iter().collect();
         assert_eq!(rule.evaluate(&s), StopDecision::Precise);
@@ -262,7 +246,7 @@ mod tests {
 
     #[test]
     fn std_error_rule_continues_on_wide_sample() {
-        let rule = StoppingRule::relative_std_error(0.2);
+        let rule = std_error_rule(0.2);
         let s: RunningStats = [0.0, 10.0, 0.0, 10.0, 0.0, 10.0].into_iter().collect();
         assert_eq!(rule.evaluate(&s), StopDecision::Continue);
     }
@@ -279,9 +263,9 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_wins() {
-        let rule = StoppingRule::relative_std_error(0.0001).with_max_samples(10);
+        let rule = std_error_rule(0.0001).with_max_samples(10);
         let mut k = 0.0;
-        let (stats, d) = rule.run(|| {
+        let (stats, d) = drive(&rule, || {
             k += 1.0;
             k % 2.0 // alternating 1, 0: never precise
         });
@@ -292,7 +276,7 @@ mod tests {
     #[test]
     fn all_zero_estimate_defers_to_budget() {
         let rule = StoppingRule::ci_with_target(0.2, 1e-3).with_max_samples(50);
-        let (stats, d) = rule.run(|| 0.0);
+        let (stats, d) = drive(&rule, || 0.0);
         // Zero mean: the relative rule can't fire, but zero is confidently
         // below target once the CI exists... CI is [0,0], hi()=0 < 1e-3.
         assert!(matches!(d, StopDecision::BelowTarget));
@@ -301,7 +285,10 @@ mod tests {
 
     #[test]
     fn min_samples_is_respected() {
-        let rule = StoppingRule::relative_std_error(0.5).with_min_samples(20);
+        let rule = StoppingRule {
+            min_samples: 20,
+            ..std_error_rule(0.5)
+        };
         let s: RunningStats = [1.0; 10].into_iter().collect();
         assert_eq!(rule.evaluate(&s), StopDecision::Continue);
     }

@@ -56,21 +56,6 @@ impl Histogram {
         self.count
     }
 
-    /// Counts per bin (excluding under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Fold another histogram's counts into this one, so per-worker
     /// histograms can be combined after a parallel run. Merging is
     /// commutative and associative (integer adds), so the combined result
@@ -89,12 +74,6 @@ impl Histogram {
         self.underflow += other.underflow;
         self.overflow += other.overflow;
         self.count += other.count;
-    }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
     }
 
     /// Approximate `q`-quantile (`0 <= q <= 1`) by linear interpolation
@@ -191,12 +170,6 @@ impl DiscreteDistribution {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Variance of the level.
-    pub fn variance(&self) -> f64 {
-        let m = self.mean();
-        self.iter().map(|(r, p)| p * (r - m) * (r - m)).sum()
-    }
-
     /// Log moment generating function `Λ(s) = ln Σ p_j e^{s r_j}`,
     /// computed in a numerically safe way (log-sum-exp).
     pub fn log_mgf(&self, s: f64) -> f64 {
@@ -231,12 +204,11 @@ mod tests {
         h.record(10.0);
         h.record(5.0);
         assert_eq!(h.count(), 5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.bins()[5], 1);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 1);
+        assert_eq!(h.bins[0], 1);
+        assert_eq!(h.bins[9], 1);
+        assert_eq!(h.bins[5], 1);
     }
 
     #[test]
@@ -267,9 +239,9 @@ mod tests {
             }
         }
         left.merge(&right);
-        assert_eq!(left.bins(), whole.bins());
-        assert_eq!(left.underflow(), whole.underflow());
-        assert_eq!(left.overflow(), whole.overflow());
+        assert_eq!(left.bins, whole.bins);
+        assert_eq!(left.underflow, whole.underflow);
+        assert_eq!(left.overflow, whole.overflow);
         assert_eq!(left.count(), whole.count());
     }
 
@@ -293,7 +265,6 @@ mod tests {
         assert_eq!(d.probs(), &[0.5, 0.5]);
         assert_eq!(d.mean(), 2.0);
         assert_eq!(d.peak(), 3.0);
-        assert_eq!(d.variance(), 1.0);
     }
 
     #[test]

@@ -43,26 +43,6 @@ impl RunningStats {
         }
     }
 
-    /// Merge another accumulator into this one (parallel Welford / Chan).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -98,16 +78,6 @@ impl RunningStats {
         } else {
             0.0
         }
-    }
-
-    /// Smallest observation (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
     }
 
     /// Coefficient of variation of the sample (`std_dev / |mean|`), or
@@ -149,8 +119,8 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Population variance is 4; unbiased sample variance is 32/7.
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
+        assert_eq!(s.min, 2.0);
+        assert_eq!(s.max, 9.0);
     }
 
     #[test]
@@ -176,21 +146,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn merge_equals_sequential(
-            a in proptest::collection::vec(-1e6..1e6f64, 0..50),
-            b in proptest::collection::vec(-1e6..1e6f64, 0..50),
-        ) {
-            let mut merged: RunningStats = a.iter().copied().collect();
-            let other: RunningStats = b.iter().copied().collect();
-            merged.merge(&other);
-            let seq: RunningStats = a.iter().chain(b.iter()).copied().collect();
-            prop_assert_eq!(merged.count(), seq.count());
-            prop_assert!((merged.mean() - seq.mean()).abs() <= 1e-6 * seq.mean().abs().max(1.0));
-            prop_assert!((merged.variance() - seq.variance()).abs()
-                <= 1e-6 * seq.variance().abs().max(1.0));
-        }
-
         #[test]
         fn variance_is_nonnegative(xs in proptest::collection::vec(-1e9..1e9f64, 0..200)) {
             let s: RunningStats = xs.into_iter().collect();

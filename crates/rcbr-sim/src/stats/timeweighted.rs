@@ -64,11 +64,6 @@ impl TimeWeighted {
         self.last_time = time;
     }
 
-    /// Current value of the signal.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
     /// Time average over `[start, time]` (the current value extends to
     /// `time`). Returns the current value if no time has elapsed.
     pub fn average(&mut self, time: f64) -> f64 {
@@ -79,16 +74,6 @@ impl TimeWeighted {
         } else {
             self.value
         }
-    }
-
-    /// Smallest value observed.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest value observed.
-    pub fn max(&self) -> f64 {
-        self.max
     }
 
     /// Integral of the signal so far (up to the last advance).
@@ -108,8 +93,8 @@ mod tests {
         tw.set(4.0, 0.0); // value 3 for 2s
                           // value 0 for 4s
         assert!((tw.average(8.0) - (2.0 + 6.0) / 8.0).abs() < 1e-12);
-        assert_eq!(tw.min(), 0.0);
-        assert_eq!(tw.max(), 3.0);
+        assert_eq!(tw.min, 0.0);
+        assert_eq!(tw.max, 3.0);
     }
 
     #[test]
@@ -117,7 +102,7 @@ mod tests {
         let mut tw = TimeWeighted::new(10.0, 0.0);
         tw.add(11.0, 5.0);
         tw.add(12.0, -2.0);
-        assert_eq!(tw.value(), 3.0);
+        assert_eq!(tw.value, 3.0);
         // 0 for 1s, 5 for 1s, 3 for 1s => avg 8/3.
         assert!((tw.average(13.0) - 8.0 / 3.0).abs() < 1e-12);
     }

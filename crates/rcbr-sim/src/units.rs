@@ -2,7 +2,7 @@
 //!
 //! The whole workspace uses `f64` bits, bits/second, and seconds. The paper
 //! reports rates in "kb/s" and buffers in "kb" where k = 1000 (SI), not
-//! 1024; these helpers keep call sites honest about that convention.
+//! 1024; these constants keep call sites honest about that convention.
 
 /// Bits per kilobit (SI convention used throughout the paper).
 pub const KILO: f64 = 1_000.0;
@@ -10,31 +10,6 @@ pub const KILO: f64 = 1_000.0;
 pub const MEGA: f64 = 1_000_000.0;
 /// Bits per gigabit.
 pub const GIGA: f64 = 1_000_000_000.0;
-
-/// Convert kilobits (or kb/s) to bits (or bits/s).
-#[inline]
-pub fn kb(v: f64) -> f64 {
-    v * KILO
-}
-
-/// Convert megabits (or Mb/s) to bits (or bits/s).
-#[inline]
-pub fn mb(v: f64) -> f64 {
-    v * MEGA
-}
-
-/// Convert a rate in kilobits/second to bits/second. Alias of [`kb`] that
-/// reads better at rate call sites.
-#[inline]
-pub fn kbps(v: f64) -> f64 {
-    kb(v)
-}
-
-/// Convert a rate in megabits/second to bits/second. Alias of [`mb`].
-#[inline]
-pub fn mbps(v: f64) -> f64 {
-    mb(v)
-}
 
 /// Render a bit quantity with an adaptive unit, e.g. `374.0 kb`.
 pub fn fmt_bits(bits: f64) -> String {
@@ -58,14 +33,6 @@ pub fn fmt_rate(bps: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn conversions_use_si_kilo() {
-        assert_eq!(kb(374.0), 374_000.0);
-        assert_eq!(mb(2.4), 2_400_000.0);
-        assert_eq!(kbps(64.0), 64_000.0);
-        assert_eq!(mbps(1.5), 1_500_000.0);
-    }
 
     #[test]
     fn formatting_picks_adaptive_units() {

@@ -10,7 +10,7 @@
 //!   into every experiment in this workspace.
 
 use std::fs;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 
 use crate::trace::FrameTrace;
@@ -75,21 +75,6 @@ pub fn save_json(trace: &FrameTrace, path: &Path) -> Result<(), TraceIoError> {
     Ok(())
 }
 
-/// Load a trace from JSON.
-pub fn load_json(path: &Path) -> Result<FrameTrace, TraceIoError> {
-    let data = fs::read_to_string(path)?;
-    Ok(serde_json::from_str(&data)?)
-}
-
-/// Save a trace as one frame size (bits) per line.
-pub fn save_text(trace: &FrameTrace, path: &Path) -> Result<(), TraceIoError> {
-    let mut out = fs::File::create(path)?;
-    for &b in trace.frames() {
-        writeln!(out, "{b}")?;
-    }
-    Ok(())
-}
-
 /// Load a one-frame-size-per-line text trace. Blank lines and lines
 /// starting with `#` are skipped; each remaining line must parse as a
 /// nonnegative number of bits.
@@ -134,15 +119,15 @@ mod tests {
         let tr = FrameTrace::new(1.0 / 24.0, vec![1.0, 2.5, 3.75]);
         let p = tmp("roundtrip.json");
         save_json(&tr, &p).unwrap();
-        let back = load_json(&p).unwrap();
+        let back: FrameTrace = serde_json::from_str(&fs::read_to_string(&p).unwrap()).unwrap();
         assert_eq!(tr, back);
     }
 
     #[test]
-    fn text_roundtrip() {
+    fn text_loads_one_frame_per_line() {
         let tr = FrameTrace::new(0.04, vec![100.0, 0.0, 250.5]);
         let p = tmp("roundtrip.txt");
-        save_text(&tr, &p).unwrap();
+        fs::write(&p, "100\n0\n250.5\n").unwrap();
         let back = load_text(&p, 0.04).unwrap();
         assert_eq!(tr, back);
     }
@@ -187,8 +172,8 @@ mod tests {
 
     #[test]
     fn missing_file_is_io_error() {
-        let p = tmp("does-not-exist.json");
+        let p = tmp("does-not-exist.txt");
         let _ = fs::remove_file(&p);
-        assert!(matches!(load_json(&p), Err(TraceIoError::Io(_))));
+        assert!(matches!(load_text(&p, 1.0), Err(TraceIoError::Io(_))));
     }
 }

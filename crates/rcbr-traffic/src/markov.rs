@@ -59,11 +59,6 @@ impl MarkovChain {
         self.p[i][j]
     }
 
-    /// The full matrix.
-    pub fn matrix(&self) -> &[Vec<f64>] {
-        &self.p
-    }
-
     /// The long-run distribution `π = lim u·L^m` of the chain started from
     /// the uniform distribution `u`, where `L = (I + P)/2` is the lazy
     /// chain.
@@ -168,11 +163,6 @@ impl MarkovModulatedSource {
         &self.chain
     }
 
-    /// Bits per slot emitted in state `i`.
-    pub fn emission(&self, i: usize) -> f64 {
-        self.bits_per_slot[i]
-    }
-
     /// All emissions.
     pub fn emissions(&self) -> &[f64] {
         &self.bits_per_slot
@@ -181,11 +171,6 @@ impl MarkovModulatedSource {
     /// Slot duration in seconds.
     pub fn slot(&self) -> f64 {
         self.slot
-    }
-
-    /// Rate in state `i`, bits/second.
-    pub fn rate(&self, i: usize) -> f64 {
-        self.bits_per_slot[i] / self.slot
     }
 
     /// Long-run mean rate `Σ π_i r_i` in bits/second.
@@ -214,21 +199,6 @@ impl MarkovModulatedSource {
             state = self.chain.step(state, rng);
         }
         FrameTrace::new(self.slot, bits)
-    }
-
-    /// Generate a trace of `n` slots together with the visited state
-    /// sequence (used by tests validating time-scale separation).
-    pub fn generate_with_states(&self, n: usize, rng: &mut SimRng) -> (FrameTrace, Vec<usize>) {
-        let pi = self.chain.stationary();
-        let mut state = rng.discrete(&pi);
-        let mut bits = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n);
-        for _ in 0..n {
-            bits.push(self.bits_per_slot[state]);
-            states.push(state);
-            state = self.chain.step(state, rng);
-        }
-        (FrameTrace::new(self.slot, bits), states)
     }
 }
 
@@ -348,7 +318,6 @@ mod tests {
         let s = MarkovModulatedSource::new(c, vec![0.0, 1000.0], 0.1);
         assert!((s.mean_rate() - 5000.0).abs() < 1e-6);
         assert_eq!(s.peak_rate(), 10_000.0);
-        assert_eq!(s.rate(1), 10_000.0);
     }
 
     #[test]
@@ -363,17 +332,6 @@ mod tests {
             tr.mean_rate(),
             s.mean_rate()
         );
-    }
-
-    #[test]
-    fn generate_with_states_is_consistent() {
-        let c = MarkovChain::two_state(0.3, 0.4);
-        let s = MarkovModulatedSource::new(c, vec![10.0, 20.0], 1.0);
-        let mut rng = SimRng::from_seed(3);
-        let (tr, states) = s.generate_with_states(1000, &mut rng);
-        for (b, &st) in tr.frames().iter().zip(&states) {
-            assert_eq!(*b, s.emission(st));
-        }
     }
 
     proptest! {

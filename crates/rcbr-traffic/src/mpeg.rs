@@ -185,11 +185,6 @@ impl SyntheticMpegSource {
         Self::new(SyntheticMpegConfig::star_wars_like())
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SyntheticMpegConfig {
-        &self.config
-    }
-
     /// Generate a trace of `n_frames` frames, rescaled to hit the
     /// configured mean rate exactly.
     ///
@@ -237,12 +232,6 @@ impl SyntheticMpegSource {
             *b *= scale;
         }
         FrameTrace::new(frame_interval, bits)
-    }
-
-    /// Generate the paper-scale workload: a full-movie-length trace
-    /// (~171,000 frames ≈ 2 hours at 24 frames/s).
-    pub fn generate_full_movie(&self, rng: &mut SimRng) -> FrameTrace {
-        self.generate(171_000, rng)
     }
 }
 

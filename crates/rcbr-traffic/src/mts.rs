@@ -150,22 +150,6 @@ impl MtsModel {
         }
     }
 
-    /// Convenience constructor: uniform switch probabilities and a common
-    /// rare-transition probability `eps`.
-    pub fn uniform_switching(subchains: Vec<Subchain>, eps: f64, slot: f64) -> Self {
-        let k = subchains.len();
-        assert!(k >= 2, "an MTS model needs at least two subchains");
-        let mut switch = vec![vec![0.0; k]; k];
-        for (i, row) in switch.iter_mut().enumerate() {
-            for (j, x) in row.iter_mut().enumerate() {
-                if i != j {
-                    *x = 1.0 / (k - 1) as f64;
-                }
-            }
-        }
-        Self::new(subchains, switch, vec![eps; k], slot)
-    }
-
     /// The subchains.
     pub fn subchains(&self) -> &[Subchain] {
         &self.subchains
@@ -179,11 +163,6 @@ impl MtsModel {
     /// Slot duration in seconds.
     pub fn slot(&self) -> f64 {
         self.slot
-    }
-
-    /// Rare-transition probability out of subchain `k`, per slot.
-    pub fn eps(&self, k: usize) -> f64 {
-        self.eps[k]
     }
 
     /// Mean sojourn time in subchain `k`, seconds (`slot / eps_k`).
@@ -410,7 +389,7 @@ mod tests {
         let m = model(5e-3);
         let flat = m.flatten();
         let mut rng = SimRng::from_seed(99);
-        let (tr, _) = flat.generate_with_states(400_000, &mut rng);
+        let tr = flat.generate(400_000, &mut rng);
         // Classify each slot by its emission level: low subchain emits
         // <= 300 kb/s * slot, high subchain >= 1200 kb/s * slot.
         let slot = m.slot();

@@ -43,25 +43,6 @@ impl OnOffSource {
         }
     }
 
-    /// Construct from mean burst/silence durations in seconds.
-    pub fn from_durations(mean_on: f64, mean_off: f64, peak_rate: f64, slot: f64) -> Self {
-        assert!(
-            mean_on >= slot && mean_off >= slot,
-            "durations must be at least one slot"
-        );
-        Self::new(slot / mean_off, slot / mean_on, peak_rate, slot)
-    }
-
-    /// Stationary probability of being on: `p_on / (p_on + p_off)`.
-    pub fn on_probability(&self) -> f64 {
-        self.p_on / (self.p_on + self.p_off)
-    }
-
-    /// Mean rate, bits/second.
-    pub fn mean_rate(&self) -> f64 {
-        self.on_probability() * self.peak_rate
-    }
-
     /// As a two-state Markov-modulated source (state 0 = off, 1 = on).
     pub fn as_source(&self) -> MarkovModulatedSource {
         MarkovModulatedSource::new(
@@ -79,29 +60,21 @@ mod tests {
 
     #[test]
     fn stationary_on_probability() {
+        // On a quarter of the time: p_on / (p_on + p_off) = 0.25.
         let s = OnOffSource::new(0.1, 0.3, 1000.0, 1.0);
-        assert!((s.on_probability() - 0.25).abs() < 1e-12);
-        assert!((s.mean_rate() - 250.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_durations_roundtrips() {
-        let s = OnOffSource::from_durations(2.0, 8.0, 1000.0, 0.5);
-        // p_off = slot/mean_on = 0.25; p_on = slot/mean_off = 0.0625.
-        assert!((s.p_off - 0.25).abs() < 1e-12);
-        assert!((s.p_on - 0.0625).abs() < 1e-12);
-        assert!((s.on_probability() - 0.2).abs() < 1e-12);
+        assert!((s.as_source().mean_rate() - 250.0).abs() < 1e-12);
     }
 
     #[test]
     fn as_source_matches_analytics() {
         let s = OnOffSource::new(0.2, 0.2, 2000.0, 0.5);
         let src = s.as_source();
-        assert!((src.mean_rate() - s.mean_rate()).abs() < 1e-9);
+        let mean = s.peak_rate / 2.0;
+        assert!((src.mean_rate() - mean).abs() < 1e-9);
         assert!((src.peak_rate() - s.peak_rate).abs() < 1e-9);
         let mut rng = SimRng::from_seed(5);
         let tr = src.generate(100_000, &mut rng);
-        assert!((tr.mean_rate() - s.mean_rate()).abs() / s.mean_rate() < 0.03);
+        assert!((tr.mean_rate() - mean).abs() / mean < 0.03);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! Section II argues that a *static* descriptor — a token bucket chosen once
 //! at connection setup — cannot capture multiple-time-scale traffic without
 //! giving up statistical multiplexing gain, loss, buffering, or protection.
-//! This module provides that baseline machinery: conformance testing,
-//! shaping, and the minimal bucket depth needed for a given token rate
-//! (the trace's burstiness curve, which also generates Fig. 5's x-axis).
+//! This module provides that baseline machinery: conformance testing and
+//! policing.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,22 +42,6 @@ impl TokenBucket {
             tokens: depth,
             last_time: 0.0,
         }
-    }
-
-    /// Token rate, bits/s.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Bucket depth, bits.
-    pub fn depth(&self) -> f64 {
-        self.depth
-    }
-
-    /// Tokens currently available (after accrual up to `time`).
-    pub fn available(&mut self, time: f64) -> f64 {
-        self.accrue(time);
-        self.tokens
     }
 
     fn accrue(&mut self, time: f64) {
@@ -100,29 +83,9 @@ impl TokenBucket {
     }
 }
 
-/// The minimal bucket depth such that `trace` conforms to a bucket of the
-/// given token `rate`: `max_t (A(t) - rate * t)` over cumulative arrivals
-/// `A`. This is the classic burstiness curve σ(ρ); the paper's Fig. 5 is
-/// the loss-tolerant version of it.
-pub fn min_conforming_depth(trace: &FrameTrace, rate: f64) -> f64 {
-    assert!(rate >= 0.0, "rate must be nonnegative");
-    let dt = trace.frame_interval();
-    let mut backlog: f64 = 0.0;
-    let mut worst: f64 = 0.0;
-    for t in 0..trace.len() {
-        // Frame arrives at the start of the slot; tokens accrue over the
-        // slot. The required depth is the peak instantaneous deficit.
-        backlog += trace.bits(t);
-        worst = worst.max(backlog);
-        backlog = (backlog - rate * dt).max(0.0);
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn bucket_accrues_and_caps() {
@@ -130,7 +93,7 @@ mod tests {
         assert!(b.try_send(0.0, 500.0)); // full at start
         assert!(!b.try_send(1.0, 200.0)); // only 100 accrued
         assert!(b.try_send(5.0, 500.0)); // refilled (capped at depth)
-        assert_eq!(b.available(5.0), 0.0);
+        assert_eq!(b.tokens, 0.0);
     }
 
     #[test]
@@ -146,45 +109,5 @@ mod tests {
         let tr = FrameTrace::new(1.0, vec![0.0, 0.0, 1000.0, 0.0]);
         let mut b = TokenBucket::new(10.0, 50.0);
         assert_eq!(b.police(&tr), 1);
-    }
-
-    #[test]
-    fn min_depth_makes_trace_conform() {
-        let tr = FrameTrace::new(0.5, vec![10.0, 500.0, 0.0, 300.0, 20.0]);
-        let rate = 1.2 * tr.mean_rate();
-        let depth = min_conforming_depth(&tr, rate);
-        let mut b = TokenBucket::new(rate, depth);
-        assert_eq!(b.police(&tr), 0, "depth {depth} should conform");
-    }
-
-    #[test]
-    fn min_depth_at_peak_rate_is_one_frame() {
-        let tr = FrameTrace::new(1.0, vec![100.0, 100.0, 100.0]);
-        // Rate = peak rate: depth need only hold one frame burst.
-        let d = min_conforming_depth(&tr, 100.0);
-        assert!((d - 100.0).abs() < 1e-9);
-    }
-
-    proptest! {
-        /// The computed minimal depth always polices cleanly, and any
-        /// materially smaller depth does not (when the trace actually
-        /// exceeds the token rate somewhere).
-        #[test]
-        fn min_depth_is_tight(
-            bits in proptest::collection::vec(0.0..1e4f64, 2..60),
-            rate_factor in 0.5..2.0f64,
-        ) {
-            let tr = FrameTrace::new(0.25, bits);
-            prop_assume!(tr.total_bits() > 0.0);
-            let rate = rate_factor * tr.mean_rate();
-            prop_assume!(rate > 0.0);
-            let depth = min_conforming_depth(&tr, rate);
-            let mut ok = TokenBucket::new(rate, depth);
-            prop_assert_eq!(ok.police(&tr), 0);
-            if depth > 1.0 {
-                let mut tight = TokenBucket::new(rate, depth * 0.99 - 0.5);
-                prop_assert!(tight.police(&tr) > 0);
-            }
-        }
     }
 }

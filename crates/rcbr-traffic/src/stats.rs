@@ -68,38 +68,6 @@ impl TraceStats {
         }
         best as f64
     }
-
-    /// Fraction of 1-second slots whose rate exceeds `threshold_x_mean`
-    /// times the mean.
-    pub fn fraction_above(&self, threshold_x_mean: f64) -> f64 {
-        if self.second_rates.is_empty() {
-            return 0.0;
-        }
-        let thresh = threshold_x_mean * self.mean_rate;
-        self.second_rates.iter().filter(|&&r| r > thresh).count() as f64
-            / self.second_rates.len() as f64
-    }
-
-    /// Lag-`k` autocorrelation of the per-frame sizes — MPEG GoP structure
-    /// shows up as strong positive correlation at multiples of the GoP
-    /// length.
-    pub fn frame_autocorrelation(trace: &FrameTrace, k: usize) -> f64 {
-        let xs = trace.frames();
-        if k >= xs.len() {
-            return 0.0;
-        }
-        let n = xs.len();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        if var == 0.0 {
-            return 0.0;
-        }
-        let cov: f64 = (0..n - k)
-            .map(|i| (xs[i] - mean) * (xs[i + k] - mean))
-            .sum::<f64>()
-            / (n - k) as f64;
-        cov / var
-    }
 }
 
 /// Rates of the trace aggregated into `factor`-frame slots, bits/s.
@@ -129,7 +97,6 @@ mod tests {
         assert_eq!(s.frame_cv, 0.0);
         assert_eq!(s.second_cv, 0.0);
         assert_eq!(s.longest_sustained_peak(1.5), 0.0);
-        assert_eq!(s.fraction_above(1.01), 0.0);
     }
 
     #[test]
@@ -145,8 +112,6 @@ mod tests {
         // Mean ~ 166.7 bits/frame; the episode is ~3x the mean.
         let run = s.longest_sustained_peak(2.0);
         assert!((run - 20.0).abs() <= 1.0, "run {run}");
-        let frac = s.fraction_above(2.0);
-        assert!((frac - 20.0 / 120.0).abs() < 0.02, "frac {frac}");
     }
 
     #[test]
@@ -160,26 +125,6 @@ mod tests {
         let s = TraceStats::compute(&tr);
         assert!(s.frame_cv > 0.9, "frame cv {}", s.frame_cv);
         assert!(s.second_cv < 0.01, "second cv {}", s.second_cv);
-    }
-
-    #[test]
-    fn autocorrelation_sees_periodicity() {
-        let bits: Vec<f64> = (0..1200)
-            .map(|i| if i % 12 == 0 { 1000.0 } else { 100.0 })
-            .collect();
-        let tr = FrameTrace::new(1.0 / 24.0, bits);
-        let at_gop = TraceStats::frame_autocorrelation(&tr, 12);
-        let off_gop = TraceStats::frame_autocorrelation(&tr, 6);
-        assert!(at_gop > 0.9, "GoP-lag autocorrelation {at_gop}");
-        assert!(off_gop < 0.0, "off-lag autocorrelation {off_gop}");
-    }
-
-    #[test]
-    fn autocorrelation_edge_cases() {
-        let tr = FrameTrace::new(1.0, vec![1.0, 2.0]);
-        assert_eq!(TraceStats::frame_autocorrelation(&tr, 5), 0.0);
-        let flat = FrameTrace::new(1.0, vec![3.0; 10]);
-        assert_eq!(TraceStats::frame_autocorrelation(&flat, 1), 0.0);
     }
 
     #[test]

@@ -174,20 +174,6 @@ impl FrameTrace {
         }
         cum
     }
-
-    /// Concatenate `self` repeated `times` times (for building long
-    /// workloads out of a base trace).
-    pub fn repeat(&self, times: usize) -> FrameTrace {
-        assert!(times > 0, "repeat count must be positive");
-        let mut bits = Vec::with_capacity(self.len() * times);
-        for _ in 0..times {
-            bits.extend_from_slice(&self.frame_bits);
-        }
-        FrameTrace {
-            frame_interval: self.frame_interval,
-            frame_bits: bits,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,13 +220,9 @@ mod tests {
     }
 
     #[test]
-    fn window_and_repeat() {
+    fn window_slices() {
         let tr = t(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(tr.window(1, 2).frames(), &[2.0, 3.0]);
-        assert_eq!(
-            tr.repeat(2).frames(),
-            &[1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0]
-        );
     }
 
     #[test]

@@ -233,14 +233,16 @@ impl FaultConfig {
 }
 
 /// The scheduled outages in force at one superstep: what
-/// [`FaultPlane::switch_down`], [`FaultPlane::link_down`] and
-/// [`FaultPlane::restart_superstep`] answer for that superstep, worked
-/// out once ([`FaultPlane::active_at`]) instead of once per cell. A pure
-/// function of the configuration and the clock, so every shard holds the
-/// same lists; with nothing scheduled a query tests an empty one.
-#[derive(Debug, Clone, Default)]
+/// [`FaultPlane::switch_down`], [`FaultPlane::switch_killed`],
+/// [`FaultPlane::link_down`] and [`FaultPlane::restart_superstep`] answer
+/// for that superstep, worked out once ([`FaultPlane::active_at`])
+/// instead of once per cell or per route. A pure function of the
+/// configuration and the clock, so every shard holds the same lists;
+/// with nothing scheduled a query tests an empty one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActiveFaults {
     down: Vec<usize>,
+    killed: Vec<usize>,
     links: Vec<(usize, usize)>,
     restarted: Vec<usize>,
 }
@@ -249,6 +251,17 @@ impl ActiveFaults {
     /// [`FaultPlane::switch_down`] at this superstep.
     pub fn switch_down(&self, switch: usize) -> bool {
         self.down.contains(&switch)
+    }
+
+    /// [`FaultPlane::switch_killed`] at this superstep.
+    pub fn switch_killed(&self, switch: usize) -> bool {
+        self.killed.contains(&switch)
+    }
+
+    /// Whether no switch is killed and no link is down: no route can
+    /// have died, so a liveness check need not walk one.
+    pub fn routes_intact(&self) -> bool {
+        self.killed.is_empty() && self.links.is_empty()
     }
 
     /// [`FaultPlane::link_down`] at this superstep.
@@ -356,11 +369,18 @@ impl FaultPlane {
     pub fn active_at(&self, superstep: u64, active: &mut ActiveFaults) {
         let c = &self.cfg;
         let crashed = c.crashes.iter().map(|x| x.switch);
-        let scheduled = c.kills.iter().map(|k| k.switch).chain(crashed.clone());
+        let killed = c.kills.iter().map(|k| k.switch);
         active.down.clear();
+        active.down.extend(
+            killed
+                .clone()
+                .chain(crashed.clone())
+                .filter(|&s| self.switch_down(s, superstep)),
+        );
+        active.killed.clear();
         active
-            .down
-            .extend(scheduled.filter(|&s| self.switch_down(s, superstep)));
+            .killed
+            .extend(killed.filter(|&s| self.switch_killed(s, superstep)));
         let links = c.link_downs.iter().map(|l| (l.a, l.b));
         active.links.clear();
         active
@@ -603,6 +623,7 @@ mod tests {
                     p.switch_down(a, t),
                     "switch {a} at {t}"
                 );
+                assert_eq!(active.switch_killed(a), p.switch_killed(a, t), "{a} at {t}");
                 let restarted = p.restart_superstep(a).is_some_and(|at| t >= at);
                 assert_eq!(active.restarted().contains(&a), restarted, "{a} at {t}");
                 for b in 0..6 {
@@ -616,6 +637,81 @@ mod tests {
         }
         p.active_at(40, &mut active);
         assert_eq!(active.restarted(), [2, 5], "configuration order, each once");
+    }
+
+    /// The same agreement over `chaos_reroute`'s schedule — 96 switches,
+    /// two kills, two crashes and sixteen link windows — at every
+    /// superstep to 3000, on every switch and every ring and chord link.
+    /// Inside a crash window the crashed switch is down but not killed,
+    /// which is why route liveness (asking `switch_killed`) rides a crash
+    /// out instead of rerouting around it.
+    #[test]
+    fn active_faults_answer_for_the_chaos_reroute_schedule() {
+        let n = 96;
+        let p = FaultPlane::new(FaultConfig {
+            kills: [(3, 200), (49, 900)]
+                .map(|(switch, at_superstep)| KillSpec {
+                    switch,
+                    at_superstep,
+                })
+                .to_vec(),
+            crashes: [(32, 600), (64, 1500)]
+                .map(|(switch, at_superstep)| CrashSpec {
+                    switch,
+                    at_superstep,
+                    down_supersteps: 80,
+                })
+                .to_vec(),
+            link_downs: (0..8u64)
+                .flat_map(|k| {
+                    let s = (5 + 11 * k as usize) % n;
+                    [300 + 250 * k, 2500 + 250 * k].map(|at_superstep| LinkDownSpec {
+                        a: s,
+                        b: (s + 1) % n,
+                        at_superstep,
+                        down_supersteps: 120,
+                    })
+                })
+                .collect(),
+            ..FaultConfig::transparent()
+        });
+        let ring = (0..n).map(|i| (i, (i + 1) % n));
+        let chords = (0..n - 2).step_by(4).map(|i| (i, i + 2));
+        let links: Vec<(usize, usize)> = ring.chain(chords).collect();
+        let mut active = ActiveFaults::default();
+        let (mut crashed_not_killed, mut cut) = (0, 0);
+        for t in 0..=3000 {
+            p.active_at(t, &mut active);
+            for s in 0..n {
+                assert_eq!(active.switch_killed(s), p.switch_killed(s, t), "{s} at {t}");
+                assert_eq!(active.switch_down(s), p.switch_down(s, t), "{s} at {t}");
+                crashed_not_killed +=
+                    usize::from(active.switch_down(s) && !active.switch_killed(s));
+            }
+            for &(a, b) in &links {
+                for (x, y) in [(a, b), (b, a)] {
+                    assert_eq!(
+                        active.link_down(x, y),
+                        p.link_down(x, y, t),
+                        "{x}-{y} at {t}"
+                    );
+                }
+                cut += usize::from(active.link_down(a, b));
+            }
+            assert_eq!(
+                active.routes_intact(),
+                (0..n).all(|s| !p.switch_killed(s, t))
+                    && links.iter().all(|&(a, b)| !p.link_down(a, b, t)),
+                "at {t}"
+            );
+        }
+        assert_eq!(crashed_not_killed, 2 * 80, "both crash windows, whole");
+        // The first eight windows whole; of the second eight, those at
+        // 2500 and 2750 whole and the one at 3000 for its first superstep.
+        assert_eq!(cut, 10 * 120 + 1);
+        p.active_at(640, &mut active);
+        assert!(active.switch_down(32) && !active.switch_killed(32));
+        assert!(active.switch_killed(3) && !active.switch_killed(49));
     }
 
     #[test]

@@ -127,11 +127,17 @@ impl Topology {
     /// order over routes — so the selection is a pure function of the
     /// topology and the predicates, independent of caller iteration order:
     /// the property the survivable signaling plane's determinism contract
-    /// rests on.
+    /// rests on. The answer is the first `k` routes of that order.
     ///
-    /// The enumeration is a bounded DFS over simple paths; the substrate
-    /// topologies here (rings plus a few chords) keep that cheap, and
-    /// `max_len` caps the blowup on denser graphs.
+    /// The search never lists every simple route, which on a 96-switch
+    /// ring with chords runs to thousands per query. A BFS from `src`
+    /// over live elements first finds the fewest-switch length `L`, or
+    /// proves there is no route within `max_len` — where a stranded VC's
+    /// recheck ends, after at most `max_len` levels. Only then does a
+    /// second BFS, back from `dst`, count every switch's fewest live hops
+    /// to it, and a DFS pruned by those counts collect the routes of
+    /// exactly `L`, `L + 1`, … switches, one length at a time, sorting
+    /// each length's batch, until it holds `k`.
     pub fn alive_routes(
         &self,
         src: usize,
@@ -143,50 +149,118 @@ impl Topology {
     ) -> Vec<Vec<usize>> {
         let n = self.num_switches();
         assert!(src < n && dst < n, "switch index out of range");
-        if k == 0 || max_len == 0 || !alive_switch(src) {
+        if k == 0 || max_len == 0 || !alive_switch(src) || !alive_switch(dst) {
             return Vec::new();
         }
         if src == dst {
             return vec![vec![src]];
         }
+        // A route may step from `u` onto `v`.
+        let step = |u: usize, v: usize| alive_switch(v) && alive_link(u, v);
+        let Some(shortest) = self.live_len(src, dst, max_len, &step) else {
+            return Vec::new();
+        };
+        let to_dst = self.live_hops_to(dst, &step);
         let mut found: Vec<Vec<usize>> = Vec::new();
         let mut route = vec![src];
-        self.dfs_routes(
-            dst,
-            max_len,
-            alive_switch,
-            alive_link,
-            &mut route,
-            &mut found,
-        );
-        found.sort();
-        found.sort_by_key(|r| r.len());
+        for len in shortest..=max_len {
+            let batch = found.len();
+            self.routes_of_len(len, &step, &to_dst, &mut route, &mut found);
+            found[batch..].sort_unstable();
+            if found.len() >= k {
+                break;
+            }
+        }
         found.truncate(k);
         found
     }
 
-    fn dfs_routes(
+    /// The fewest switches on a live route `src -> dst` (`src != dst`),
+    /// if one of at most `max_len` exists: a BFS that stops at `dst` or
+    /// past `max_len`.
+    fn live_len(
         &self,
+        src: usize,
         dst: usize,
         max_len: usize,
-        alive_switch: &dyn Fn(usize) -> bool,
-        alive_link: &dyn Fn(usize, usize) -> bool,
+        step: &dyn Fn(usize, usize) -> bool,
+    ) -> Option<usize> {
+        let mut seen = vec![false; self.num_switches()];
+        seen[src] = true;
+        let mut frontier = vec![src];
+        let mut next = Vec::new();
+        // Switches on a route that ends in the next frontier.
+        let mut len = 2;
+        while len <= max_len && !frontier.is_empty() {
+            for &u in &frontier {
+                for l in &self.adjacency[u] {
+                    if !seen[l.to] && step(u, l.to) {
+                        if l.to == dst {
+                            return Some(len);
+                        }
+                        seen[l.to] = true;
+                        next.push(l.to);
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
+            len += 1;
+        }
+        None
+    }
+
+    /// Per switch, the fewest live hops from it to `dst` (`usize::MAX`
+    /// where there is none): a BFS from `dst` against the live links. A
+    /// lower bound on the hops any simple route still needs.
+    fn live_hops_to(&self, dst: usize, step: &dyn Fn(usize, usize) -> bool) -> Vec<usize> {
+        let n = self.num_switches();
+        let mut into: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (u, links) in self.adjacency.iter().enumerate() {
+            for l in links.iter().filter(|l| step(u, l.to)) {
+                into[l.to].push(u);
+            }
+        }
+        let mut hops = vec![usize::MAX; n];
+        hops[dst] = 0;
+        let mut queue = VecDeque::from([dst]);
+        while let Some(v) = queue.pop_front() {
+            for &u in &into[v] {
+                if hops[u] == usize::MAX {
+                    hops[u] = hops[v] + 1;
+                    queue.push_back(u);
+                }
+            }
+        }
+        hops
+    }
+
+    /// Append to `found` every simple live route of exactly `len`
+    /// switches that extends `route` to the switch `to_dst` counts down
+    /// to, in DFS order.
+    fn routes_of_len(
+        &self,
+        len: usize,
+        step: &dyn Fn(usize, usize) -> bool,
+        to_dst: &[usize],
         route: &mut Vec<usize>,
         found: &mut Vec<Vec<usize>>,
     ) {
         let u = *route.last().expect("route starts nonempty");
-        if route.len() == max_len {
-            return;
-        }
         for l in &self.adjacency[u] {
-            if route.contains(&l.to) || !alive_switch(l.to) || !alive_link(u, l.to) {
+            // Switches the route would hold once it reached `dst` via
+            // `l.to` along the fewest live hops.
+            let fewest = to_dst[l.to].saturating_add(route.len() + 1);
+            if fewest > len || route.contains(&l.to) || !step(u, l.to) {
                 continue;
             }
             route.push(l.to);
-            if l.to == dst {
-                found.push(route.clone());
+            if to_dst[l.to] == 0 {
+                if route.len() == len {
+                    found.push(route.clone());
+                }
             } else {
-                self.dfs_routes(dst, max_len, alive_switch, alive_link, route, found);
+                self.routes_of_len(len, step, to_dst, route, found);
             }
             route.pop();
         }
@@ -239,8 +313,77 @@ impl Topology {
 }
 
 #[cfg(test)]
+mod reference {
+    //! The exhaustive route search [`Topology::alive_routes`] replaced,
+    //! kept as its oracle: list every simple live route of at most
+    //! `max_len` switches, sort them all, keep the first `k`.
+
+    use super::Topology;
+
+    pub fn alive_routes(
+        topo: &Topology,
+        src: usize,
+        dst: usize,
+        k: usize,
+        max_len: usize,
+        alive_switch: &dyn Fn(usize) -> bool,
+        alive_link: &dyn Fn(usize, usize) -> bool,
+    ) -> Vec<Vec<usize>> {
+        if k == 0 || max_len == 0 || !alive_switch(src) {
+            return Vec::new();
+        }
+        if src == dst {
+            return vec![vec![src]];
+        }
+        let mut found: Vec<Vec<usize>> = Vec::new();
+        let mut route = vec![src];
+        dfs_routes(
+            topo,
+            dst,
+            max_len,
+            alive_switch,
+            alive_link,
+            &mut route,
+            &mut found,
+        );
+        found.sort();
+        found.sort_by_key(|r| r.len());
+        found.truncate(k);
+        found
+    }
+
+    fn dfs_routes(
+        topo: &Topology,
+        dst: usize,
+        max_len: usize,
+        alive_switch: &dyn Fn(usize) -> bool,
+        alive_link: &dyn Fn(usize, usize) -> bool,
+        route: &mut Vec<usize>,
+        found: &mut Vec<Vec<usize>>,
+    ) {
+        let u = *route.last().expect("route starts nonempty");
+        if route.len() == max_len {
+            return;
+        }
+        for l in topo.links(u) {
+            if route.contains(&l.to) || !alive_switch(l.to) || !alive_link(u, l.to) {
+                continue;
+            }
+            route.push(l.to);
+            if l.to == dst {
+                found.push(route.clone());
+            } else {
+                dfs_routes(topo, dst, max_len, alive_switch, alive_link, route, found);
+            }
+            route.pop();
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A 2x2 grid: 0-1 / 2-3 with vertical links 0-2 and 1-3.
     fn grid() -> Topology {
@@ -373,6 +516,81 @@ mod tests {
         let a = t.alive_routes(4, 1, 8, 6, &all, &link_ok);
         let b = t.alive_routes(4, 1, 8, 6, &all, &link_ok);
         assert_eq!(a, b);
+    }
+
+    /// A ring of `n` with duplex `chords` (self-links and repeats
+    /// skipped).
+    fn ring_with_chords(n: usize, chords: impl IntoIterator<Item = (usize, usize)>) -> Topology {
+        let mut t = Topology::new(n, 0.001);
+        for i in 0..n {
+            t.add_duplex(i, (i + 1) % n, 0);
+        }
+        for (a, b) in chords {
+            if a != b && !t.links(a).iter().any(|l| l.to == b) {
+                t.add_duplex(a, b, 0);
+            }
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The two-stage search returns exactly the exhaustive search's
+        /// list, on rings plus chords with up to a fifth of the switches
+        /// dead and a few links down, some in one direction only.
+        #[test]
+        fn alive_routes_match_the_exhaustive_reference(
+            n in 3usize..41,
+            chords in proptest::collection::vec((0usize..40, 0usize..40), 0..9),
+            dead in proptest::collection::vec(0usize..40, 0..9),
+            cut in proptest::collection::vec((0usize..40, any::<bool>()), 0..4),
+            queries in proptest::collection::vec(
+                (0usize..40, 0usize..40, 1usize..7, 1usize..17),
+                8,
+            ),
+        ) {
+            let t = ring_with_chords(n, chords.iter().map(|&(a, b)| (a % n, b % n)));
+            let dead: Vec<usize> = dead.iter().take(n / 5).map(|&s| s % n).collect();
+            // Ring link `i -> i + 1`, and its reverse unless one-way.
+            let cut: Vec<(usize, usize, bool)> =
+                cut.iter().map(|&(i, both)| (i % n, (i + 1) % n, both)).collect();
+            let alive_switch = |s: usize| !dead.contains(&s);
+            let alive_link = |a: usize, b: usize| {
+                !cut.iter().any(|&(x, y, both)| (x, y) == (a, b) || (both && (y, x) == (a, b)))
+            };
+            for (src, dst, k, max_len) in queries {
+                let (src, dst) = (src % n, dst % n);
+                let want =
+                    reference::alive_routes(&t, src, dst, k, max_len, &alive_switch, &alive_link);
+                let got = t.alive_routes(src, dst, k, max_len, &alive_switch, &alive_link);
+                prop_assert_eq!(got, want, "{} -> {}, k {}, max_len {}", src, dst, k, max_len);
+            }
+        }
+    }
+
+    /// `chaos_reroute`'s topology: 96 switches, chords `(i, i + 2)` every
+    /// fourth switch. A VC whose destination is killed has no route, and
+    /// the rest still get the reference's.
+    #[test]
+    fn killed_destination_on_the_chaos_topology_has_no_route() {
+        let t = ring_with_chords(96, (0..94).step_by(4).map(|i| (i, i + 2)));
+        let alive_switch = |s: usize| s != 49;
+        let alive_link = |_: usize, _: usize| true;
+        for src in [45, 46, 48, 50, 52, 53] {
+            assert!(t
+                .alive_routes(src, 49, 3, 16, &alive_switch, &alive_link)
+                .is_empty());
+        }
+        for (src, dst) in [(44, 50), (48, 52), (47, 51), (0, 90)] {
+            let want = reference::alive_routes(&t, src, dst, 3, 16, &alive_switch, &alive_link);
+            assert!(!want.is_empty(), "{src} -> {dst}");
+            assert_eq!(
+                t.alive_routes(src, dst, 3, 16, &alive_switch, &alive_link),
+                want,
+                "{src} -> {dst}"
+            );
+        }
     }
 
     #[test]

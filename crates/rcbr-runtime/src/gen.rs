@@ -45,7 +45,7 @@
 //! booking. MBAC denials simply arrive as ordinary denials and ride the
 //! same backoff / retry / degrade path above, unchanged.
 
-use rcbr_net::{FaultPlane, PriorityClass, Topology, SALT_PRIMARY, SALT_TEARDOWN_BASE};
+use rcbr_net::{ActiveFaults, PriorityClass, Topology, SALT_PRIMARY, SALT_TEARDOWN_BASE};
 use rcbr_schedule::online::{Ar1Config, Ar1Policy};
 use rcbr_schedule::{RetryBudget, RetryPolicy, VcDriver, LANES};
 use rcbr_sim::SimRng;
@@ -124,11 +124,13 @@ enum RouteState {
 }
 
 /// Whether every switch on `route` is unkilled and every link between
-/// consecutive hops is up at `now`. Transient crashes do *not* fail this
-/// check: they end on their own and the retry machinery rides them out.
-fn route_alive(route: &[usize], plane: &FaultPlane, now: u64) -> bool {
-    route.iter().all(|&h| !plane.switch_killed(h, now))
-        && route.windows(2).all(|w| !plane.link_down(w[0], w[1], now))
+/// consecutive hops is up under `active`, the round top's outages.
+/// Transient crashes do *not* fail this check: they end on their own and
+/// the retry machinery rides them out.
+fn route_alive(route: &[usize], active: &ActiveFaults) -> bool {
+    active.routes_intact()
+        || (route.iter().all(|&h| !active.switch_killed(h))
+            && route.windows(2).all(|w| !active.link_down(w[0], w[1])))
 }
 
 /// One VC's source-side state.
@@ -209,16 +211,16 @@ impl VcRunner {
 
     /// Round boundary, phase A: consume the outstanding attempt's verdict
     /// if one arrived, otherwise check it for timeout; then check the
-    /// active route's liveness against the fault plane. `now` is the
-    /// engine's superstep clock. The pipeline is quiescent here, which is
-    /// what makes route decisions race-free: no cell is in flight to
-    /// observe a half-switched route.
+    /// active route's liveness against `active`, the outages in force at
+    /// `now`, the engine's superstep clock. The pipeline is quiescent
+    /// here, which is what makes route decisions race-free: no cell is in
+    /// flight to observe a half-switched route.
     #[allow(clippy::too_many_arguments)]
     pub fn begin_round(
         &mut self,
         cfg: &RuntimeConfig,
         topo: &Topology,
-        plane: &FaultPlane,
+        active: &ActiveFaults,
         outcome: Option<Outcome>,
         pressured: bool,
         now: u64,
@@ -273,7 +275,7 @@ impl VcRunner {
                 }
             }
         }
-        self.check_route(cfg, topo, plane, now);
+        self.check_route(cfg, topo, active, now);
     }
 
     /// Process the verdict (or timeout) of an in-flight reroute walk.
@@ -409,9 +411,15 @@ impl VcRunner {
 
     /// Phase A route-liveness check: a Settled VC whose route died starts
     /// a reroute; a Stranded VC re-arms when the topology heals.
-    fn check_route(&mut self, cfg: &RuntimeConfig, topo: &Topology, plane: &FaultPlane, now: u64) {
+    fn check_route(
+        &mut self,
+        cfg: &RuntimeConfig,
+        topo: &Topology,
+        active: &ActiveFaults,
+        now: u64,
+    ) {
         match self.route_state {
-            RouteState::Settled if !route_alive(&self.active_route, plane, now) => {
+            RouteState::Settled if !route_alive(&self.active_route, active) => {
                 // Cancel any outstanding normal request: the pipeline
                 // is quiescent, so an attempt without a verdict is
                 // already dead, and the reroute preempts retries.
@@ -424,7 +432,7 @@ impl VcRunner {
                     mode: RerouteMode::MakeBeforeBreak,
                 };
             }
-            RouteState::Stranded if !self.candidates(cfg, topo, plane, now).is_empty() => {
+            RouteState::Stranded if !self.candidates(cfg, topo, active).is_empty() => {
                 // A path reopened (e.g. a flapped link restored): start a
                 // fresh failure episode from the torn state.
                 self.budget = RetryBudget::new(cfg.retry_budget);
@@ -437,23 +445,22 @@ impl VcRunner {
         }
     }
 
-    /// The live candidate routes between this VC's endpoints, in the
-    /// deterministic `(length, lexicographic)` order of
+    /// The live candidate routes between this VC's endpoints under
+    /// `active`, in the deterministic `(length, lexicographic)` order of
     /// [`Topology::alive_routes`].
     fn candidates(
         &self,
         cfg: &RuntimeConfig,
         topo: &Topology,
-        plane: &FaultPlane,
-        now: u64,
+        active: &ActiveFaults,
     ) -> Vec<Vec<usize>> {
         topo.alive_routes(
             self.src,
             self.dst,
             cfg.reroute_k,
             MAX_ROUTE,
-            &|s| !plane.switch_killed(s, now),
-            &|a, b| !plane.link_down(a, b, now),
+            &|s| !active.switch_killed(s),
+            &|a, b| !active.link_down(a, b),
         )
     }
 
@@ -532,7 +539,7 @@ impl VcRunner {
         &mut self,
         cfg: &RuntimeConfig,
         topo: &Topology,
-        plane: &FaultPlane,
+        active: &ActiveFaults,
         round: u64,
         now: u64,
         out: &mut Vec<Job>,
@@ -569,7 +576,7 @@ impl VcRunner {
                         mode,
                     };
                 } else {
-                    let cands = self.candidates(cfg, topo, plane, now);
+                    let cands = self.candidates(cfg, topo, active);
                     if cands.is_empty() {
                         self.strand(counts);
                     } else {
@@ -836,11 +843,19 @@ impl VcRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcbr_net::FaultPlane;
 
     fn quiet_cfg() -> RuntimeConfig {
         let mut cfg = RuntimeConfig::balanced(1, 8);
         cfg.fault = rcbr_net::FaultConfig::transparent();
         cfg
+    }
+
+    /// The outages `plane` schedules at `now`, as a round top holds them.
+    fn faults_at(plane: &FaultPlane, now: u64) -> ActiveFaults {
+        let mut active = ActiveFaults::default();
+        plane.active_at(now, &mut active);
+        active
     }
 
     /// Phase B for a lone runner: the three parts in the kernel's order.
@@ -849,13 +864,13 @@ mod tests {
         r: &mut VcRunner,
         cfg: &RuntimeConfig,
         topo: &Topology,
-        plane: &FaultPlane,
+        active: &ActiveFaults,
         round: u64,
         now: u64,
         out: &mut Vec<Job>,
         counters: &mut Counts,
     ) {
-        r.emit_control(cfg, topo, plane, round, now, out, counters);
+        r.emit_control(cfg, topo, active, round, now, out, counters);
         if r.steps_slots() {
             VcRunner::step_slots([Some(&mut *r), None, None, None], cfg, round, now, out);
         }
@@ -882,9 +897,12 @@ mod tests {
             if outcome.is_some() {
                 outstanding = false;
             }
-            r.begin_round(cfg, &topo, &plane, outcome, false, superstep, counters);
+            let active = faults_at(&plane, superstep);
+            r.begin_round(cfg, &topo, &active, outcome, false, superstep, counters);
             let before = jobs.len();
-            emit_round(r, cfg, &topo, &plane, round, superstep, &mut jobs, counters);
+            emit_round(
+                r, cfg, &topo, &active, round, superstep, &mut jobs, counters,
+            );
             assert!(jobs.len() - before <= 1, "multiple attempts in one round");
             if jobs.len() > before {
                 outstanding = true;
@@ -961,13 +979,14 @@ mod tests {
             at_superstep: 1,
         }];
         let topo = cfg.topology();
-        let plane = FaultPlane::new(cfg.fault.clone());
+        // The kill is in force from superstep 1 on.
+        let active = faults_at(&FaultPlane::new(cfg.fault.clone()), 2);
         let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 1);
 
         let mut jobs = Vec::new();
-        r.begin_round(&cfg, &topo, &plane, None, false, 2, &mut counters);
-        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &mut counters);
+        r.begin_round(&cfg, &topo, &active, None, false, 2, &mut counters);
+        emit_round(&mut r, &cfg, &topo, &active, 0, 2, &mut jobs, &mut counters);
         assert_eq!(jobs.len(), 1, "a dead route emits exactly the reroute walk");
         assert!(matches!(jobs[0].kind, JobKind::Reroute { .. }));
         let walked: Vec<usize> = (0..jobs[0].route.len())
@@ -981,14 +1000,14 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Granted),
             false,
             8,
             &mut counters,
         );
         assert_eq!(r.final_route(), vec![1, 2, 4]);
-        emit_round(&mut r, &cfg, &topo, &plane, 1, 8, &mut jobs, &mut counters);
+        emit_round(&mut r, &cfg, &topo, &active, 1, 8, &mut jobs, &mut counters);
         let tears: Vec<&Job> = jobs
             .iter()
             .filter(|j| matches!(j.kind, JobKind::Teardown))
@@ -1012,14 +1031,15 @@ mod tests {
             at_superstep: 1,
         }];
         let topo = cfg.topology();
-        let plane = FaultPlane::new(cfg.fault.clone());
+        // The kill is in force from superstep 1 on.
+        let active = faults_at(&FaultPlane::new(cfg.fault.clone()), 2);
         let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 1);
 
         // Round 0: make-before-break walk along the chord goes out.
         let mut jobs = Vec::new();
-        r.begin_round(&cfg, &topo, &plane, None, false, 2, &mut counters);
-        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &mut counters);
+        r.begin_round(&cfg, &topo, &active, None, false, 2, &mut counters);
+        emit_round(&mut r, &cfg, &topo, &active, 0, 2, &mut jobs, &mut counters);
         assert!(matches!(jobs[0].kind, JobKind::Reroute { .. }));
 
         // The walk is denied (capacity): the retry must go break-first.
@@ -1027,7 +1047,7 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Denied),
             false,
             10,
@@ -1036,7 +1056,16 @@ mod tests {
         assert_eq!(counters.reroutes_denied, 1);
         assert!(r.believed_rate() > 0.0, "nothing torn yet");
         // Backoff elapses: the break round tears the whole old route.
-        emit_round(&mut r, &cfg, &topo, &plane, 1, 20, &mut jobs, &mut counters);
+        emit_round(
+            &mut r,
+            &cfg,
+            &topo,
+            &active,
+            1,
+            20,
+            &mut jobs,
+            &mut counters,
+        );
         let tears: Vec<&Job> = jobs
             .iter()
             .filter(|j| matches!(j.kind, JobKind::Teardown))
@@ -1052,15 +1081,24 @@ mod tests {
         // Next round: the fresh reservation walk goes out, and a grant
         // restores service on the new route.
         jobs.clear();
-        r.begin_round(&cfg, &topo, &plane, None, false, 28, &mut counters);
-        emit_round(&mut r, &cfg, &topo, &plane, 2, 28, &mut jobs, &mut counters);
+        r.begin_round(&cfg, &topo, &active, None, false, 28, &mut counters);
+        emit_round(
+            &mut r,
+            &cfg,
+            &topo,
+            &active,
+            2,
+            28,
+            &mut jobs,
+            &mut counters,
+        );
         assert!(jobs
             .iter()
             .any(|j| matches!(j.kind, JobKind::Reroute { .. })));
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Granted),
             false,
             36,
@@ -1090,12 +1128,13 @@ mod tests {
         }
         let topo = cfg.topology();
         let plane = FaultPlane::new(cfg.fault.clone());
+        let (cut, healed) = (faults_at(&plane, 2), faults_at(&plane, 101));
         let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 1);
 
         let mut jobs = Vec::new();
-        r.begin_round(&cfg, &topo, &plane, None, false, 2, &mut counters);
-        emit_round(&mut r, &cfg, &topo, &plane, 0, 2, &mut jobs, &mut counters);
+        r.begin_round(&cfg, &topo, &cut, None, false, 2, &mut counters);
+        emit_round(&mut r, &cfg, &topo, &cut, 0, 2, &mut jobs, &mut counters);
         assert_eq!(counters.stranded_events, 1);
         assert_eq!(r.believed_rate(), 0.0, "a stranded VC holds nothing");
         assert!(r.final_route().is_empty());
@@ -1108,12 +1147,12 @@ mod tests {
         // Links heal at superstep 101: the recheck re-arms, the walk goes
         // out, and a grant un-strands the VC.
         jobs.clear();
-        r.begin_round(&cfg, &topo, &plane, None, false, 101, &mut counters);
+        r.begin_round(&cfg, &topo, &healed, None, false, 101, &mut counters);
         emit_round(
             &mut r,
             &cfg,
             &topo,
-            &plane,
+            &healed,
             1,
             101,
             &mut jobs,
@@ -1127,7 +1166,7 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &healed,
             Some(Outcome::Granted),
             false,
             108,
@@ -1169,7 +1208,7 @@ mod tests {
         cfg.backoff_jitter = 0;
         cfg.brownout_hold_supersteps = 10_000;
         let topo = cfg.topology();
-        let plane = FaultPlane::new(cfg.fault.clone());
+        let active = ActiveFaults::default();
         let mut counters = Counts::default();
         // vci % 100 = 51 falls past the Gold + Silver bands.
         assert_eq!(cfg.class_of(51), rcbr_net::PriorityClass::BestEffort);
@@ -1180,12 +1219,12 @@ mod tests {
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
+            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
                 &topo,
-                &plane,
+                &active,
                 round,
                 now,
                 &mut jobs,
@@ -1199,7 +1238,7 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Shed),
             false,
             now,
@@ -1209,12 +1248,12 @@ mod tests {
         assert_eq!(counters.brownout_entries, 1);
         jobs.clear();
         now += 8;
-        r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
+        r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
         emit_round(
             &mut r,
             &cfg,
             &topo,
-            &plane,
+            &active,
             round,
             now,
             &mut jobs,
@@ -1232,7 +1271,7 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Granted),
             false,
             now,
@@ -1249,19 +1288,19 @@ mod tests {
         cfg.backoff_jitter = 0;
         cfg.brownout_hold_supersteps = 10_000;
         let topo = cfg.topology();
-        let plane = FaultPlane::new(cfg.fault.clone());
+        let active = ActiveFaults::default();
         let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 51);
         let mut jobs = Vec::new();
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
+            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
                 &topo,
-                &plane,
+                &active,
                 round,
                 now,
                 &mut jobs,
@@ -1273,7 +1312,7 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Shed),
             false,
             now,
@@ -1285,7 +1324,7 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Granted),
             true,
             now + 8,
@@ -1299,7 +1338,7 @@ mod tests {
             &mut r,
             &cfg,
             &topo,
-            &plane,
+            &active,
             round,
             now + 8,
             &mut jobs,
@@ -1315,7 +1354,7 @@ mod tests {
         cfg.backoff_jitter = 0;
         cfg.brownout_hold_supersteps = 10_000;
         let topo = cfg.topology();
-        let plane = FaultPlane::new(cfg.fault.clone());
+        let active = ActiveFaults::default();
         let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 51);
         // The same source, stepped one slot at a time beside the runner.
@@ -1324,12 +1363,12 @@ mod tests {
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
+            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
                 &topo,
-                &plane,
+                &active,
                 round,
                 now,
                 &mut jobs,
@@ -1345,7 +1384,7 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Shed),
             false,
             now,
@@ -1354,7 +1393,7 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Granted),
             true,
             now + 8,
@@ -1371,12 +1410,12 @@ mod tests {
         let mut most_in_a_round = 0;
         for _ in 0..40 {
             now += 8;
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
+            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
                 &topo,
-                &plane,
+                &active,
                 round,
                 now,
                 &mut jobs,
@@ -1405,19 +1444,19 @@ mod tests {
         cfg.backoff_jitter = 0;
         cfg.brownout_hold_supersteps = 16;
         let topo = cfg.topology();
-        let plane = FaultPlane::new(cfg.fault.clone());
+        let active = ActiveFaults::default();
         let mut counters = Counts::default();
         let mut r = VcRunner::new(&cfg, 51);
         let mut jobs = Vec::new();
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &plane, None, false, now, &mut counters);
+            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
                 &topo,
-                &plane,
+                &active,
                 round,
                 now,
                 &mut jobs,
@@ -1429,7 +1468,7 @@ mod tests {
         r.begin_round(
             &cfg,
             &topo,
-            &plane,
+            &active,
             Some(Outcome::Shed),
             false,
             now,
@@ -1438,7 +1477,7 @@ mod tests {
         assert!(r.in_brownout());
         // The timer lapses: the VC resumes renegotiating without a grant,
         // and the lapse is not counted as a pressure-cleared exit.
-        r.begin_round(&cfg, &topo, &plane, None, false, now + 17, &mut counters);
+        r.begin_round(&cfg, &topo, &active, None, false, now + 17, &mut counters);
         assert!(!r.in_brownout());
         assert_eq!(counters.brownout_exits, 0);
     }

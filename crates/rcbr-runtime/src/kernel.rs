@@ -186,6 +186,14 @@ impl<'a> ShardState<'a> {
         let counts = &mut self.tally.counts;
         let now = self.superstep;
         self.rounds = round + 1;
+        debug_assert!(
+            {
+                let mut fresh = ActiveFaults::default();
+                sh.plane.active_at(now, &mut fresh);
+                fresh == self.active
+            },
+            "the outages held at a round top are the clock's"
+        );
         // The pipeline is quiescent, so every sweep observes a settled
         // switch. Down switches skip theirs — their soft state is
         // mid-crash and wiped on restart anyway.
@@ -213,12 +221,13 @@ impl<'a> ShardState<'a> {
             let pressured = self.queues.iter().filter(|q| q.under_pressure(now));
             counts.pressure_rounds += pressured.count() as u64;
         }
-        // Phase A: deliver last round's verdicts (grant / deny / timeout)
-        // and publish believed rates and routes for the auditor.
+        // Phase A: deliver last round's verdicts (grant / deny / timeout),
+        // check routes against the outages in force, and publish believed
+        // rates and routes for the auditor.
         for runner in &mut self.runners {
             let vci = runner.vci() as usize;
             let (outcome, pressured) = sh.verdicts[vci].snapshot_take();
-            runner.begin_round(cfg, &sh.topo, &sh.plane, outcome, pressured, now, counts);
+            runner.begin_round(cfg, &sh.topo, &self.active, outcome, pressured, now, counts);
             sh.believed[vci].publish(runner.believed_rate());
             runner.publish_route(&sh.routes[vci]);
         }
@@ -230,7 +239,7 @@ impl<'a> ShardState<'a> {
         // a total order.
         let out = &mut self.staging;
         for runner in &mut self.runners {
-            runner.emit_control(cfg, &sh.topo, &sh.plane, round, now, out, counts);
+            runner.emit_control(cfg, &sh.topo, &self.active, round, now, out, counts);
         }
         let mut settled = self.runners.iter_mut().filter(|r| r.steps_slots());
         loop {

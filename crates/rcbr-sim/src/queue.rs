@@ -35,7 +35,6 @@ pub struct FluidQueue {
     backlog: f64,
     total_arrived: f64,
     total_lost: f64,
-    total_served: f64,
     peak_backlog: f64,
 }
 
@@ -55,7 +54,6 @@ impl FluidQueue {
             backlog: 0.0,
             total_arrived: 0.0,
             total_lost: 0.0,
-            total_served: 0.0,
             peak_backlog: 0.0,
         }
     }
@@ -68,7 +66,6 @@ impl FluidQueue {
             backlog: 0.0,
             total_arrived: 0.0,
             total_lost: 0.0,
-            total_served: 0.0,
             peak_backlog: 0.0,
         }
     }
@@ -106,7 +103,6 @@ impl FluidQueue {
         self.backlog = after_service - lost;
 
         self.total_lost += lost;
-        self.total_served += served;
         if self.backlog > self.peak_backlog {
             self.peak_backlog = self.backlog;
         }
@@ -205,12 +201,14 @@ mod tests {
             slots in proptest::collection::vec((0.0..1e5f64, 0.0..1e5f64), 1..200),
         ) {
             let mut q = FluidQueue::new(cap);
+            let mut served = 0.0;
             for (a, s) in slots {
                 let o = q.offer(a, s);
                 prop_assert!(o.backlog <= cap + 1e-6);
                 prop_assert!(o.lost >= 0.0 && o.served >= 0.0);
+                served += o.served;
             }
-            let balance = q.total_arrived() - q.total_served - q.total_lost() - q.backlog();
+            let balance = q.total_arrived() - served - q.total_lost() - q.backlog();
             prop_assert!(balance.abs() <= 1e-6 * q.total_arrived().max(1.0));
         }
 

@@ -20,11 +20,6 @@
 //! same pipelines so regressions in the algorithms' *runtime* are caught;
 //! the binaries are the scientific harness.
 
-// A harness times what it runs: `clippy.toml`'s host-clock ban guards the
-// simulation crates, and every reading here lands in a report's timing
-// columns, never in a figure's rows.
-#![allow(clippy::disallowed_methods)]
-
 use rcbr_net::{CrashSpec, FaultConfig, KillSpec, LinkDownSpec, StallSpec};
 use rcbr_runtime::{run, run_sequential, AdmissionPolicy, RunReport, RuntimeConfig};
 use rcbr_schedule::{CostModel, OfflineOptimizer, RateGrid, Schedule, TrellisConfig};
@@ -41,7 +36,12 @@ pub const PAPER_LOSS_TARGET: f64 = 1e-6;
 pub const PAPER_FAILURE_TARGET: f64 = 1e-3;
 
 /// Run `f` and return its result with the wall-clock milliseconds it took.
+///
+/// A harness times what it runs: `clippy.toml`'s host-clock ban guards the
+/// simulation crates, and every reading here lands in a report's timing
+/// columns, never in a figure's rows.
 pub fn timed_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    #[expect(clippy::disallowed_methods, reason = "timing columns only")]
     let start = std::time::Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64() * 1e3)

@@ -99,16 +99,6 @@ impl Config {
         Ok(cfg)
     }
 
-    /// All section names.
-    pub fn sections(&self) -> impl Iterator<Item = &str> {
-        self.sections.keys().map(|s| s.as_str())
-    }
-
-    /// Whether the section exists at all.
-    pub fn has_section(&self, section: &str) -> bool {
-        self.sections.contains_key(section)
-    }
-
     /// Raw value lookup.
     pub fn get(&self, section: &str, key: &str) -> Option<&Value> {
         self.sections.get(section)?.get(key)

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule identifier (`lease-units`, `phase-discipline`, …).
+    /// Rule identifier (`lease-units`, `salt-registry`, …).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -51,24 +51,11 @@ pub struct RuleSummary {
     pub suppressed: usize,
 }
 
-/// Call-graph statistics for the report's `graph` block — coverage
-/// evidence for `phase-discipline` (a report claiming "clean" is only as
-/// strong as the graph it analyzed).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GraphStats {
-    /// Production functions in the workspace graph.
-    pub functions: usize,
-    /// Resolved call edges between them.
-    pub call_edges: usize,
-}
-
 /// The complete result of a lint run.
 #[derive(Debug, Clone)]
 pub struct LintReport {
     /// Files lexed and checked.
     pub files_scanned: usize,
-    /// Call-graph coverage statistics.
-    pub graph: GraphStats,
     /// Every active rule, in registry order.
     pub rules: Vec<RuleSummary>,
     /// Violations sorted by `(path, line, rule)`.
@@ -96,11 +83,6 @@ impl LintReport {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"clean\": {},", self.clean());
         let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(
-            out,
-            "  \"graph\": {{\"call_edges\": {}, \"functions\": {}}},",
-            self.graph.call_edges, self.graph.functions
-        );
         out.push_str("  \"rules\": [\n");
         for (i, r) in self.rules.iter().enumerate() {
             let _ = write!(
@@ -180,7 +162,6 @@ mod tests {
     fn canonical_order_is_path_line_rule() {
         let mut r = LintReport {
             files_scanned: 0,
-            graph: GraphStats::default(),
             rules: Vec::new(),
             violations: vec![d("b", "z.rs", 1), d("a", "a.rs", 9), d("a", "a.rs", 2)],
             suppressed: 0,

@@ -421,78 +421,6 @@ fn lex_number(cur: &mut Cursor<'_>) -> (TokKind, u64) {
     (TokKind::Int, text.parse().unwrap_or(0))
 }
 
-/// A function's span in the token stream: `tokens[body_start..body_end]`
-/// is the body including both braces.
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    pub name: String,
-    /// Index of the `fn` keyword token.
-    pub fn_tok: usize,
-    /// Index of the opening `{`.
-    pub body_start: usize,
-    /// Index one past the closing `}`.
-    pub body_end: usize,
-}
-
-/// Locate every `fn name … { … }` in the token stream (including nested
-/// ones). Bodies are found by brace matching from the first `{` after the
-/// signature; `where` clauses and return types are skipped correctly
-/// because struct-literal braces cannot appear in a signature.
-pub fn fn_spans(tokens: &[Token]) -> Vec<FnSpan> {
-    let mut spans = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].is_ident("fn") && i + 1 < tokens.len() && tokens[i + 1].kind == TokKind::Ident
-        {
-            let name = tokens[i + 1].text.clone();
-            // Find the body's opening brace; a `;` first means a trait or
-            // extern declaration with no body. Both are only meaningful at
-            // bracket depth 0: `[u8; N]` in a signature contains a `;`,
-            // and `[T; { N }]` a brace, that end nothing.
-            let mut j = i + 2;
-            let mut body = None;
-            let mut nesting = 0i64;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_punct('(') || t.is_punct('[') {
-                    nesting += 1;
-                } else if t.is_punct(')') || t.is_punct(']') {
-                    nesting -= 1;
-                } else if nesting == 0 && t.is_punct('{') {
-                    body = Some(j);
-                    break;
-                } else if nesting == 0 && t.is_punct(';') {
-                    break;
-                }
-                j += 1;
-            }
-            if let Some(open) = body {
-                let mut depth = 0i64;
-                let mut k = open;
-                while k < tokens.len() {
-                    if tokens[k].is_punct('{') {
-                        depth += 1;
-                    } else if tokens[k].is_punct('}') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-                spans.push(FnSpan {
-                    name,
-                    fn_tok: i,
-                    body_start: open,
-                    body_end: (k + 1).min(tokens.len()),
-                });
-            }
-        }
-        i += 1;
-    }
-    spans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,25 +493,6 @@ fn f() {
                 ("c".to_string(), 4)
             ]
         );
-    }
-
-    #[test]
-    fn fn_spans_nest() {
-        let lexed = lex("fn outer() { fn inner() { x.load(); } }");
-        let spans = fn_spans(&lexed.tokens);
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["outer", "inner"]);
-        let (outer, inner) = (&spans[0], &spans[1]);
-        assert!(outer.body_start < inner.body_start && inner.body_end < outer.body_end);
-    }
-
-    #[test]
-    fn fn_span_signature_with_array_semicolon() {
-        // The `;` inside `[u8; 16]` must not read as "no body".
-        let lexed = lex("pub fn encode(&self) -> [u8; 16] { [0; 16] }");
-        let spans = fn_spans(&lexed.tokens);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "encode");
     }
 
     #[test]

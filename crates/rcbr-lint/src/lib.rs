@@ -4,11 +4,11 @@
 //! bit-identical to the sequential replay under every fault mode — is
 //! *structural*. rustc and clippy enforce most of it on every build (no
 //! host clock, no hash order, no `unsafe`, no unnamed panics, private
-//! counters, disjoint salts: `clippy.toml` and DESIGN.md §7). This linter
-//! checks the four rules whose compiler replacements would change a
-//! signature the benchmark compiles against: phase-locked state moves only
-//! at quiescence, superstep counts for leases and measurement windows are
-//! named, and salts come from the one registry.
+//! counters, disjoint salts, phase-locked state moved only at quiescence:
+//! `clippy.toml`, the type system and DESIGN.md §7). This linter checks the
+//! three rules whose compiler replacements would change a signature the
+//! benchmark compiles against: superstep counts for leases and measurement
+//! windows are named, and salts come from the one registry.
 //!
 //! Architecture (all in-tree, no dependencies — the build environment is
 //! offline and the linter must never be able to break the build it
@@ -19,7 +19,6 @@
 //!   produce identifier tokens, so rules match real code only.
 //! * [`source`] — per-file metadata: `#[cfg(test)]` regions and
 //!   `lint:allow(rule)` suppressions.
-//! * [`graph`] — the workspace call graph `phase-discipline` walks.
 //! * [`config`] — a minimal TOML-subset reader for `lint.toml`.
 //! * [`rules`] — the registry: one table entry per rule; see
 //!   `DESIGN.md §7` for the catalog.
@@ -31,7 +30,6 @@
 
 pub mod config;
 pub mod diag;
-pub mod graph;
 pub mod lexer;
 pub mod rules;
 pub mod source;
@@ -41,47 +39,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use config::Config;
-use diag::{Diagnostic, GraphStats, LintReport, RuleSummary};
-use graph::Workspace;
+use diag::{Diagnostic, LintReport, RuleSummary};
 use source::SourceFile;
-
-/// Everything one analysis pass produces: the call graph and the
-/// (canonically sortable) diagnostics.
-pub struct Analysis {
-    pub workspace: Workspace,
-    pub violations: Vec<Diagnostic>,
-    /// Per-rule `lint:allow` suppression counts.
-    pub suppressed: std::collections::BTreeMap<&'static str, usize>,
-}
-
-/// The full pipeline over pre-lexed sources: per-file rules, then the
-/// workspace call graph and the graph rules.
-/// Output is independent of the order of `files` — the workspace sorts
-/// them by path before anything else looks at them.
-pub fn analyze_sources(files: Vec<SourceFile>, cfg: &Config) -> Analysis {
-    let ws = Workspace::build(files, cfg);
-    let mut violations = Vec::new();
-    let mut suppressed: std::collections::BTreeMap<&'static str, usize> =
-        std::collections::BTreeMap::new();
-    for file in &ws.files {
-        for (rule, n) in rules::check_file(file, cfg, &mut violations) {
-            *suppressed.entry(rule).or_insert(0) += n;
-        }
-    }
-    for (rule, n) in rules::check_graph(&ws, cfg, &mut violations) {
-        *suppressed.entry(rule).or_insert(0) += n;
-    }
-    Analysis {
-        workspace: ws,
-        violations,
-        suppressed,
-    }
-}
 
 /// Lint a single source text, as the file `rel_path` of `crate_name`.
 /// Returns the diagnostics plus per-rule suppression counts. This is the
-/// entry point the fixture tests drive directly. A single file is a
-/// (small) workspace: graph rules run over it too.
+/// entry point the fixture tests drive directly.
 pub fn check_source(
     rel_path: &str,
     crate_name: &str,
@@ -93,8 +56,9 @@ pub fn check_source(
     std::collections::BTreeMap<&'static str, usize>,
 ) {
     let file = SourceFile::new(rel_path, crate_name, is_test_target, source);
-    let analysis = analyze_sources(vec![file], cfg);
-    (analysis.violations, analysis.suppressed)
+    let mut violations = Vec::new();
+    let suppressed = rules::check_file(&file, cfg, &mut violations);
+    (violations, suppressed)
 }
 
 /// Walk upward from `start` to the directory holding `lint.toml`.
@@ -172,61 +136,40 @@ fn rel_path(root: &Path, path: &Path) -> String {
 /// Lint an explicit file list (paths under `root`). The report is
 /// canonical: independent of the order of `files`.
 pub fn run_lint_files(root: &Path, cfg: &Config, files: &[PathBuf]) -> io::Result<LintReport> {
-    Ok(run_lint_files_full(root, cfg, files)?.0)
-}
-
-/// Like [`run_lint_files`], but also returns the [`Analysis`] (the call
-/// graph for `--graph`).
-pub fn run_lint_files_full(
-    root: &Path,
-    cfg: &Config,
-    files: &[PathBuf],
-) -> io::Result<(LintReport, Analysis)> {
-    let mut sources = Vec::with_capacity(files.len());
+    let mut violations = Vec::new();
+    let mut suppressed = std::collections::BTreeMap::new();
     for path in files {
         let rel = rel_path(root, path);
         let (crate_name, is_test) = classify(&rel);
         let source = fs::read_to_string(path)?;
-        sources.push(SourceFile::new(&rel, &crate_name, is_test, &source));
+        let file = SourceFile::new(&rel, &crate_name, is_test, &source);
+        for (rule, n) in rules::check_file(&file, cfg, &mut violations) {
+            *suppressed.entry(rule).or_insert(0) += n;
+        }
     }
-    let analysis = analyze_sources(sources, cfg);
     let rules = rules::RULES
         .iter()
         .map(|r| RuleSummary {
             id: r.id.to_string(),
             summary: r.summary.to_string(),
-            violations: analysis
-                .violations
-                .iter()
-                .filter(|d| d.rule == r.id)
-                .count(),
-            suppressed: analysis.suppressed.get(r.id).copied().unwrap_or(0),
+            violations: violations.iter().filter(|d| d.rule == r.id).count(),
+            suppressed: suppressed.get(r.id).copied().unwrap_or(0),
         })
         .collect();
     let mut report = LintReport {
         files_scanned: files.len(),
-        graph: GraphStats {
-            functions: analysis.workspace.fns.len(),
-            call_edges: analysis.workspace.edges.len(),
-        },
         rules,
-        violations: analysis.violations.clone(),
-        suppressed: analysis.suppressed.values().sum(),
+        violations,
+        suppressed: suppressed.values().sum(),
     };
     report.canonicalize();
-    Ok((report, analysis))
+    Ok(report)
 }
 
 /// Lint the whole workspace under `root`.
 pub fn run_lint(root: &Path, cfg: &Config) -> io::Result<LintReport> {
     let files = collect_files(root, cfg)?;
     run_lint_files(root, cfg, &files)
-}
-
-/// Lint the whole workspace under `root`, returning the analysis too.
-pub fn run_lint_full(root: &Path, cfg: &Config) -> io::Result<(LintReport, Analysis)> {
-    let files = collect_files(root, cfg)?;
-    run_lint_files_full(root, cfg, &files)
 }
 
 #[cfg(test)]

@@ -4,31 +4,21 @@
 //! ```text
 //! cargo run -p rcbr-lint --              # report-only: print + JSON, exit 0
 //! cargo run -p rcbr-lint -- --deny       # CI gate: exit 1 on any violation
-//! cargo run -p rcbr-lint -- --explain phase-discipline
+//! cargo run -p rcbr-lint -- --explain lease-units
 //! cargo run -p rcbr-lint -- --list-rules
-//! cargo run -p rcbr-lint -- --graph      # dump the workspace call graph
-//! cargo run -p rcbr-lint -- --stats      # print call-graph stats + wall time
 //! ```
-//!
-//! `--time-budget-ms N` makes the run fail (exit 3) if the analysis wall
-//! time exceeds `N` milliseconds — CI pins a generous budget so an
-//! accidentally quadratic rule shows up as a red build, not a slow one.
 //!
 //! The workspace root is found by walking up from the current directory
 //! to the first `lint.toml` (override with `--root <dir>`); the JSON
 //! report lands in `<root>/results/lint_report.json` (override with
 //! `--report <path>`, disable with `--no-report`).
 
-// `--time-budget-ms` times the analysis with the host clock; clippy.toml's
-// ban guards the simulation crates, not the tool that lints them.
-#![allow(clippy::disallowed_methods)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use rcbr_lint::config::Config;
 use rcbr_lint::rules::{rule_by_id, RULES};
-use rcbr_lint::{find_root, run_lint_full};
+use rcbr_lint::{find_root, run_lint};
 
 struct Args {
     deny: bool,
@@ -38,9 +28,6 @@ struct Args {
     report: Option<PathBuf>,
     explain: Option<String>,
     list_rules: bool,
-    graph: bool,
-    stats: bool,
-    time_budget_ms: Option<u64>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -52,9 +39,6 @@ fn parse_args() -> Result<Args, String> {
         report: None,
         explain: None,
         list_rules: false,
-        graph: false,
-        stats: false,
-        time_budget_ms: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -63,15 +47,6 @@ fn parse_args() -> Result<Args, String> {
             "--quiet" | "-q" => args.quiet = true,
             "--no-report" => args.no_report = true,
             "--list-rules" => args.list_rules = true,
-            "--graph" => args.graph = true,
-            "--stats" => args.stats = true,
-            "--time-budget-ms" => {
-                let v = it.next().ok_or("--time-budget-ms needs a number")?;
-                args.time_budget_ms = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --time-budget-ms {v:?}"))?,
-                );
-            }
             "--root" => {
                 args.root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?))
             }
@@ -83,8 +58,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "rcbr-lint: determinism linter for the RCBR workspace\n\n\
                      USAGE: lint [--deny] [--quiet] [--no-report] [--root DIR] \
-                     [--report PATH] [--list-rules] [--explain RULE] [--graph] \
-                     [--stats] [--time-budget-ms N]"
+                     [--report PATH] [--list-rules] [--explain RULE]"
                 );
                 std::process::exit(0);
             }
@@ -152,19 +126,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let started = std::time::Instant::now();
-    let (report, analysis) = match run_lint_full(&root, &cfg) {
+    let report = match run_lint(&root, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-    let elapsed_ms = started.elapsed().as_millis() as u64;
-
-    if args.graph {
-        print!("{}", analysis.workspace.dump());
-    }
 
     if !args.quiet {
         for d in &report.violations {
@@ -177,17 +145,6 @@ fn main() -> ExitCode {
             active,
             report.violations.len(),
             report.suppressed
-        );
-    }
-
-    if args.stats {
-        println!(
-            "lint: graph: {} function(s), {} call edge(s), {} unresolved call(s); \
-             analysis wall time {} ms",
-            report.graph.functions,
-            report.graph.call_edges,
-            analysis.workspace.unresolved_calls,
-            elapsed_ms
         );
     }
 
@@ -208,19 +165,6 @@ fn main() -> ExitCode {
         }
         if !args.quiet {
             println!("lint: report written to {}", path.display());
-        }
-    }
-
-    if let Some(budget) = args.time_budget_ms {
-        if elapsed_ms > budget {
-            eprintln!(
-                "lint: analysis took {elapsed_ms} ms, over the --time-budget-ms {budget} \
-                 — a rule has likely gone super-linear"
-            );
-            return ExitCode::from(3);
-        }
-        if !args.quiet {
-            println!("lint: analysis wall time {elapsed_ms} ms (budget {budget} ms)");
         }
     }
 

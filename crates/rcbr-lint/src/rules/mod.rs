@@ -2,9 +2,8 @@
 //!
 //! Every rule is one entry in [`RULES`]: an id, a one-line summary, the
 //! hazard it encodes (shown by `lint --explain`), and a check function
-//! over a lexed [`SourceFile`] or the workspace call graph. A hazard the
-//! compiler can check belongs in `clippy.toml` or the type system instead
-//! (DESIGN.md §7).
+//! over a lexed [`SourceFile`]. A hazard the compiler can check belongs in
+//! `clippy.toml` or the type system instead (DESIGN.md §7).
 //!
 //! Shared scoping semantics (all driven by the rule's `[rule.<id>]`
 //! section in `lint.toml`):
@@ -18,22 +17,11 @@
 //! * `// lint:allow(<id>)` on or above a line silences one diagnostic.
 
 mod lease_units;
-mod phase_discipline;
 mod salt_registry;
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
-use crate::graph::Workspace;
 use crate::source::SourceFile;
-
-/// How a rule runs: over one file at a time, or once over the whole
-/// workspace call graph.
-pub enum Check {
-    /// Per-file token scan (scoped by `crates`/`files`/`allow_files`).
-    File(fn(&mut Ctx<'_>)),
-    /// One whole-workspace pass over the [`Workspace`] call graph.
-    Graph(fn(&mut GraphCtx<'_>)),
-}
 
 /// One static-analysis rule.
 pub struct Rule {
@@ -45,8 +33,8 @@ pub struct Rule {
     /// The hazard this rule encodes and the sanctioned alternative —
     /// shown by `lint --explain <id>`.
     pub hazard: &'static str,
-    /// The check itself.
-    pub check: Check,
+    /// The check itself: a token scan of one in-scope file.
+    pub check: fn(&mut Ctx<'_>),
 }
 
 /// The registry. Order here is the order rules run and report in.
@@ -61,7 +49,7 @@ pub static RULES: &[Rule] = &[
                  stale when the superstep cadence changes. Durations therefore live in \
                  fields or consts named *_supersteps; pre-existing documented names are \
                  grandfathered via allow_idents in lint.toml.",
-        check: Check::File(lease_units::check_durations),
+        check: lease_units::check_durations,
     },
     Rule {
         id: "measurement-window",
@@ -73,7 +61,7 @@ pub static RULES: &[Rule] = &[
                  local edit silently desynchronize the rolls (and thus the booking \
                  ceilings) across shard counts. Cadences therefore live in fields or \
                  consts named *_supersteps; audited names go in allow_idents.",
-        check: Check::File(lease_units::check_cadences),
+        check: lease_units::check_cadences,
     },
     Rule {
         id: "salt-registry",
@@ -85,20 +73,7 @@ pub static RULES: &[Rule] = &[
                  salt literals scattered across crates make that disjointness unauditable; \
                  every salt therefore lives as a named const in the single registry \
                  module configured as `registry` in lint.toml.",
-        check: Check::File(salt_registry::check),
-    },
-    Rule {
-        id: "phase-discipline",
-        summary: "phase-locked state mutators reachable only from declared quiescence entry points",
-        hazard: "Route/lease/admission state (RouteState transitions, lease sweeps, \
-                 measurement-window rolls, booking-ceiling updates) may only move at \
-                 phase-A quiescence or in the end-of-run auditor, where every shard \
-                 observes the same state — otherwise shard counts diverge (the PR 5/6 \
-                 bug class). This rule walks the call graph caller-ward from every \
-                 declared mutator (mutator_fns / state_idents writes) and flags any \
-                 root that is not a declared entry_points quiescence function, with \
-                 the full chain from root to mutation.",
-        check: Check::Graph(phase_discipline::check),
+        check: salt_registry::check,
     },
 ];
 
@@ -187,57 +162,7 @@ pub(crate) fn path_matches(rel_path: &str, entry: &str) -> bool {
             .is_some_and(|prefix| prefix.ends_with('/'))
 }
 
-/// Whole-workspace check context for [`Check::Graph`] rules: the call
-/// graph, the rule's config section, and filtered emission addressed by
-/// workspace file index.
-pub struct GraphCtx<'a> {
-    pub ws: &'a Workspace,
-    pub cfg: &'a Config,
-    pub rule: &'static Rule,
-    include_tests: bool,
-    out: &'a mut Vec<Diagnostic>,
-    suppressed: &'a mut usize,
-}
-
-impl<'a> GraphCtx<'a> {
-    fn section(&self) -> String {
-        format!("rule.{}", self.rule.id)
-    }
-
-    /// A string-list key from the rule's section.
-    pub fn cfg_list(&self, key: &str) -> Vec<String> {
-        self.cfg.list(&self.section(), key)
-    }
-
-    /// Does this rule's per-file scoping (`crates`/`files`/`allow_files`)
-    /// admit `file`? Graph rules see the whole workspace; this is how
-    /// they honor the shared scoping semantics per emission site.
-    pub fn file_in_scope(&self, file: &SourceFile) -> bool {
-        rule_in_scope(self.rule, file, self.cfg)
-    }
-
-    /// Emit a diagnostic in workspace file `file_idx` at `line`, with
-    /// the same test-region and `lint:allow` filtering as [`Ctx::emit`].
-    pub fn emit(&mut self, file_idx: usize, line: u32, message: String) {
-        let file = &self.ws.files[file_idx];
-        if !self.include_tests && file.is_test_at(line) {
-            return;
-        }
-        if file.is_suppressed(self.rule.id, line) {
-            *self.suppressed += 1;
-            return;
-        }
-        self.out.push(Diagnostic {
-            rule: self.rule.id.to_string(),
-            path: file.rel_path.clone(),
-            line,
-            message,
-            snippet: file.snippet(line),
-        });
-    }
-}
-
-/// Run every in-scope [`Check::File`] rule over one file, appending
+/// Run every in-scope rule over one file, appending
 /// diagnostics to `out`. Returns, per rule id, how many diagnostics
 /// `lint:allow` comments silenced.
 pub fn check_file(
@@ -247,9 +172,6 @@ pub fn check_file(
 ) -> std::collections::BTreeMap<&'static str, usize> {
     let mut all_suppressed = std::collections::BTreeMap::new();
     for rule in RULES {
-        let Check::File(check) = rule.check else {
-            continue;
-        };
         if !rule_in_scope(rule, file, cfg) {
             continue;
         }
@@ -263,42 +185,7 @@ pub fn check_file(
             out,
             suppressed: &mut suppressed,
         };
-        check(&mut ctx);
-        if suppressed > 0 {
-            *all_suppressed.entry(rule.id).or_insert(0) += suppressed;
-        }
-    }
-    all_suppressed
-}
-
-/// Run every enabled [`Check::Graph`] rule once over the workspace,
-/// appending diagnostics to `out`. Returns per-rule `lint:allow`
-/// suppression counts.
-pub fn check_graph(
-    ws: &Workspace,
-    cfg: &Config,
-    out: &mut Vec<Diagnostic>,
-) -> std::collections::BTreeMap<&'static str, usize> {
-    let mut all_suppressed = std::collections::BTreeMap::new();
-    for rule in RULES {
-        let Check::Graph(check) = rule.check else {
-            continue;
-        };
-        let section = format!("rule.{}", rule.id);
-        if !cfg.bool_or(&section, "enabled", true) {
-            continue;
-        }
-        let include_tests = cfg.bool_or(&section, "include_tests", false);
-        let mut suppressed = 0usize;
-        let mut ctx = GraphCtx {
-            ws,
-            cfg,
-            rule,
-            include_tests,
-            out,
-            suppressed: &mut suppressed,
-        };
-        check(&mut ctx);
+        (rule.check)(&mut ctx);
         if suppressed > 0 {
             *all_suppressed.entry(rule.id).or_insert(0) += suppressed;
         }

@@ -107,7 +107,8 @@ impl Path {
         }
         if cell.denied {
             for &h in &self.hops[..granted_hops] {
-                switches[h].rollback_delta(vci, delta)?;
+                let undone = switches[h].try_rollback_delta(vci, delta)?;
+                debug_assert!(undone, "rollback of a granted delta must succeed");
             }
         }
         Ok(RenegotiationOutcome {

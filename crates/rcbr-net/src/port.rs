@@ -297,6 +297,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a unit test of the ceiling")]
     fn ceiling_defaults_to_capacity_and_gates_bookings() {
         let mut p = OutputPort::new(1000.0);
         assert_eq!(p.load().admit_ceiling(), 1000.0);
@@ -316,6 +317,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a unit test of the ceiling")]
     fn wipe_resets_ceiling_and_unchecked_set_bypasses_it() {
         let mut p = OutputPort::new(1000.0);
         p.switch.set_admit_ceiling(0, 2000.0);

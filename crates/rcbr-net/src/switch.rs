@@ -224,14 +224,6 @@ impl Switch {
         Ok(cell)
     }
 
-    /// Undo a previously applied delta (used by multi-hop rollback when a
-    /// downstream switch denies).
-    pub fn rollback_delta(&mut self, vci: u32, delta: f64) -> Result<(), SwitchError> {
-        let ok = self.try_rollback_delta(vci, delta)?;
-        debug_assert!(ok, "rollback of a granted delta must succeed");
-        Ok(())
-    }
-
     /// Best-effort undo of a previously applied delta. Returns whether
     /// the reverse actually fit — it can fail when the grant being
     /// unwound was wiped by a crash-restart in between, or when drift let
@@ -261,14 +253,6 @@ impl Switch {
             let cap = p.capacity();
             p.set_admit_ceiling(cap);
         }
-    }
-
-    /// Administrative absolute-rate set for `vci`, bypassing the booking
-    /// ceiling (see [`VcSlot::set_unchecked`]). The end-of-run audit's
-    /// floor repair uses this; it is never on the live path.
-    pub fn force_set(&mut self, vci: u32, rate: f64) -> Result<(), SwitchError> {
-        self.routed(vci)?.set_unchecked(rate);
-        Ok(())
     }
 
     /// The reservation this switch holds for `vci`.
@@ -407,6 +391,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a unit test of the sweep")]
     fn lease_expiry_reclaims_soft_state_but_keeps_the_route() {
         let mut sw = one_port_switch(1000.0);
         sw.setup(1, 0, 300.0).unwrap();
@@ -442,7 +427,8 @@ mod tests {
     }
 
     #[test]
-    fn ceiling_pass_through_and_force_set() {
+    #[expect(clippy::disallowed_methods, reason = "a unit test of the ceilings")]
+    fn ceiling_pass_through_and_unchecked_set() {
         let mut sw = one_port_switch(1000.0);
         sw.setup(1, 0, 300.0).unwrap();
         sw.set_admit_ceiling(0, 400.0);
@@ -454,13 +440,8 @@ mod tests {
         assert_eq!(sw.vci_rate(1), Some(1500.0));
         // Administrative repair applies even while overbooked.
         sw.set_admit_ceiling(0, 400.0);
-        sw.force_set(1, 900.0).unwrap();
+        sw.slot(1).expect("routed").set_unchecked(900.0);
         assert_eq!(sw.vci_rate(1), Some(900.0));
-        assert_eq!(
-            sw.force_set(9, 1.0),
-            Err(SwitchError::UnknownVci(9)),
-            "force_set still requires a routing entry"
-        );
         sw.reset_admit_ceilings();
         assert_eq!(sw.port(0).unwrap().admit_ceiling(), 1000.0);
     }
@@ -470,7 +451,7 @@ mod tests {
         let mut sw = one_port_switch(1000.0);
         sw.setup(1, 0, 300.0).unwrap();
         sw.process_rm(RmCell::delta(1, 200.0)).unwrap();
-        sw.rollback_delta(1, 200.0).unwrap();
+        assert_eq!(sw.try_rollback_delta(1, 200.0), Ok(true));
         assert_eq!(sw.vci_rate(1), Some(300.0));
     }
 }

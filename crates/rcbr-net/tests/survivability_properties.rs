@@ -117,6 +117,7 @@ proptest! {
         // One sweep past the unrefreshed VCs' deadline (their last
         // refresh is the epoch) but inside the refreshed ones'.
         let sweep_at = now + lease;
+        #[expect(clippy::disallowed_methods, reason = "exercises the lease sweep directly")]
         let reclaimed = sw.expire_leases(sweep_at, lease);
         let lapsed = (0..num_vcs)
             .filter(|v| refresh_mask & (1 << v) == 0)

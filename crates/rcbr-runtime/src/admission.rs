@@ -332,6 +332,7 @@ impl SwitchAdmission {
         let needed = self.needed_capacity(cfg);
         for idx in 0..sw.num_ports() {
             let capacity = sw.port(idx).expect("index bounded by num_ports").capacity();
+            #[expect(clippy::disallowed_methods, reason = "ceilings move only in the roll")]
             sw.set_admit_ceiling(idx, booking_ceiling(capacity, needed));
         }
         self.est.clear_window();
@@ -548,6 +549,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a unit test of the roll")]
     fn roll_moves_ceilings_and_schedules_next() {
         let mut cfg = RuntimeConfig::balanced(1, 16);
         cfg.admission = AdmissionPolicy::Memoryless { target: 1e-3 };
@@ -573,6 +575,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a unit test of the roll")]
     fn chernoff_eb_roll_uses_and_fills_the_cache() {
         let mut cfg = RuntimeConfig::balanced(1, 16);
         cfg.admission = AdmissionPolicy::ChernoffEb { epsilon: 1e-6 };
@@ -603,6 +606,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a unit test of the roll")]
     fn roll_fits_the_window_once_for_all_ports() {
         let mut cfg = RuntimeConfig::balanced(1, 16);
         cfg.admission = AdmissionPolicy::ChernoffEb { epsilon: 1e-6 };

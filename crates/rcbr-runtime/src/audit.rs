@@ -20,11 +20,11 @@
 //!   a reduction everywhere, so recovery itself can never be denied —
 //!   and is marked degraded. Afterwards the residual drift must be zero.
 
-use rcbr_net::{ActiveFaults, RmCell, Switch};
+use rcbr_net::{ActiveFaults, Switch};
 use serde::{Deserialize, Serialize};
 
 use crate::core::CounterSnapshot;
-use crate::gen::VcRunner;
+use crate::gen::{Quiescent, VcRunner};
 use crate::kernel::Shared;
 
 /// Reservations within this many bits/second of the believed rate count
@@ -178,6 +178,10 @@ pub(crate) fn finalize(
     runners: Vec<VcRunner>,
     final_superstep: u64,
 ) -> (AuditReport, Vec<VcFinal>) {
+    // Every shard has finished: nothing is in flight, and route state may
+    // take its final verdicts.
+    #[expect(clippy::disallowed_methods, reason = "the run is over")]
+    let q = Quiescent::new();
     // Apply verdicts delivered in the final round so believed rates are
     // current, then snapshot each VC's source state.
     let mut finals = Vec::with_capacity(runners.len());
@@ -186,7 +190,7 @@ pub(crate) fn finalize(
         // mid-flight reroute to Settled while its residue stays behind.
         let unsettled = runner.unsettled_at_exit();
         if let (Some(o), _) = sh.verdicts[runner.vci() as usize].snapshot_take() {
-            runner.apply_final(o);
+            runner.apply_final(&q, o);
         }
         finals.push(VcFinal {
             vci: runner.vci(),
@@ -213,6 +217,7 @@ pub(crate) fn finalize(
     // rolled: the run is over, the policy with it. A no-op under the
     // default PeakRate, whose ceilings never move.
     for sw in switches.iter_mut() {
+        #[expect(clippy::disallowed_methods, reason = "the audit's ceiling reset")]
         sw.reset_admit_ceilings();
     }
 
@@ -261,11 +266,7 @@ pub(crate) fn finalize(
             }
             // A hop that lost its entry (teardown raced a restart) is
             // re-installed first; resync then rebuilds the reservation.
-            switches[h].install(vci, 0);
-            let cell = switches[h]
-                .process_rm(RmCell::resync(vci, f.believed))
-                .expect("installed above");
-            if cell.denied {
+            if !switches[h].install(vci, 0).try_set_absolute(f.believed) {
                 denied = true;
                 break;
             }
@@ -275,7 +276,7 @@ pub(crate) fn finalize(
             // Use-it-or-lose-it: the believed rate no longer fits
             // somewhere, so fall back to the minimum rate any hop still
             // holds. The write goes through the administrative
-            // `force_set` path: reducing to the floor is always the right
+            // `set_unchecked` path: reducing to the floor is always the right
             // repair, but the *checked* path can still refuse it at a
             // port an admission policy left overbooked past the physical
             // capacity (the aggregate stays above the limit even after
@@ -289,8 +290,7 @@ pub(crate) fn finalize(
                 if !drifted(switches, h, floor) {
                     continue;
                 }
-                switches[h].install(vci, 0);
-                switches[h].force_set(vci, floor).expect("installed above");
+                switches[h].install(vci, 0).set_unchecked(floor);
                 drift_repaired += 1;
             }
             f.believed = floor;

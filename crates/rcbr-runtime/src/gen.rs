@@ -15,6 +15,12 @@
 //! [`LANES`] at a time through the source round kernel), and the queued
 //! teardown walks ([`VcRunner::emit_tears`]).
 //!
+//! Route state moves only while the pipeline is quiescent: it is a
+//! [`PhaseLocked`] field, written only with a [`Quiescent`] proof, and
+//! `clippy.toml` bans minting one anywhere but `round_top` and the
+//! end-of-run `finalize`. `begin_round`, `emit_control` and `apply_final`
+//! take the proof; the slot and teardown emitters cannot move the route.
+//!
 //! ## The request state machine
 //!
 //! ```text
@@ -123,6 +129,48 @@ enum RouteState {
     Stranded,
 }
 
+/// The quiescence proof and the one kind of field that needs it. A
+/// module of its own so that nothing else can build either by hand.
+mod phase {
+    /// Proof that no cell is in flight: the pipeline is at a round top,
+    /// or the run is over. Zero-sized. The private field leaves
+    /// [`Quiescent::new`] the only way to make one, and `clippy.toml`
+    /// bans that everywhere but the two sanctioned callers.
+    pub(crate) struct Quiescent(());
+
+    impl Quiescent {
+        /// Mint the proof. Callers assert the pipeline is quiescent.
+        pub(crate) const fn new() -> Self {
+            Self(())
+        }
+    }
+
+    /// A value that moves only at quiescence: read through `Deref`,
+    /// written only through [`get_mut`](Self::get_mut) with the proof.
+    pub(crate) struct PhaseLocked<T>(T);
+
+    impl<T> PhaseLocked<T> {
+        pub(crate) fn new(value: T) -> Self {
+            Self(value)
+        }
+
+        pub(crate) fn get_mut(&mut self, _: &Quiescent) -> &mut T {
+            &mut self.0
+        }
+    }
+
+    impl<T> std::ops::Deref for PhaseLocked<T> {
+        type Target = T;
+
+        fn deref(&self) -> &T {
+            &self.0
+        }
+    }
+}
+
+use phase::PhaseLocked;
+pub(crate) use phase::Quiescent;
+
 /// Whether every switch on `route` is unkilled and every link between
 /// consecutive hops is up under `active`, the round top's outages.
 /// Transient crashes do *not* fail this check: they end on their own and
@@ -146,7 +194,7 @@ pub(crate) struct VcRunner {
     dst: usize,
     /// The route the VC's reservations currently live on.
     active_route: Vec<usize>,
-    route_state: RouteState,
+    route_state: PhaseLocked<RouteState>,
     /// The old route is torn down (break-before-make window, or
     /// stranded): the VC holds no reservations and believes rate 0.
     torn: bool,
@@ -195,7 +243,7 @@ impl VcRunner {
             src: active_route[0],
             dst: *active_route.last().expect("routes are nonempty"),
             active_route,
-            route_state: RouteState::Settled,
+            route_state: PhaseLocked::new(RouteState::Settled),
             torn: false,
             route_moved: false,
             route_failures: 0,
@@ -218,6 +266,7 @@ impl VcRunner {
     #[allow(clippy::too_many_arguments)]
     pub fn begin_round(
         &mut self,
+        q: &Quiescent,
         cfg: &RuntimeConfig,
         topo: &Topology,
         active: &ActiveFaults,
@@ -231,10 +280,10 @@ impl VcRunner {
         if self.brownout && now >= self.brownout_clear_at {
             self.brownout = false;
         }
-        if matches!(self.route_state, RouteState::RerouteAwait { .. }) {
+        if matches!(*self.route_state, RouteState::RerouteAwait { .. }) {
             // The outstanding attempt is a reroute walk; its verdict (or
             // timeout) belongs to the route machinery.
-            self.reroute_verdict(outcome, now, counts);
+            self.reroute_verdict(q, outcome, now, counts);
         } else {
             match outcome {
                 Some(Outcome::Granted) => {
@@ -275,16 +324,22 @@ impl VcRunner {
                 }
             }
         }
-        self.check_route(cfg, topo, active, now);
+        self.check_route(q, cfg, topo, active, now);
     }
 
     /// Process the verdict (or timeout) of an in-flight reroute walk.
-    fn reroute_verdict(&mut self, outcome: Option<Outcome>, now: u64, counts: &mut Counts) {
+    fn reroute_verdict(
+        &mut self,
+        q: &Quiescent,
+        outcome: Option<Outcome>,
+        now: u64,
+        counts: &mut Counts,
+    ) {
         let RouteState::RerouteAwait {
             injected_at,
             candidate,
             mode,
-        } = std::mem::replace(&mut self.route_state, RouteState::Settled)
+        } = std::mem::replace(self.route_state.get_mut(q), RouteState::Settled)
         else {
             unreachable!("caller checked the state");
         };
@@ -321,14 +376,14 @@ impl VcRunner {
                 // Capacity: old + new do not fit side by side. The retry
                 // goes break-before-make.
                 counts.reroutes_denied += 1;
-                self.reroute_failed(candidate, RerouteMode::BreakBeforeMake, now, counts);
+                self.reroute_failed(q, candidate, RerouteMode::BreakBeforeMake, now, counts);
             }
             None => {
                 if self.retry.timed_out(injected_at, now) {
                     counts.timeouts += 1;
-                    self.reroute_failed(candidate, mode, now, counts);
+                    self.reroute_failed(q, candidate, mode, now, counts);
                 } else {
-                    self.route_state = RouteState::RerouteAwait {
+                    *self.route_state.get_mut(q) = RouteState::RerouteAwait {
                         injected_at,
                         candidate,
                         mode,
@@ -342,6 +397,7 @@ impl VcRunner {
     /// back off for a retry or strand.
     fn reroute_failed(
         &mut self,
+        q: &Quiescent,
         candidate: Vec<usize>,
         mode: RerouteMode,
         now: u64,
@@ -365,7 +421,7 @@ impl VcRunner {
             self.queue_tear(comp);
         }
         if self.budget.exhausted() {
-            self.strand(counts);
+            self.strand(q, counts);
         } else {
             let mode = if self.torn {
                 // No reservations left to keep alive: stay break-first.
@@ -373,7 +429,7 @@ impl VcRunner {
             } else {
                 mode
             };
-            self.route_state = RouteState::RerouteBackoff {
+            *self.route_state.get_mut(q) = RouteState::RerouteBackoff {
                 until: now + self.retry.backoff(self.vci, self.budget.failures()),
                 mode,
             };
@@ -384,7 +440,7 @@ impl VcRunner {
     /// degraded, and park in [`RouteState::Stranded`] — which rechecks
     /// the topology every round, so the VC is degraded but never
     /// deadlocked.
-    fn strand(&mut self, counts: &mut Counts) {
+    fn strand(&mut self, q: &Quiescent, counts: &mut Counts) {
         if !self.torn {
             self.queue_tear(self.active_route.clone());
             self.torn = true;
@@ -398,7 +454,7 @@ impl VcRunner {
             counts.degraded_events += 1;
         }
         self.stranded_sticky = true;
-        self.route_state = RouteState::Stranded;
+        *self.route_state.get_mut(q) = RouteState::Stranded;
     }
 
     fn queue_tear(&mut self, hops: Vec<usize>) {
@@ -413,12 +469,13 @@ impl VcRunner {
     /// a reroute; a Stranded VC re-arms when the topology heals.
     fn check_route(
         &mut self,
+        q: &Quiescent,
         cfg: &RuntimeConfig,
         topo: &Topology,
         active: &ActiveFaults,
         now: u64,
     ) {
-        match self.route_state {
+        match *self.route_state {
             RouteState::Settled if !route_alive(&self.active_route, active) => {
                 // Cancel any outstanding normal request: the pipeline
                 // is quiescent, so an attempt without a verdict is
@@ -427,7 +484,7 @@ impl VcRunner {
                     self.driver.on_deny();
                 }
                 self.phase = ReqPhase::Idle;
-                self.route_state = RouteState::RerouteBackoff {
+                *self.route_state.get_mut(q) = RouteState::RerouteBackoff {
                     until: now,
                     mode: RerouteMode::MakeBeforeBreak,
                 };
@@ -436,7 +493,7 @@ impl VcRunner {
                 // A path reopened (e.g. a flapped link restored): start a
                 // fresh failure episode from the torn state.
                 self.budget = RetryBudget::new(cfg.retry_budget);
-                self.route_state = RouteState::RerouteBackoff {
+                *self.route_state.get_mut(q) = RouteState::RerouteBackoff {
                     until: now,
                     mode: RerouteMode::BreakBeforeMake,
                 };
@@ -537,6 +594,7 @@ impl VcRunner {
     #[allow(clippy::too_many_arguments)]
     pub fn emit_control(
         &mut self,
+        q: &Quiescent,
         cfg: &RuntimeConfig,
         topo: &Topology,
         active: &ActiveFaults,
@@ -547,7 +605,7 @@ impl VcRunner {
     ) {
         let base_seq = self.base_seq(cfg, round);
 
-        if let RouteState::RerouteBackoff { until, mode } = self.route_state {
+        if let RouteState::RerouteBackoff { until, mode } = *self.route_state {
             if now >= until {
                 if !self.pending_tear.is_empty() {
                     // Teardown walks queued this round overlap any
@@ -560,7 +618,7 @@ impl VcRunner {
                     // reserved, and a later grant commits a route with
                     // holes in it. Same discipline as break-before-make:
                     // let the tears drain, walk next round.
-                    self.route_state = RouteState::RerouteBackoff {
+                    *self.route_state.get_mut(q) = RouteState::RerouteBackoff {
                         until: now + BBM_TEAR_SUPERSTEPS,
                         mode,
                     };
@@ -571,14 +629,14 @@ impl VcRunner {
                     self.queue_tear(self.active_route.clone());
                     self.torn = true;
                     self.route_moved = true;
-                    self.route_state = RouteState::RerouteBackoff {
+                    *self.route_state.get_mut(q) = RouteState::RerouteBackoff {
                         until: now + BBM_TEAR_SUPERSTEPS,
                         mode,
                     };
                 } else {
                     let cands = self.candidates(cfg, topo, active);
                     if cands.is_empty() {
-                        self.strand(counts);
+                        self.strand(q, counts);
                     } else {
                         // Deterministic rotation: successive failures try
                         // successive candidates of the (len, lex)-ordered
@@ -600,7 +658,7 @@ impl VcRunner {
                             pressured: false,
                             route: Route::from_slice(&candidate),
                         });
-                        self.route_state = RouteState::RerouteAwait {
+                        *self.route_state.get_mut(q) = RouteState::RerouteAwait {
                             injected_at: now,
                             candidate,
                             mode,
@@ -611,7 +669,7 @@ impl VcRunner {
         }
 
         if let (RouteState::Settled, ReqPhase::Backoff { until, failures }) =
-            (&self.route_state, self.phase)
+            (&*self.route_state, self.phase)
         {
             if now >= until {
                 // Retry the pending rate as an absolute resync: the
@@ -648,7 +706,7 @@ impl VcRunner {
     /// Whether phase B's second part steps this VC's traffic slots: only
     /// while Settled — a VC re-establishing connectivity plays no frames.
     pub fn steps_slots(&self) -> bool {
-        matches!(self.route_state, RouteState::Settled)
+        matches!(*self.route_state, RouteState::Settled)
     }
 
     /// Phase B, second part: step up to [`LANES`] Settled VCs (filled from
@@ -734,8 +792,8 @@ impl VcRunner {
     /// End of run: apply a verdict that arrived in the final round so the
     /// driver's believed rate (and route) reflects it — no retry
     /// processing, the run is over.
-    pub fn apply_final(&mut self, outcome: Outcome) {
-        if let RouteState::RerouteAwait { candidate, .. } = &self.route_state {
+    pub fn apply_final(&mut self, q: &Quiescent, outcome: Outcome) {
+        if let RouteState::RerouteAwait { candidate, .. } = &*self.route_state {
             // A granted reroute commits the route switch (its
             // reservations are already placed); a denial leaves residue
             // on the candidate hops for the end-of-run audit to reclaim.
@@ -743,7 +801,7 @@ impl VcRunner {
                 self.active_route = candidate.clone();
                 self.torn = false;
             }
-            self.route_state = RouteState::Settled;
+            *self.route_state.get_mut(q) = RouteState::Settled;
             return;
         }
         match outcome {
@@ -769,7 +827,7 @@ impl VcRunner {
     pub fn unsettled_at_exit(&self) -> bool {
         !self.pending_tear.is_empty()
             || matches!(
-                self.route_state,
+                *self.route_state,
                 RouteState::RerouteAwait { .. } | RouteState::RerouteBackoff { .. }
             )
     }
@@ -858,6 +916,11 @@ mod tests {
         active
     }
 
+    /// A quiescence proof: these tests drive a lone runner between
+    /// rounds by hand, with no pipeline to be in flight.
+    #[expect(clippy::disallowed_methods, reason = "no pipeline runs here")]
+    const Q: Quiescent = Quiescent::new();
+
     /// Phase B for a lone runner: the three parts in the kernel's order.
     #[allow(clippy::too_many_arguments)]
     fn emit_round(
@@ -870,7 +933,7 @@ mod tests {
         out: &mut Vec<Job>,
         counters: &mut Counts,
     ) {
-        r.emit_control(cfg, topo, active, round, now, out, counters);
+        r.emit_control(&Q, cfg, topo, active, round, now, out, counters);
         if r.steps_slots() {
             VcRunner::step_slots([Some(&mut *r), None, None, None], cfg, round, now, out);
         }
@@ -898,7 +961,7 @@ mod tests {
                 outstanding = false;
             }
             let active = faults_at(&plane, superstep);
-            r.begin_round(cfg, &topo, &active, outcome, false, superstep, counters);
+            r.begin_round(&Q, cfg, &topo, &active, outcome, false, superstep, counters);
             let before = jobs.len();
             emit_round(
                 r, cfg, &topo, &active, round, superstep, &mut jobs, counters,
@@ -985,7 +1048,7 @@ mod tests {
         let mut r = VcRunner::new(&cfg, 1);
 
         let mut jobs = Vec::new();
-        r.begin_round(&cfg, &topo, &active, None, false, 2, &mut counters);
+        r.begin_round(&Q, &cfg, &topo, &active, None, false, 2, &mut counters);
         emit_round(&mut r, &cfg, &topo, &active, 0, 2, &mut jobs, &mut counters);
         assert_eq!(jobs.len(), 1, "a dead route emits exactly the reroute walk");
         assert!(matches!(jobs[0].kind, JobKind::Reroute { .. }));
@@ -998,6 +1061,7 @@ mod tests {
 
         jobs.clear();
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1038,13 +1102,14 @@ mod tests {
 
         // Round 0: make-before-break walk along the chord goes out.
         let mut jobs = Vec::new();
-        r.begin_round(&cfg, &topo, &active, None, false, 2, &mut counters);
+        r.begin_round(&Q, &cfg, &topo, &active, None, false, 2, &mut counters);
         emit_round(&mut r, &cfg, &topo, &active, 0, 2, &mut jobs, &mut counters);
         assert!(matches!(jobs[0].kind, JobKind::Reroute { .. }));
 
         // The walk is denied (capacity): the retry must go break-first.
         jobs.clear();
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1081,7 +1146,7 @@ mod tests {
         // Next round: the fresh reservation walk goes out, and a grant
         // restores service on the new route.
         jobs.clear();
-        r.begin_round(&cfg, &topo, &active, None, false, 28, &mut counters);
+        r.begin_round(&Q, &cfg, &topo, &active, None, false, 28, &mut counters);
         emit_round(
             &mut r,
             &cfg,
@@ -1096,6 +1161,7 @@ mod tests {
             .iter()
             .any(|j| matches!(j.kind, JobKind::Reroute { .. })));
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1133,7 +1199,7 @@ mod tests {
         let mut r = VcRunner::new(&cfg, 1);
 
         let mut jobs = Vec::new();
-        r.begin_round(&cfg, &topo, &cut, None, false, 2, &mut counters);
+        r.begin_round(&Q, &cfg, &topo, &cut, None, false, 2, &mut counters);
         emit_round(&mut r, &cfg, &topo, &cut, 0, 2, &mut jobs, &mut counters);
         assert_eq!(counters.stranded_events, 1);
         assert_eq!(r.believed_rate(), 0.0, "a stranded VC holds nothing");
@@ -1147,7 +1213,7 @@ mod tests {
         // Links heal at superstep 101: the recheck re-arms, the walk goes
         // out, and a grant un-strands the VC.
         jobs.clear();
-        r.begin_round(&cfg, &topo, &healed, None, false, 101, &mut counters);
+        r.begin_round(&Q, &cfg, &topo, &healed, None, false, 101, &mut counters);
         emit_round(
             &mut r,
             &cfg,
@@ -1164,6 +1230,7 @@ mod tests {
             "a revived topology re-arms the stranded VC"
         );
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &healed,
@@ -1219,7 +1286,7 @@ mod tests {
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
+            r.begin_round(&Q, &cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
@@ -1236,6 +1303,7 @@ mod tests {
 
         // Shed it: the BestEffort VC browns out and schedules the probe.
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1248,7 +1316,7 @@ mod tests {
         assert_eq!(counters.brownout_entries, 1);
         jobs.clear();
         now += 8;
-        r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
+        r.begin_round(&Q, &cfg, &topo, &active, None, false, now, &mut counters);
         emit_round(
             &mut r,
             &cfg,
@@ -1269,6 +1337,7 @@ mod tests {
         // The probe comes back granted and clean: the brownout ends.
         now += 8;
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1295,7 +1364,7 @@ mod tests {
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
+            r.begin_round(&Q, &cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
@@ -1310,6 +1379,7 @@ mod tests {
             now += 8;
         }
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1322,6 +1392,7 @@ mod tests {
         // The probe's grant still carries a hop's pressure flag: the VC
         // stays browned out (timer refreshed) and no exit is counted.
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1363,7 +1434,7 @@ mod tests {
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
+            r.begin_round(&Q, &cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
@@ -1382,6 +1453,7 @@ mod tests {
         }
         // Shed, then granted under pressure: browned out, nothing pending.
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1391,6 +1463,7 @@ mod tests {
             &mut counters,
         );
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1410,7 +1483,7 @@ mod tests {
         let mut most_in_a_round = 0;
         for _ in 0..40 {
             now += 8;
-            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
+            r.begin_round(&Q, &cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
@@ -1451,7 +1524,7 @@ mod tests {
         let mut round = 0u64;
         let mut now = 0u64;
         while jobs.is_empty() {
-            r.begin_round(&cfg, &topo, &active, None, false, now, &mut counters);
+            r.begin_round(&Q, &cfg, &topo, &active, None, false, now, &mut counters);
             emit_round(
                 &mut r,
                 &cfg,
@@ -1466,6 +1539,7 @@ mod tests {
             now += 8;
         }
         r.begin_round(
+            &Q,
             &cfg,
             &topo,
             &active,
@@ -1477,7 +1551,16 @@ mod tests {
         assert!(r.in_brownout());
         // The timer lapses: the VC resumes renegotiating without a grant,
         // and the lapse is not counted as a pressure-cleared exit.
-        r.begin_round(&cfg, &topo, &active, None, false, now + 17, &mut counters);
+        r.begin_round(
+            &Q,
+            &cfg,
+            &topo,
+            &active,
+            None,
+            false,
+            now + 17,
+            &mut counters,
+        );
         assert!(!r.in_brownout());
         assert_eq!(counters.brownout_exits, 0);
     }

@@ -25,7 +25,7 @@ use crate::core::{
     advance_job, shed_job, BeliefCell, Counters, DrainSnapshot, Hop, HopCtx, Job, JobKind, Tally,
     VerdictCell,
 };
-use crate::gen::VcRunner;
+use crate::gen::{Quiescent, VcRunner};
 use crate::report::{
     latency_histogram, summarize_latency, RttStats, RunReport, ShardReport, VcOutcome,
 };
@@ -178,8 +178,9 @@ impl<'a> ShardState<'a> {
     /// delivery to the local VCs (phase A, publishing their beliefs), and
     /// this round's attempts (phase B: control traffic, the traffic slots
     /// through the source round kernel, teardowns) into the outbox. The
-    /// only place phase-locked state moves mid-run (`phase-discipline` in
-    /// lint.toml).
+    /// only place phase-locked state moves mid-run: `clippy.toml` bans the
+    /// lease sweep, the admission roll and minting the [`Quiescent`] proof
+    /// route state needs everywhere else.
     pub fn round_top(&mut self, round: u64) {
         let sh = self.sh;
         let cfg = sh.cfg;
@@ -195,15 +196,19 @@ impl<'a> ShardState<'a> {
             "the outages held at a round top are the clock's"
         );
         // The pipeline is quiescent, so every sweep observes a settled
-        // switch. Down switches skip theirs — their soft state is
-        // mid-crash and wiped on restart anyway.
+        // switch and route state may move. Down switches skip theirs —
+        // their soft state is mid-crash and wiped on restart anyway.
+        #[expect(clippy::disallowed_methods, reason = "a round top is quiescent")]
+        let q = Quiescent::new();
         for (li, sw) in self.switches.iter_mut().enumerate() {
             if self.active.switch_down(self.shard + li * self.shards) {
                 continue;
             }
             // Lease sweep: reclaim expired reservations.
             if cfg.lease_supersteps > 0 {
-                counts.leases_expired += sw.expire_leases(now, cfg.lease_supersteps);
+                #[expect(clippy::disallowed_methods, reason = "the round top's lease sweep")]
+                let expired = sw.expire_leases(now, cfg.lease_supersteps);
+                counts.leases_expired += expired;
             }
             // Admission sweep. Sampling runs under every policy (the
             // frontier sweep needs the PeakRate baseline's utilization);
@@ -212,13 +217,14 @@ impl<'a> ShardState<'a> {
             let sa = &mut self.admission[li];
             sa.sample(sw);
             if cfg.admission.measures() && now >= sa.next_roll_at {
+                #[expect(clippy::disallowed_methods, reason = "the round top's admission roll")]
                 sa.roll(cfg, now, sw);
             }
         }
         // Pressure accounting: one count per (round, local switch) still
         // advertising overload pressure at the round top.
         if cfg.signaling_budget_per_round > 0 {
-            let pressured = self.queues.iter().filter(|q| q.under_pressure(now));
+            let pressured = self.queues.iter().filter(|queue| queue.under_pressure(now));
             counts.pressure_rounds += pressured.count() as u64;
         }
         // Phase A: deliver last round's verdicts (grant / deny / timeout),
@@ -227,7 +233,16 @@ impl<'a> ShardState<'a> {
         for runner in &mut self.runners {
             let vci = runner.vci() as usize;
             let (outcome, pressured) = sh.verdicts[vci].snapshot_take();
-            runner.begin_round(cfg, &sh.topo, &self.active, outcome, pressured, now, counts);
+            runner.begin_round(
+                &q,
+                cfg,
+                &sh.topo,
+                &self.active,
+                outcome,
+                pressured,
+                now,
+                counts,
+            );
             sh.believed[vci].publish(runner.believed_rate());
             runner.publish_route(&sh.routes[vci]);
         }
@@ -239,7 +254,7 @@ impl<'a> ShardState<'a> {
         // a total order.
         let out = &mut self.staging;
         for runner in &mut self.runners {
-            runner.emit_control(cfg, &sh.topo, &self.active, round, now, out, counts);
+            runner.emit_control(&q, cfg, &sh.topo, &self.active, round, now, out, counts);
         }
         let mut settled = self.runners.iter_mut().filter(|r| r.steps_slots());
         loop {

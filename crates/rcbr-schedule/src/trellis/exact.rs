@@ -1,18 +1,22 @@
 //! Exact-mode candidate expansion: the `M`-way frontier merge.
 //!
-//! For a fixed target rate `mi`, mapping the q-sorted survivor column
+//! For a fixed target rate `mi`, mapping a q-sorted run of survivors
 //! through `q' = max(q + x − s_mi, 0)` yields a q-sorted candidate
-//! stream (the map is monotone, clamping included). The global
-//! `(q, w, gen, rate)` candidate order the reference obtains with a full
-//! `O(n·M·log(n·M))` sort is therefore an `M`-way merge of `M` sorted
-//! streams — `O(n·M·log M)` — plus a tiny sort of each *exactly-equal-q*
-//! group to restore the reference's `(w, gen, rate)` tie order (groups
-//! are almost always singletons; the clamped `q = 0` run is the one
-//! recurring exception).
+//! stream (the map is monotone, clamping included). Each rate's stream
+//! is the front-pruned subsequence of the column that [`Streams`] yields
+//! (see [`super::front`]): its own survivors plus the column's front. The
+//! global `(q, w, gen, rate)` candidate order the reference obtains with
+//! a full `O(n·M·log(n·M))` sort is therefore an `M`-way merge of `M`
+//! sorted streams — `O(c·log M)` for the `c ≤ n + M·|G|` candidates the
+//! streams hold — plus a tiny sort of each *exactly-equal-q* group to
+//! restore the reference's `(w, gen, rate)` tie order (groups are almost
+//! always singletons; the clamped `q = 0` run is the one recurring
+//! exception).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use super::front::{Cursor, Streams};
 use super::kernel::{Cand, SlotCtx, Sweep};
 use super::soa::Column;
 
@@ -56,6 +60,8 @@ impl Ord for Head {
 pub(super) struct Scratch {
     heap: BinaryHeap<Head>,
     group: Vec<Cand>,
+    /// Each rate's read position in its stream.
+    cursors: Vec<Cursor>,
 }
 
 /// Candidate for stream `mi` at survivor `si`, with the reference's exact
@@ -76,59 +82,66 @@ fn make_cand(ctx: &SlotCtx<'_>, cur: &Column, si: u32, mi: u16) -> Cand {
 
 /// Expand one slot and drive the sweep: all streams share one heap;
 /// candidates flow straight from the merge into the sweep with no
-/// materialization.
+/// materialization. Returns the number of candidates evaluated.
 pub(super) fn expand(
     ctx: &SlotCtx<'_>,
     cur: &Column,
+    streams: &Streams,
     cutoffs: &[usize],
     s: &mut Scratch,
     sweep: &mut Sweep<'_>,
-) {
+) -> u64 {
     s.heap.clear();
+    s.cursors.clear();
     for (mi, &cut) in cutoffs.iter().enumerate() {
-        if cut > 0 {
-            let q = (cur.q[0] + ctx.x - ctx.svc[mi]).max(0.0);
-            s.heap.push(Head {
-                q,
-                mi: mi as u16,
-                si: 0,
-            });
-        }
+        let mut cursor = streams.cursor(mi, cut);
+        push_next(ctx, cur, streams, &mut s.heap, mi as u16, &mut cursor);
+        s.cursors.push(cursor);
     }
+    let mut evaluated = 0u64;
     while let Some(top) = s.heap.pop() {
         // Collect the exactly-equal-q group (bit equality via total_cmp,
         // matching the reference sort's key comparison).
         s.group.clear();
-        advance(ctx, cur, cutoffs, &mut s.heap, top, &mut s.group);
+        advance(ctx, cur, streams, s, top);
         while let Some(&next) = s.heap.peek() {
             if next.q.total_cmp(&top.q) != Ordering::Equal {
                 break;
             }
             let next = s.heap.pop().expect("peeked");
-            advance(ctx, cur, cutoffs, &mut s.heap, next, &mut s.group);
+            advance(ctx, cur, streams, s, next);
         }
+        evaluated += s.group.len() as u64;
         flush_group(&mut s.group, sweep);
     }
+    evaluated
 }
 
-/// Emit `head`'s candidate into `group` and push its stream's successor.
+/// Emit `head`'s candidate into the group and push its stream's
+/// successor.
 #[inline]
-fn advance(
+fn advance(ctx: &SlotCtx<'_>, cur: &Column, streams: &Streams, s: &mut Scratch, head: Head) {
+    s.group.push(make_cand(ctx, cur, head.si, head.mi));
+    let cursor = &mut s.cursors[head.mi as usize];
+    push_next(ctx, cur, streams, &mut s.heap, head.mi, cursor);
+}
+
+/// Push stream `mi`'s next head, if it has one before its cut.
+#[inline]
+fn push_next(
     ctx: &SlotCtx<'_>,
     cur: &Column,
-    cutoffs: &[usize],
+    streams: &Streams,
     heap: &mut BinaryHeap<Head>,
-    head: Head,
-    group: &mut Vec<Cand>,
+    mi: u16,
+    cursor: &mut Cursor,
 ) {
-    group.push(make_cand(ctx, cur, head.si, head.mi));
-    let next_si = head.si + 1;
-    if (next_si as usize) < cutoffs[head.mi as usize] {
-        let q = (cur.q[next_si as usize] + ctx.x - ctx.svc[head.mi as usize]).max(0.0);
+    if let Some(si) = streams.next(cursor) {
+        let q = (cur.q[si] + ctx.x - ctx.svc[mi as usize]).max(0.0);
         heap.push(Head {
             q,
-            mi: head.mi,
-            si: next_si,
+            mi,
+            si: si as u32,
         });
     }
 }

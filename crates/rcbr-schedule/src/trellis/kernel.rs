@@ -10,6 +10,7 @@
 use rcbr_traffic::FrameTrace;
 
 use super::arena::{Arena, NONE};
+use super::front::Streams;
 use super::soa::Column;
 use super::stats::TrellisStats;
 use super::{exact, quantized, TrellisConfig, TrellisError};
@@ -199,6 +200,7 @@ struct Scratch {
     per_rate_min: Vec<f64>,
     per_rate_bucket: Vec<u64>,
     cutoffs: Vec<usize>,
+    streams: Streams,
     exact: exact::Scratch,
     quant: quantized::Scratch,
     reps: Vec<Rep>,
@@ -258,14 +260,16 @@ pub(super) fn run(
         };
 
         // Candidate expansion + Lemma 1 sweep. The expansion modules feed
-        // the sweep in the reference's (q|bucket, w, gen, rate) order.
-        let expanded = if t == 0 {
+        // the sweep in the reference's (q|bucket, w, gen, rate) order. The
+        // verdict counts every feasible candidate, as the reference does;
+        // front pruning (`front.rs`) then evaluates only those that can
+        // still be kept.
+        let feasible = if t == 0 {
             first_slot_candidates(&ctx, quantize, cfg, &mut s.reps)
         } else {
             count_feasible(&ctx, &s.cur, &mut s.cutoffs)
         };
-        stats.nodes_expanded += expanded;
-        if expanded == 0 {
+        if feasible == 0 {
             return Err(TrellisError::Infeasible { slot: t });
         }
 
@@ -277,7 +281,7 @@ pub(super) fn run(
             alpha,
             quantize,
         );
-        if t == 0 {
+        let evaluated = if t == 0 {
             // `first_slot_candidates` left the column's candidates in
             // `s.reps`; order and sweep them like any other slot — by
             // bucket when quantized, by exact q otherwise.
@@ -303,36 +307,57 @@ pub(super) fn run(
                     });
                 }
             }
-        } else if quantize {
-            let res = cfg.q_resolution.expect("quantize implies resolution");
-            let grouped =
-                quantized::expand(&ctx, &s.cur, &s.cutoffs, res, &mut s.reps, &mut s.quant);
-            if grouped {
-                sweep.offer_buckets(&s.reps, s.quant.bucket_ends(), &mut s.pick);
-            } else {
-                for rep in s.reps.iter() {
-                    sweep.offer_rep(rep);
-                }
-            }
+            feasible
         } else {
-            exact::expand(&ctx, &s.cur, &s.cutoffs, &mut s.exact, &mut sweep);
-        }
+            s.streams.build(&s.cur, m);
+            if quantize {
+                let res = cfg.q_resolution.expect("quantize implies resolution");
+                let evaluated = quantized::expand(
+                    &ctx,
+                    &s.cur,
+                    &s.streams,
+                    &s.cutoffs,
+                    res,
+                    &mut s.reps,
+                    &mut s.quant,
+                );
+                if let Some(ends) = s.quant.bucket_ends() {
+                    sweep.offer_buckets(&s.reps, ends, &mut s.pick);
+                } else {
+                    for rep in s.reps.iter() {
+                        sweep.offer_rep(rep);
+                    }
+                }
+                evaluated
+            } else {
+                exact::expand(
+                    &ctx,
+                    &s.cur,
+                    &s.streams,
+                    &s.cutoffs,
+                    &mut s.exact,
+                    &mut sweep,
+                )
+            }
+        };
+        stats.nodes_expanded += evaluated;
         stats.nodes_kept += sweep.kept();
-        stats.nodes_pruned += expanded - sweep.kept();
+        stats.nodes_pruned += evaluated - sweep.kept();
 
         // Optional beam: keep the lowest-weight survivors, in the
-        // reference's weight-sorted order.
-        if let Some(width) = cfg.max_survivors {
-            if s.next.len() > width {
+        // reference's weight-sorted order. Then restore the q-sorted
+        // column invariant: a truncated column is in weight order and
+        // takes the comparison sort; every other sweep emits in q order
+        // across buckets, so only each bucket's run needs restoring
+        // (exact sweeps are already sorted).
+        match cfg.max_survivors {
+            Some(width) if s.next.len() > width => {
                 stats.beam_dropped += (s.next.len() - width) as u64;
                 beam_truncate(&mut s.next, width, &mut s.beam_order, &mut s.col_scratch);
+                s.next.sort_by_q(&mut s.perm, &mut s.col_scratch);
             }
+            _ => s.next.restore_q_order(),
         }
-
-        // Restore the q-sorted column invariant (bucket-order sweeps and
-        // beam truncations emit out of q order; exact sweeps are already
-        // sorted and skip this in O(n)).
-        s.next.sort_by_q(&mut s.perm, &mut s.col_scratch);
         std::mem::swap(&mut s.cur, &mut s.next);
         stats.observe_survivors(s.cur.len());
         arena.maybe_collect(&mut s.cur.arena, &mut stats);

@@ -31,6 +31,10 @@
 //!   merge plus sweep ([`exact`]) — or, with a quantized buffer axis, a
 //!   per-`(rate, bucket)` reduction ([`quantized`]) — instead of a global
 //!   `O(n·M·log(n·M))` sort;
+//! * a survivor that an earlier one in its column dominates can never win
+//!   a rate change, so only the column's front `G` expands to every rate
+//!   and the rest only to their own ([`front`]): a slot evaluates at most
+//!   `n + M·|G|` candidates instead of `n·M`;
 //! * parent pointers for path reconstruction live in a mark-and-compacted
 //!   arena ([`arena`]) whose common path prefix is committed and truncated,
 //!   bounding memory by the live survivor set instead of the trace length.
@@ -48,6 +52,7 @@
 
 mod arena;
 mod exact;
+mod front;
 mod kernel;
 mod quantized;
 #[doc(hidden)]

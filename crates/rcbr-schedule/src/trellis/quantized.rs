@@ -12,20 +12,24 @@
 //!   candidate has `w` no smaller and faces minima no looser (the per-rate
 //!   and global minima only tighten), so it fails the same check.
 //!
-//! Representatives are found in one pass per rate stream: the stream is
-//! q-sorted, `bucket(q)` is monotone in `q`, so each cell is a contiguous
-//! segment and a running `(w, gen)`-minimum suffices. The reps are then
-//! *grouped* (not sorted) by a counting scatter on the bucket index —
-//! bounded by `bucket(b_t)` since every feasible `q'` is at most the
-//! slot's buffer bound. The sweep consumes the groups in ascending bucket
-//! order and orders each bucket's reps only after filtering them against
-//! the live frontier minima, which leaves almost nothing to sort (see
-//! `Sweep::offer_buckets`). The per-slot cost is `O(n·M)` stream walking
-//! plus `O(reps + buckets)` ordering, replacing the reference's
-//! `O(n·M·log(n·M))` sort of every candidate.
+//! Representatives are found in one pass per rate stream. Each stream is
+//! the front-pruned subsequence of the column that [`Streams`] yields
+//! (see [`super::front`]): the rate's own survivors plus the column's
+//! front, in column order. It is q-sorted, `bucket(q)` is monotone in
+//! `q`, so each cell is a contiguous segment of it and a running
+//! `(w, gen)`-minimum suffices. The reps are then *grouped* (not sorted)
+//! by a counting scatter on the bucket index — bounded by `bucket(b_t)`
+//! since every feasible `q'` is at most the slot's buffer bound. The
+//! sweep consumes the groups in ascending bucket order and orders each
+//! bucket's reps only after filtering them against the live frontier
+//! minima, which leaves almost nothing to sort (see
+//! `Sweep::offer_buckets`). The per-slot cost is `O(n + M·|G|)` stream
+//! walking for a front `G` plus `O(reps + buckets)` ordering, replacing
+//! the reference's `O(n·M·log(n·M))` sort of every candidate.
 
 use std::cmp::Ordering;
 
+use super::front::Streams;
 use super::kernel::{Rep, SlotCtx};
 use super::soa::Column;
 
@@ -38,6 +42,9 @@ const COUNTING_SORT_LIMIT: u64 = 1 << 22;
 pub(super) struct Scratch {
     counts: Vec<u32>,
     buf: Vec<Rep>,
+    /// Whether the last [`expand`] left its reps bucket-grouped rather
+    /// than fully sorted.
+    grouped: bool,
 }
 
 /// The reference's bucket function, verbatim: bucket 0 is reserved for an
@@ -69,9 +76,10 @@ pub(super) fn sort_reps(reps: &mut [Rep]) {
 impl Scratch {
     /// Per-bucket end offsets into the rep list after a grouping
     /// [`expand`] (ascending bucket order; empty buckets have
-    /// `end == start`).
-    pub(super) fn bucket_ends(&self) -> &[u32] {
-        &self.counts
+    /// `end == start`), or `None` if the last expand fell back to the
+    /// full sort.
+    pub(super) fn bucket_ends(&self) -> Option<&[u32]> {
+        self.grouped.then_some(&self.counts)
     }
 }
 
@@ -107,38 +115,41 @@ fn bucket_group(reps: &mut Vec<Rep>, max_bucket: u64, s: &mut Scratch) {
     // After the scatter, counts[b] is bucket b's end offset.
 }
 
-/// Expand one slot into `reps`, ready for the sweep. Returns `true` when
-/// the reps are bucket-grouped (consume with the sweep's `offer_buckets`
-/// and [`Scratch::bucket_ends`]); `false` when they fell back to the
-/// fully sorted `(bucket, w, gen)` order (consume with plain `offer_rep`
-/// in sequence).
+/// Expand one slot into `reps`, ready for the sweep, and return the
+/// number of candidates evaluated. The reps are bucket-grouped (consume
+/// with the sweep's `offer_buckets` and [`Scratch::bucket_ends`]) or,
+/// when `bucket_ends` is `None`, fully sorted in `(bucket, w, gen)` order
+/// (consume with plain `offer_rep` in sequence).
 pub(super) fn expand(
     ctx: &SlotCtx<'_>,
     cur: &Column,
+    streams: &Streams,
     cutoffs: &[usize],
     res: f64,
     reps: &mut Vec<Rep>,
     scratch: &mut Scratch,
-) -> bool {
+) -> u64 {
     reps.clear();
+    let mut evaluated = 0u64;
     for (mi, &cut) in cutoffs.iter().enumerate() {
-        stream_reps(ctx, cur, mi as u16, cut, res, reps);
+        evaluated += stream_reps(ctx, cur, streams, mi as u16, cut, res, reps);
     }
     // Every feasible q' satisfies q' <= b_t, and bucket() is monotone, so
     // bucket(b_t) bounds every rep's bucket.
     let max_bucket = bucket(ctx.b_t, res);
-    if max_bucket < COUNTING_SORT_LIMIT {
+    scratch.grouped = max_bucket < COUNTING_SORT_LIMIT;
+    if scratch.grouped {
         bucket_group(reps, max_bucket, scratch);
-        true
     } else {
         sort_reps(reps);
-        false
     }
+    evaluated
 }
 
-/// Walk one rate stream's feasible prefix and emit the representative of
-/// each bucket segment: the candidate minimizing `(w, gen)`. Uses the
-/// reference's exact float expressions for `q'` and `w'`.
+/// Walk one rate stream up to its feasibility cut and emit the
+/// representative of each bucket segment: the candidate minimizing
+/// `(w, gen)`. Uses the reference's exact float expressions for `q'` and
+/// `w'`. Returns the number of candidates walked.
 ///
 /// Two lossless prunes keep the walk cheap:
 ///
@@ -154,12 +165,23 @@ pub(super) fn expand(
 ///   is strictly below `min_emitted`), so the comparatively expensive
 ///   `q'`/bucket computation — a division per candidate — is skipped for
 ///   the vast majority of candidates on the cheap `w`-only test.
-fn stream_reps(ctx: &SlotCtx<'_>, cur: &Column, mi: u16, cut: usize, res: f64, out: &mut Vec<Rep>) {
+fn stream_reps(
+    ctx: &SlotCtx<'_>,
+    cur: &Column,
+    streams: &Streams,
+    mi: u16,
+    cut: usize,
+    res: f64,
+    out: &mut Vec<Rep>,
+) -> u64 {
     let svc = ctx.svc[mi as usize];
     let c = ctx.slot_cost[mi as usize];
     let mut min_emitted = f64::INFINITY;
     let mut best: Option<Rep> = None;
-    for i in 0..cut {
+    let mut cursor = streams.cursor(mi as usize, cut);
+    let mut walked = 0u64;
+    while let Some(i) = streams.next(&mut cursor) {
+        walked += 1;
         let w = cur.w[i] + c + if mi == cur.rate[i] { 0.0 } else { ctx.alpha };
         if w >= min_emitted {
             continue;
@@ -210,4 +232,5 @@ fn stream_reps(ctx: &SlotCtx<'_>, cur: &Column, mi: u16, cut: usize, res: f64, o
     if let Some(rep) = best {
         out.push(rep);
     }
+    walked
 }

@@ -78,19 +78,12 @@ impl Column {
         std::mem::swap(self, scratch);
     }
 
-    /// Restore the ordering invariant: sort by `(q, gen)` ascending.
-    ///
-    /// Needed after bucket-order sweeps and beam truncations, which emit
-    /// survivors out of `q` order. `perm` and `scratch` are reused
-    /// scratch buffers.
+    /// Restore the ordering invariant after a beam truncation, which
+    /// leaves the column in weight order: sort by `(q, gen)` ascending.
+    /// `perm` and `scratch` are reused scratch buffers.
     pub fn sort_by_q(&mut self, perm: &mut Vec<u32>, scratch: &mut Column) {
         perm.clear();
         perm.extend(0..self.len() as u32);
-        // Fast path: already sorted (exact-mode sweeps emit in q order).
-        let sorted = self.q.windows(2).all(|p| p[0].total_cmp(&p[1]).is_le());
-        if sorted {
-            return;
-        }
         let q = &self.q;
         let gen = &self.gen;
         perm.sort_unstable_by(|&a, &b| {
@@ -99,5 +92,44 @@ impl Column {
                 .then(gen[a as usize].cmp(&gen[b as usize]))
         });
         self.apply_permutation(perm, scratch);
+    }
+
+    /// Restore the ordering invariant after a sweep: sort by `(q, gen)`
+    /// ascending, by insertion.
+    ///
+    /// A sweep emits buckets in ascending order, and `bucket(q)` is
+    /// monotone, so survivors of different buckets are already in strict
+    /// q order; only within a bucket (at most one survivor per rate) are
+    /// they in `(w, gen)` order. Insertion never moves a survivor past a
+    /// strictly smaller q, so it restores one bucket run at a time, and
+    /// an exact-mode column (one run of already-sorted survivors) costs a
+    /// single pass. The `(q, gen)` key is unique, so the result equals
+    /// [`Column::sort_by_q`]'s.
+    pub fn restore_q_order(&mut self) {
+        let before = |(q, gen): (f64, u32), (pq, pg): (f64, u32)| {
+            q.total_cmp(&pq).then(gen.cmp(&pg)).is_lt()
+        };
+        for i in 1..self.len() {
+            let key = (self.q[i], self.gen[i]);
+            if !before(key, (self.q[i - 1], self.gen[i - 1])) {
+                continue;
+            }
+            // Shift the larger keys up one by one: runs are short, so
+            // plain moves beat a `rotate_right` (a memmove) per vector.
+            let (w, rate, arena) = (self.w[i], self.rate[i], self.arena[i]);
+            let mut j = i;
+            while j > 0 && before(key, (self.q[j - 1], self.gen[j - 1])) {
+                self.q[j] = self.q[j - 1];
+                self.w[j] = self.w[j - 1];
+                self.rate[j] = self.rate[j - 1];
+                self.arena[j] = self.arena[j - 1];
+                self.gen[j] = self.gen[j - 1];
+                j -= 1;
+            }
+            (self.q[j], self.gen[j]) = key;
+            self.w[j] = w;
+            self.rate[j] = rate;
+            self.arena[j] = arena;
+        }
     }
 }

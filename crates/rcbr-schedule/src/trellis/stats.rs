@@ -10,11 +10,15 @@ use serde::{Deserialize, Serialize};
 /// wall-clock gating).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrellisStats {
-    /// Candidate nodes generated (feasible under the buffer/delay bound).
+    /// Candidate nodes the kernel evaluated: the `(survivor, rate)` pairs
+    /// feasible under the buffer/delay bound that front pruning did not
+    /// rule out before building them (every feasible pair in the first
+    /// slot, where there is no column yet).
     pub nodes_expanded: u64,
     /// Survivors kept after Lemma 1 pruning (arena entries written).
     pub nodes_kept: u64,
-    /// Candidates discarded by Lemma 1 pruning (`expanded − kept`).
+    /// Evaluated candidates discarded by Lemma 1 pruning
+    /// (`expanded − kept`).
     pub nodes_pruned: u64,
     /// Survivors discarded by the optional beam truncation.
     pub beam_dropped: u64,

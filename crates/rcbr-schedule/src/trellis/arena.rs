@@ -8,9 +8,9 @@
 //! the arena doubles past its post-collection size:
 //!
 //! * **mark-and-compact** — entries reachable from the live survivor
-//!   column are marked (one descending pass suffices, because a parent
-//!   index is always smaller than its child's) and slid down over the
-//!   garbage, with survivor pointers remapped;
+//!   column are marked by climbing each survivor's parent chain and slid
+//!   down over the garbage, keeping their order (a parent index is always
+//!   smaller than its child's), with survivor pointers remapped;
 //! * **committed-prefix truncation** — the maximal chain prefix shared by
 //!   *every* live survivor is, by Lemma 1's optimality argument, a prefix
 //!   of whatever path the optimizer eventually returns. Its rates are
@@ -31,6 +31,12 @@ const MIN_COMPACT_LEN: usize = 16 * 1024;
 /// Growth factor past the post-collection size that triggers collection.
 const GROWTH_FACTOR: usize = 2;
 
+/// `child` value of a live entry the committed prefix cannot pass.
+const MANY: u32 = NONE - 1;
+
+/// Parent chains the collector's mark climbs at once.
+const CLIMBERS: usize = 8;
+
 /// The parent-pointer arena.
 #[derive(Debug, Default)]
 pub(super) struct Arena {
@@ -43,12 +49,16 @@ pub(super) struct Arena {
     committed: Vec<u16>,
     /// Arena length at which the next collection triggers.
     watermark: usize,
-    // Scratch buffers, reused across collections.
-    mark: Vec<bool>,
+    // Scratch buffers, reused across collections. They only grow and are
+    // never cleared: an entry is live in the current collection iff its
+    // `stamp` equals `epoch`, and `child` and `remap` are read only for
+    // live entries, after this collection wrote them.
+    epoch: u32,
+    stamp: Vec<u32>,
+    /// A live entry's only live child, or `MANY` (two or more, or a
+    /// survivor ends on the entry itself).
+    child: Vec<u32>,
     remap: Vec<u32>,
-    child_count: Vec<u32>,
-    last_child: Vec<u32>,
-    direct_refs: Vec<u32>,
 }
 
 impl Arena {
@@ -73,13 +83,30 @@ impl Arena {
     /// Append an entry and return its index.
     pub fn push(&mut self, parent: u32, rate: u16) -> u32 {
         assert!(
-            self.parent.len() < NONE as usize,
+            self.parent.len() < MANY as usize,
             "trellis arena exhausted; use a beam or a coarser grid"
         );
         let idx = self.parent.len() as u32;
         self.parent.push(parent);
         self.rate.push(rate);
         idx
+    }
+
+    /// Append `entries` (parent, rate) and return the first one's index;
+    /// the rest follow it.
+    pub fn extend(&mut self, entries: impl ExactSizeIterator<Item = (u32, u16)>) -> u32 {
+        let idx = self.parent.len();
+        assert!(
+            idx + entries.len() < MANY as usize,
+            "trellis arena exhausted; use a beam or a coarser grid"
+        );
+        self.parent.reserve(entries.len());
+        self.rate.reserve(entries.len());
+        for (parent, rate) in entries {
+            self.parent.push(parent);
+            self.rate.push(rate);
+        }
+        idx as u32
     }
 
     /// Walk the chain starting at `idx`, yielding rate indices from the
@@ -108,38 +135,60 @@ impl Arena {
     pub fn collect(&mut self, survivors: &mut [u32], stats: &mut TrellisStats) {
         let len = self.parent.len();
         stats.compactions += 1;
-
-        // Mark: seed from the survivor column, then one descending pass —
-        // parents always precede children, so by the time we visit index
-        // `i` every chain that passes through it has already marked it.
-        self.mark.clear();
-        self.mark.resize(len, false);
-        self.direct_refs.clear();
-        self.direct_refs.resize(len, 0);
-        for &a in survivors.iter() {
-            if a != NONE {
-                self.mark[a as usize] = true;
-                self.direct_refs[a as usize] += 1;
-            }
+        if self.stamp.len() <= len {
+            self.stamp.resize(len + 1, 0);
+            self.child.resize(len + 1, 0);
+            self.remap.resize(len + 1, 0);
         }
-        self.child_count.clear();
-        self.child_count.resize(len, 0);
-        self.last_child.clear();
-        self.last_child.resize(len, NONE);
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+
+        // Mark: from each survivor, climb the parent chain until it meets
+        // an entry already marked — every live entry is visited once, the
+        // garbage never. Climbing from a child into an unmarked parent
+        // makes it that parent's only child so far; meeting a marked
+        // entry gives it one more, or a survivor's reference. The marks
+        // come out the same in any order of steps, so `CLIMBERS` climbs
+        // run interleaved: each step waits on a load, and the climbs'
+        // loads overlap.
         let mut roots: u32 = 0;
         let mut the_root: u32 = NONE;
-        for i in (0..len).rev() {
-            if !self.mark[i] {
-                continue;
-            }
-            let p = self.parent[i];
-            if p == NONE {
-                roots += 1;
-                the_root = i as u32;
-            } else {
-                self.mark[p as usize] = true;
-                self.child_count[p as usize] += 1;
-                self.last_child[p as usize] = i as u32;
+        let mut starts = survivors.iter().copied().filter(|&a| a != NONE);
+        // A climber's position and the child it arrives from (`MANY` for
+        // a survivor's own entry); `NONE` for an idle climber.
+        let mut climbers = [(NONE, MANY); CLIMBERS];
+        for c in climbers.iter_mut() {
+            c.0 = starts.next().unwrap_or(NONE);
+        }
+        let mut busy = climbers.iter().filter(|c| c.0 != NONE).count();
+        while busy > 0 {
+            for c in climbers.iter_mut() {
+                let (i, child) = (c.0 as usize, c.1);
+                if c.0 == NONE {
+                    continue;
+                }
+                let stop = if self.stamp[i] == epoch {
+                    self.child[i] = MANY;
+                    true
+                } else {
+                    self.stamp[i] = epoch;
+                    self.child[i] = child;
+                    let p = self.parent[i];
+                    if p == NONE {
+                        roots += 1;
+                        the_root = i as u32;
+                    }
+                    *c = (p, i as u32);
+                    p == NONE
+                };
+                if stop {
+                    *c = (starts.next().unwrap_or(NONE), MANY);
+                    busy -= usize::from(c.0 == NONE);
+                }
             }
         }
 
@@ -147,33 +196,29 @@ impl Arena {
         // follow single-child links that no survivor terminates on.
         if roots == 1 {
             let mut cur = the_root;
-            while self.child_count[cur as usize] == 1 && self.direct_refs[cur as usize] == 0 {
+            while self.child[cur as usize] != MANY {
                 self.committed.push(self.rate[cur as usize]);
                 stats.committed_slots += 1;
-                self.mark[cur as usize] = false;
-                cur = self.last_child[cur as usize];
+                self.stamp[cur as usize] = 0;
+                cur = self.child[cur as usize];
             }
             // The first uncommitted entry becomes the new chain root.
             self.parent[cur as usize] = NONE;
         }
 
-        // Compact: slide marked entries down, building the remap table.
-        self.remap.clear();
-        self.remap.resize(len, NONE);
+        // Compact: slide live entries down, building the remap table. The
+        // pass is branch-free (about half the entries are garbage, in no
+        // pattern a predictor learns): a dead entry is written at `out`
+        // too, then overwritten, and a root reads the spare `remap[len]`.
         let mut out = 0usize;
         for i in 0..len {
-            if !self.mark[i] {
-                continue;
-            }
+            let live = self.stamp[i] == epoch;
             let p = self.parent[i];
-            self.parent[out] = if p == NONE {
-                NONE
-            } else {
-                self.remap[p as usize]
-            };
+            let mapped = self.remap[(p as usize).min(len)];
+            self.parent[out] = if p == NONE { NONE } else { mapped };
             self.rate[out] = self.rate[i];
             self.remap[i] = out as u32;
-            out += 1;
+            out += usize::from(live);
         }
         stats.compacted_entries += (len - out) as u64;
         self.parent.truncate(out);

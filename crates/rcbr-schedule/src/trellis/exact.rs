@@ -3,8 +3,8 @@
 //! For a fixed target rate `mi`, mapping a q-sorted run of survivors
 //! through `q' = max(q + x − s_mi, 0)` yields a q-sorted candidate
 //! stream (the map is monotone, clamping included). Each rate's stream
-//! is the front-pruned subsequence of the column that [`Streams`] yields
-//! (see [`super::front`]): its own survivors plus the column's front. The
+//! is its own chain merged in `q` order with the column's front (see
+//! [`super::front`]). The
 //! global `(q, w, gen, rate)` candidate order the reference obtains with
 //! a full `O(n·M·log(n·M))` sort is therefore an `M`-way merge of `M`
 //! sorted streams — `O(c·log M)` for the `c ≤ n + M·|G|` candidates the
@@ -16,12 +16,12 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use super::front::{Cursor, Streams};
+use super::front::{Cursor, Cuts};
 use super::kernel::{Cand, SlotCtx, Sweep};
 use super::soa::Column;
 
 /// One stream head in the merge heap: the next candidate of target rate
-/// `mi`, drawn from survivor index `si`.
+/// `mi`, drawn from the survivor at storage position `si`.
 #[derive(Debug, Clone, Copy)]
 struct Head {
     q: f64,
@@ -68,15 +68,16 @@ pub(super) struct Scratch {
 /// float expressions.
 #[inline]
 fn make_cand(ctx: &SlotCtx<'_>, cur: &Column, si: u32, mi: u16) -> Cand {
-    let i = si as usize;
-    let q = (cur.q[i] + ctx.x - ctx.svc[mi as usize]).max(0.0);
-    let w = cur.w[i] + ctx.slot_cost[mi as usize] + if mi == cur.rate[i] { 0.0 } else { ctx.alpha };
+    let (i, nodes) = (si as usize, &cur.nodes);
+    let q = (nodes.q[i] + ctx.x - ctx.svc[mi as usize]).max(0.0);
+    let w =
+        nodes.w[i] + ctx.slot_cost[mi as usize] + if mi == nodes.rate[i] { 0.0 } else { ctx.alpha };
     Cand {
         q,
         w,
-        gsi: cur.gen[i],
+        gsi: nodes.gen[i],
         mi,
-        parent: cur.arena[i],
+        parent: nodes.arena[i],
     }
 }
 
@@ -86,16 +87,15 @@ fn make_cand(ctx: &SlotCtx<'_>, cur: &Column, si: u32, mi: u16) -> Cand {
 pub(super) fn expand(
     ctx: &SlotCtx<'_>,
     cur: &Column,
-    streams: &Streams,
-    cutoffs: &[usize],
+    cuts: &Cuts,
     s: &mut Scratch,
     sweep: &mut Sweep<'_>,
 ) -> u64 {
     s.heap.clear();
     s.cursors.clear();
-    for (mi, &cut) in cutoffs.iter().enumerate() {
-        let mut cursor = streams.cursor(mi, cut);
-        push_next(ctx, cur, streams, &mut s.heap, mi as u16, &mut cursor);
+    for mi in 0..ctx.svc.len() {
+        let mut cursor = Cursor::new(cur, cuts, mi);
+        push_next(ctx, cur, &mut s.heap, mi as u16, &mut cursor);
         s.cursors.push(cursor);
     }
     let mut evaluated = 0u64;
@@ -103,13 +103,13 @@ pub(super) fn expand(
         // Collect the exactly-equal-q group (bit equality via total_cmp,
         // matching the reference sort's key comparison).
         s.group.clear();
-        advance(ctx, cur, streams, s, top);
+        advance(ctx, cur, s, top);
         while let Some(&next) = s.heap.peek() {
             if next.q.total_cmp(&top.q) != Ordering::Equal {
                 break;
             }
             let next = s.heap.pop().expect("peeked");
-            advance(ctx, cur, streams, s, next);
+            advance(ctx, cur, s, next);
         }
         evaluated += s.group.len() as u64;
         flush_group(&mut s.group, sweep);
@@ -120,10 +120,10 @@ pub(super) fn expand(
 /// Emit `head`'s candidate into the group and push its stream's
 /// successor.
 #[inline]
-fn advance(ctx: &SlotCtx<'_>, cur: &Column, streams: &Streams, s: &mut Scratch, head: Head) {
+fn advance(ctx: &SlotCtx<'_>, cur: &Column, s: &mut Scratch, head: Head) {
     s.group.push(make_cand(ctx, cur, head.si, head.mi));
     let cursor = &mut s.cursors[head.mi as usize];
-    push_next(ctx, cur, streams, &mut s.heap, head.mi, cursor);
+    push_next(ctx, cur, &mut s.heap, head.mi, cursor);
 }
 
 /// Push stream `mi`'s next head, if it has one before its cut.
@@ -131,13 +131,12 @@ fn advance(ctx: &SlotCtx<'_>, cur: &Column, streams: &Streams, s: &mut Scratch, 
 fn push_next(
     ctx: &SlotCtx<'_>,
     cur: &Column,
-    streams: &Streams,
     heap: &mut BinaryHeap<Head>,
     mi: u16,
     cursor: &mut Cursor,
 ) {
-    if let Some(si) = streams.next(cursor) {
-        let q = (cur.q[si] + ctx.x - ctx.svc[mi as usize]).max(0.0);
+    if let Some(si) = cursor.next(cur) {
+        let q = (cur.nodes.q[si] + ctx.x - ctx.svc[mi as usize]).max(0.0);
         heap.push(Head {
             q,
             mi,

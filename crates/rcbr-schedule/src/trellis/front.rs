@@ -2,16 +2,22 @@
 //! read.
 //!
 //! A survivor that some earlier survivor of its column dominates can
-//! never win a rate change, so it is expanded only to its own rate. Per
-//! slot, one pass over the q-sorted column finds the column's **front**
-//! `G`: survivor `s` is on `G` unless some earlier survivor `j` has
+//! never win a rate change, so it is expanded only to its own rate. In
+//! column order — ascending `(q, gen)` — survivor `s` is on the column's
+//! **front** `G` unless some earlier survivor `j` has
 //! `(w_j, gen_j) < (w_s, gen_s)` in lexicographic order (a running
-//! minimum). Target rate `r`'s candidate stream is then the survivors at
-//! rate `r` merged, in column order, with `G`'s members, cut at the
-//! feasibility prefix `cutoffs[r]`. Both streams are subsequences of the
-//! column, so the merged stream is still q-sorted and everything the
-//! expansion modules rely on (q-sorted candidates, contiguous bucket
-//! segments, the decreasing-envelope filter) holds on it unchanged.
+//! minimum). The column stores `G` beside its per-rate chains
+//! ([`super::soa`]); the sweep that emits a column finds it as it goes.
+//! Target rate `r`'s candidate stream is then rate `r`'s chain merged, in
+//! `q` order, with `G`'s members at other rates (those at rate `r` are in
+//! the chain already). Both lists are q-sorted and feasibility is monotone
+//! in `q`, so each is cut at the slot's buffer bound by its own
+//! `partition_point` ([`Cuts`]); the stream holds exactly the column's
+//! feasible own-rate and front survivors, in `q` order. Survivors of equal
+//! `q` may come in either order: both modes consume a run of equal `q` as
+//! a set (exact mode sorts each equal-q group; in quantized mode equal `q`
+//! is one bucket, and a bucket's representative is its `(w, gen)`
+//! minimum).
 //!
 //! ## Why the output is bit-identical
 //!
@@ -28,8 +34,8 @@
 //!   `gen`, and `j` wins it by the **column lemma**: if `j` is earlier and
 //!   `w_j < w_s`, then `gen_j < gen_s`. The lemma holds because `gen` is
 //!   emission order — q order in exact mode; bucket order, then `w` order,
-//!   in quantized mode; weight order after a beam truncation — and
-//!   [`Streams::build`] `debug_assert!`s it.
+//!   in quantized mode; weight order after a beam truncation — and the
+//!   code that finds the front `debug_assert!`s it.
 //!
 //! So `j`'s candidate to `r` precedes `s`'s in the reference's
 //! `(q | bucket, w, gen, rate)` order. Once the sweep has seen it, kept
@@ -41,152 +47,169 @@
 //! sweep's kept sequence — and with it the schedule, the cost and every
 //! counter but the number of candidates evaluated — unchanged.
 
+use super::kernel::SlotCtx;
 use super::soa::Column;
 
-/// The column's front and its survivors grouped by rate (CSR). Built
-/// once per slot by [`Streams::build`]; every buffer is reused.
+/// Each rate's feasibility cuts: the end of the feasible prefix of its
+/// chain and of the front. Buffers are reused across slots.
 #[derive(Debug, Default)]
-pub(super) struct Streams {
-    /// Column indices of the front's members, ascending.
-    front: Vec<u32>,
-    /// `by_rate[starts[r]..starts[r + 1]]`: the column indices of the
-    /// survivors at rate `r`, ascending.
-    by_rate: Vec<u32>,
-    starts: Vec<u32>,
+pub(super) struct Cuts {
+    /// Rate `r`'s chain is feasible up to storage position `own_end[r]`.
+    pub own_end: Vec<u32>,
+    /// `front[..front[r]]` is feasible for rate `r`.
+    pub front: Vec<u32>,
 }
 
-/// A read position in one target rate's stream (see [`Streams::next`]).
+impl Cuts {
+    /// Cut every rate's stream of `col` at the slot's buffer bound, with
+    /// the reference's feasibility expression; return whether any
+    /// candidate is feasible. The predicate is monotone in `q`, so each
+    /// cut is a `partition_point`, and the column's first survivor in
+    /// `(q, gen)` order — the front's first member — is feasible for some
+    /// rate iff any survivor is.
+    pub fn compute(&mut self, ctx: &SlotCtx<'_>, col: &Column) -> bool {
+        self.own_end.clear();
+        self.front.clear();
+        let q = &col.nodes.q;
+        let mut any = false;
+        for (mi, &svc) in ctx.svc.iter().enumerate() {
+            let feasible = |q: f64| (q + ctx.x - svc).max(0.0) <= ctx.b_t;
+            let chain = col.chain(mi);
+            let own = q[chain.clone()].partition_point(|&q| feasible(q));
+            self.own_end.push((chain.start + own) as u32);
+            let front = col.front.partition_point(|&p| feasible(q[p as usize]));
+            self.front.push(front as u32);
+            any |= front > 0;
+        }
+        any
+    }
+}
+
+/// A read position in one target rate's stream (see [`Cursor::next`]).
 #[derive(Debug)]
 pub(super) struct Cursor {
-    /// Next position in `front`.
-    front: u32,
-    /// Next position in `by_rate`.
+    /// Next storage position in the rate's chain.
     own: u32,
-    /// End of the rate's `by_rate` group.
+    /// End of the chain's feasible prefix.
     own_end: u32,
-    /// The rate's feasibility cutoff: column indices `< cut` only.
-    cut: u32,
+    /// Next index into the column's front.
+    front: u32,
+    /// End of the front's feasible prefix.
+    front_end: u32,
+    /// The target rate.
+    rate: u16,
 }
 
-impl Streams {
-    /// Index the q-sorted column `cur` over a grid of `m` rates.
-    pub fn build(&mut self, cur: &Column, m: usize) {
-        let n = cur.len();
-        // The front: strict prefix minima of (w, gen) in column order.
-        self.front.clear();
-        let mut min_w = f64::INFINITY;
-        let mut min_gen = u32::MAX;
-        for i in 0..n {
-            let (w, gen) = (cur.w[i], cur.gen[i]);
-            if w.total_cmp(&min_w).then(gen.cmp(&min_gen)).is_lt() {
-                self.front.push(i as u32);
-                min_w = w;
-                min_gen = gen;
-            } else {
-                // The column lemma the pruning proof needs (module docs):
-                // the earlier survivor that dominates `i` is also earlier
-                // in reference order.
-                debug_assert!(min_gen < gen, "column lemma violated at survivor {i}");
-            }
-        }
-        // Survivors grouped by rate: count, exclusive prefix sums, scatter.
-        self.starts.clear();
-        self.starts.resize(m + 1, 0);
-        for &r in &cur.rate {
-            self.starts[r as usize + 1] += 1;
-        }
-        for r in 0..m {
-            self.starts[r + 1] += self.starts[r];
-        }
-        self.by_rate.clear();
-        self.by_rate.resize(n, 0);
-        // `starts[r]` doubles as rate r's fill position, then is restored.
-        for (i, &r) in cur.rate.iter().enumerate() {
-            let slot = &mut self.starts[r as usize];
-            self.by_rate[*slot as usize] = i as u32;
-            *slot += 1;
-        }
-        for r in (1..=m).rev() {
-            self.starts[r] = self.starts[r - 1];
-        }
-        self.starts[0] = 0;
-    }
-
-    /// Start reading rate `mi`'s stream, cut at column index `cut`.
-    pub fn cursor(&self, mi: usize, cut: usize) -> Cursor {
-        Cursor {
+impl Cursor {
+    /// Start reading rate `mi`'s stream of `col`, cut at `cuts`.
+    pub fn new(col: &Column, cuts: &Cuts, mi: usize) -> Self {
+        Self {
+            own: col.start[mi],
+            own_end: cuts.own_end[mi],
             front: 0,
-            own: self.starts[mi],
-            own_end: self.starts[mi + 1],
-            cut: cut as u32,
+            front_end: cuts.front[mi],
+            rate: mi as u16,
         }
     }
 
-    /// The next column index of the cursor's stream — its rate's own
-    /// survivors merged with the front, ascending, each index once — or
+    /// The storage position of the stream's next survivor — its rate's
+    /// chain merged in `q` order with the front's other-rate members — or
     /// `None` at the cut.
     #[inline]
-    pub fn next(&self, c: &mut Cursor) -> Option<usize> {
-        let f = self
-            .front
-            .get(c.front as usize)
-            .copied()
-            .unwrap_or(u32::MAX);
-        let o = if c.own < c.own_end {
-            self.by_rate[c.own as usize]
-        } else {
-            u32::MAX
-        };
-        let i = f.min(o);
-        if i >= c.cut {
-            return None;
+    pub fn next(&mut self, col: &Column) -> Option<usize> {
+        let nodes = &col.nodes;
+        // A front member at the cursor's own rate is in its chain.
+        while self.front < self.front_end
+            && nodes.rate[col.front[self.front as usize] as usize] == self.rate
+        {
+            self.front += 1;
         }
-        // A front member at the cursor's own rate is in both lists.
-        c.front += u32::from(f == i);
-        c.own += u32::from(o == i);
-        Some(i as usize)
+        let f = (self.front < self.front_end).then(|| col.front[self.front as usize] as usize);
+        let o = (self.own < self.own_end).then_some(self.own as usize);
+        match (o, f) {
+            (Some(o), Some(f)) if nodes.q[f] < nodes.q[o] => {
+                self.front += 1;
+                Some(f)
+            }
+            (Some(o), _) => {
+                self.own += 1;
+                Some(o)
+            }
+            (None, Some(f)) => {
+                self.front += 1;
+                Some(f)
+            }
+            (None, None) => None,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trellis::soa::Nodes;
 
-    fn column(rows: &[(f64, f64, u16, u32)]) -> Column {
-        let mut col = Column::default();
+    /// A column from `(q, w, rate, gen)` rows in `(q, gen)` order.
+    fn column(rows: &[(f64, f64, u16, u32)], m: usize) -> Column {
+        let mut staged = Nodes::default();
         for (i, &(q, w, rate, gen)) in rows.iter().enumerate() {
-            col.push(q, w, rate, i as u32, gen);
+            staged.push(q, w, rate, i as u32, gen);
         }
+        let mut col = Column::default();
+        col.fill(&staged, m);
         col
     }
 
-    fn stream(s: &Streams, mi: usize, cut: usize) -> Vec<usize> {
-        let mut c = s.cursor(mi, cut);
-        std::iter::from_fn(|| s.next(&mut c)).collect()
+    /// Rate `mi`'s stream, as the `arena` entries (the row numbers) of
+    /// its survivors in stream order, cut before the first `q ≥ q_max`.
+    fn stream(col: &Column, mi: usize, q_max: f64) -> Vec<u32> {
+        let q = &col.nodes.q;
+        let m = col.end.len();
+        let cuts = Cuts {
+            own_end: (0..m)
+                .map(|r| {
+                    let chain = col.chain(r);
+                    (chain.start + q[chain].partition_point(|&q| q < q_max)) as u32
+                })
+                .collect(),
+            front: vec![col.front.partition_point(|&p| q[p as usize] < q_max) as u32; m],
+        };
+        let mut c = Cursor::new(col, &cuts, mi);
+        std::iter::from_fn(|| c.next(col))
+            .map(|p| col.nodes.arena[p])
+            .collect()
+    }
+
+    fn front_rows(col: &Column) -> Vec<u32> {
+        col.front
+            .iter()
+            .map(|&p| col.nodes.arena[p as usize])
+            .collect()
     }
 
     #[test]
     fn front_is_the_running_w_gen_minimum() {
         // (q, w, rate, gen), q-sorted, gen in emission order.
-        let col = column(&[
-            (0.0, 9.0, 0, 0),
-            (1.0, 7.0, 1, 1),
-            (2.0, 8.0, 0, 2), // dominated by survivor 1
-            (3.0, 7.0, 2, 3), // equal w, later gen: dominated by 1
-            (4.0, 2.0, 1, 4),
-            (5.0, 5.0, 2, 5), // dominated by survivor 4
-        ]);
-        let mut s = Streams::default();
-        s.build(&col, 3);
-        assert_eq!(s.front, vec![0, 1, 4]);
+        let col = column(
+            &[
+                (0.0, 9.0, 0, 0),
+                (1.0, 7.0, 1, 1),
+                (2.0, 8.0, 0, 2), // dominated by survivor 1
+                (3.0, 7.0, 2, 3), // equal w, later gen: dominated by 1
+                (4.0, 2.0, 1, 4),
+                (5.0, 5.0, 2, 5), // dominated by survivor 4
+            ],
+            3,
+        );
+        assert_eq!(front_rows(&col), vec![0, 1, 4]);
         // Rate 0: own {0, 2} ∪ front {0, 1, 4}.
-        assert_eq!(stream(&s, 0, 6), vec![0, 1, 2, 4]);
+        assert_eq!(stream(&col, 0, 6.0), vec![0, 1, 2, 4]);
         // Rate 1: own {1, 4} is a subset of the front.
-        assert_eq!(stream(&s, 1, 6), vec![0, 1, 4]);
+        assert_eq!(stream(&col, 1, 6.0), vec![0, 1, 4]);
         // Rate 2: own {3, 5} ∪ front, cut at the feasibility prefix.
-        assert_eq!(stream(&s, 2, 6), vec![0, 1, 3, 4, 5]);
-        assert_eq!(stream(&s, 2, 4), vec![0, 1, 3]);
-        assert_eq!(stream(&s, 2, 0), Vec::<usize>::new());
+        assert_eq!(stream(&col, 2, 6.0), vec![0, 1, 3, 4, 5]);
+        assert_eq!(stream(&col, 2, 4.0), vec![0, 1, 3]);
+        assert_eq!(stream(&col, 2, 0.0), Vec::<u32>::new());
     }
 
     #[test]
@@ -195,11 +218,12 @@ mod tests {
         // equal-w pair first. A later survivor with the same w but a
         // smaller gen is *not* dominated: its candidates precede the
         // earlier survivor's in the sweep's (w, gen) tie order.
-        let col = column(&[(10.0, 5.0, 0, 1), (11.0, 5.0, 1, 0), (12.0, 5.0, 2, 2)]);
-        let mut s = Streams::default();
-        s.build(&col, 3);
-        assert_eq!(s.front, vec![0, 1]);
-        assert_eq!(stream(&s, 2, 3), vec![0, 1, 2]);
-        assert_eq!(stream(&s, 0, 3), vec![0, 1]);
+        let col = column(
+            &[(10.0, 5.0, 0, 1), (11.0, 5.0, 1, 0), (12.0, 5.0, 2, 2)],
+            3,
+        );
+        assert_eq!(front_rows(&col), vec![0, 1]);
+        assert_eq!(stream(&col, 2, 13.0), vec![0, 1, 2]);
+        assert_eq!(stream(&col, 0, 13.0), vec![0, 1]);
     }
 }

@@ -10,8 +10,8 @@
 use rcbr_traffic::FrameTrace;
 
 use super::arena::{Arena, NONE};
-use super::front::Streams;
-use super::soa::Column;
+use super::front::Cuts;
+use super::soa::{Column, Nodes};
 use super::stats::TrellisStats;
 use super::{exact, quantized, TrellisConfig, TrellisError};
 use crate::schedule::Schedule;
@@ -32,24 +32,6 @@ pub(super) struct Cand {
     pub parent: u32,
 }
 
-/// One candidate representative, quantized mode: the cheapest candidate
-/// of a `(target rate, bucket)` cell.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Rep {
-    /// Quantization bucket of `q`.
-    pub bucket: u64,
-    /// Exact buffer occupancy of the chosen candidate.
-    pub q: f64,
-    /// Path weight of the chosen candidate.
-    pub w: f64,
-    /// Reference-order rank of the chosen source survivor.
-    pub gsi: u32,
-    /// Target rate index.
-    pub mi: u16,
-    /// Arena index of the chosen source survivor.
-    pub parent: u32,
-}
-
 /// Per-slot constants shared by the expansion modules.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct SlotCtx<'a> {
@@ -65,127 +47,51 @@ pub(super) struct SlotCtx<'a> {
     pub alpha: f64,
 }
 
-/// The Lemma 1 sweep: consumes candidates in reference order and keeps
-/// the non-dominated ones, writing survivors and arena entries.
+/// The Lemma 1 sweep of exact mode and the first slot: consumes
+/// candidates in reference order and keeps the non-dominated ones,
+/// staging survivors in emission order and writing arena entries.
+/// (Quantized slots sweep their representatives in `quantized.rs`.)
 pub(super) struct Sweep<'a> {
     per_rate_min: &'a mut [f64],
-    per_rate_bucket: &'a mut [u64],
     global_min: f64,
-    next: &'a mut Column,
+    stage: &'a mut Nodes,
     arena: &'a mut Arena,
     alpha: f64,
-    quantize: bool,
-    kept: u64,
 }
 
 impl<'a> Sweep<'a> {
-    /// Start a slot: reset the frontier minima and the output column.
+    /// Start a slot: reset the frontier minima and the staging list.
     pub fn begin(
         per_rate_min: &'a mut [f64],
-        per_rate_bucket: &'a mut [u64],
-        next: &'a mut Column,
+        stage: &'a mut Nodes,
         arena: &'a mut Arena,
         alpha: f64,
-        quantize: bool,
     ) -> Self {
         per_rate_min.fill(f64::INFINITY);
-        per_rate_bucket.fill(u64::MAX);
-        next.clear();
+        stage.clear();
         Self {
             per_rate_min,
-            per_rate_bucket,
             global_min: f64::INFINITY,
-            next,
+            stage,
             arena,
             alpha,
-            quantize,
-            kept: 0,
         }
     }
 
-    /// Offer one exact-mode candidate; candidates must arrive sorted by
-    /// `(q, w, gsi, mi)` — the reference's stable-sort order.
+    /// Offer one candidate; candidates must arrive in the reference's
+    /// stable-sort order, `(q | bucket, w, gsi, mi)`. (The reference's
+    /// bucket-dedup check cannot fire here: a quantized column reaches this
+    /// sweep only in the first slot, one candidate per rate.)
     pub fn offer(&mut self, c: &Cand) {
         let r = c.mi as usize;
         if c.w >= self.per_rate_min[r] || c.w - self.alpha >= self.global_min {
             return;
         }
-        self.keep(c.q, c.w, c.mi, c.parent);
-    }
-
-    /// Offer one quantized-mode representative; reps must arrive sorted
-    /// by `(bucket, w, gsi, mi)`.
-    pub fn offer_rep(&mut self, rep: &Rep) {
-        let r = rep.mi as usize;
-        if rep.w >= self.per_rate_min[r] || rep.w - self.alpha >= self.global_min {
-            return;
-        }
-        if self.quantize {
-            // One survivor per (rate, bucket): the first (cheapest) wins.
-            if self.per_rate_bucket[r] == rep.bucket {
-                return;
-            }
-            self.per_rate_bucket[r] = rep.bucket;
-        }
-        self.keep(rep.q, rep.w, rep.mi, rep.parent);
-    }
-
-    /// Offer bucket-grouped reps (see `quantized::expand`): buckets in
-    /// ascending order, each bucket filtered against the current frontier
-    /// minima *before* ordering. A rep failing the skip check at bucket
-    /// entry can never be kept — both minima only tighten as the bucket's
-    /// cheaper reps are processed — so dropping it early is lossless, and
-    /// the survivors (almost always zero or one) are offered through
-    /// [`Sweep::offer_rep`] in the reference's `(w, gsi, mi)` order,
-    /// which is unique within a bucket (one rep per rate). The result is
-    /// bit-identical to sweeping the fully sorted rep list.
-    pub fn offer_buckets(&mut self, reps: &[Rep], ends: &[u32], pick: &mut Vec<u32>) {
-        let mut start = 0usize;
-        for &end in ends {
-            let end = end as usize;
-            if end == start {
-                continue;
-            }
-            let bucket = &reps[start..end];
-            start = end;
-            pick.clear();
-            for (i, rep) in bucket.iter().enumerate() {
-                if rep.w < self.per_rate_min[rep.mi as usize]
-                    && rep.w - self.alpha < self.global_min
-                {
-                    pick.push(i as u32);
-                }
-            }
-            match pick.len() {
-                0 => {}
-                1 => self.offer_rep(&bucket[pick[0] as usize]),
-                _ => {
-                    pick.sort_unstable_by(|&a, &b| {
-                        let (a, b) = (&bucket[a as usize], &bucket[b as usize]);
-                        a.w.total_cmp(&b.w)
-                            .then(a.gsi.cmp(&b.gsi))
-                            .then(a.mi.cmp(&b.mi))
-                    });
-                    for &i in pick.iter() {
-                        self.offer_rep(&bucket[i as usize]);
-                    }
-                }
-            }
-        }
-    }
-
-    fn keep(&mut self, q: f64, w: f64, mi: u16, parent: u32) {
-        self.per_rate_min[mi as usize] = w;
-        self.global_min = self.global_min.min(w);
-        let arena_idx = self.arena.push(parent, mi);
-        let gen = self.next.len() as u32;
-        self.next.push(q, w, mi, arena_idx, gen);
-        self.kept += 1;
-    }
-
-    /// Survivors kept this slot.
-    pub fn kept(&self) -> u64 {
-        self.kept
+        self.per_rate_min[r] = c.w;
+        self.global_min = self.global_min.min(c.w);
+        let arena_idx = self.arena.push(c.parent, c.mi);
+        let gen = self.stage.len() as u32;
+        self.stage.push(c.q, c.w, c.mi, arena_idx, gen);
     }
 }
 
@@ -194,17 +100,16 @@ impl<'a> Sweep<'a> {
 struct Scratch {
     cur: Column,
     next: Column,
-    col_scratch: Column,
+    /// Survivors in emission order, before [`Column::fill`] lays them out.
+    stage: Nodes,
+    stage_scratch: Nodes,
     perm: Vec<u32>,
     beam_order: Vec<u32>,
     per_rate_min: Vec<f64>,
-    per_rate_bucket: Vec<u64>,
-    cutoffs: Vec<usize>,
-    streams: Streams,
+    cuts: Cuts,
     exact: exact::Scratch,
     quant: quantized::Scratch,
-    reps: Vec<Rep>,
-    pick: Vec<u32>,
+    cands: Vec<Cand>,
 }
 
 /// Run the optimizer.
@@ -223,14 +128,11 @@ pub(super) fn run(
         .collect();
     let alpha = cfg.cost.alpha;
     let t_len = trace.len();
-    let quantize = cfg.q_resolution.is_some();
 
     let mut stats = TrellisStats::default();
     let mut arena = Arena::new();
     let mut s = Scratch::default();
     s.per_rate_min.resize(m, f64::INFINITY);
-    s.per_rate_bucket.resize(m, u64::MAX);
-    s.cutoffs.resize(m, 0);
 
     // Per-slot buffer bound: min(B, arrivals in the trailing delay
     // window) — see eq. (5)'s reduction in the module docs.
@@ -259,108 +161,70 @@ pub(super) fn run(
             alpha,
         };
 
-        // Candidate expansion + Lemma 1 sweep. The expansion modules feed
-        // the sweep in the reference's (q|bucket, w, gen, rate) order. The
-        // verdict counts every feasible candidate, as the reference does;
-        // front pruning (`front.rs`) then evaluates only those that can
-        // still be kept.
-        let feasible = if t == 0 {
-            first_slot_candidates(&ctx, quantize, cfg, &mut s.reps)
-        } else {
-            count_feasible(&ctx, &s.cur, &mut s.cutoffs)
-        };
-        if feasible == 0 {
-            return Err(TrellisError::Infeasible { slot: t });
-        }
-
-        let mut sweep = Sweep::begin(
-            &mut s.per_rate_min,
-            &mut s.per_rate_bucket,
-            &mut s.next,
-            &mut arena,
-            alpha,
-            quantize,
-        );
-        let evaluated = if t == 0 {
-            // `first_slot_candidates` left the column's candidates in
-            // `s.reps`; order and sweep them like any other slot — by
-            // bucket when quantized, by exact q otherwise.
-            if quantize {
-                quantized::sort_reps(&mut s.reps);
-                for rep in s.reps.iter() {
-                    sweep.offer_rep(rep);
-                }
-            } else {
-                s.reps.sort_unstable_by(|a, b| {
-                    a.q.total_cmp(&b.q)
-                        .then(a.w.total_cmp(&b.w))
-                        .then(a.gsi.cmp(&b.gsi))
-                        .then(a.mi.cmp(&b.mi))
-                });
-                for rep in s.reps.iter() {
-                    sweep.offer(&Cand {
-                        q: rep.q,
-                        w: rep.w,
-                        gsi: rep.gsi,
-                        mi: rep.mi,
-                        parent: rep.parent,
-                    });
-                }
+        // Candidate expansion + Lemma 1 sweep, in the reference's
+        // (q|bucket, w, gen, rate) order. Quantized slots write the next
+        // column's chains directly; the first slot and exact mode stage
+        // their survivors in emission order. The verdict counts every
+        // feasible candidate, as the reference does; front pruning
+        // (`front.rs`) then evaluates only those that can still be kept.
+        let (evaluated, kept, staged) = if t == 0 {
+            let feasible = first_slot_candidates(&ctx, cfg.q_resolution, &mut s.cands);
+            if feasible == 0 {
+                return Err(TrellisError::Infeasible { slot: t });
             }
-            feasible
+            let mut sweep = Sweep::begin(&mut s.per_rate_min, &mut s.stage, &mut arena, alpha);
+            for c in s.cands.iter() {
+                sweep.offer(c);
+            }
+            // A quantized first slot emits in bucket order: restore the
+            // (q, gen) order `Column::fill` takes (M survivors at most).
+            s.stage.sort_by_q(&mut s.perm, &mut s.stage_scratch);
+            (feasible, s.stage.len() as u64, true)
         } else {
-            s.streams.build(&s.cur, m);
-            if quantize {
-                let res = cfg.q_resolution.expect("quantize implies resolution");
-                let evaluated = quantized::expand(
+            if !s.cuts.compute(&ctx, &s.cur) {
+                return Err(TrellisError::Infeasible { slot: t });
+            }
+            if let Some(res) = cfg.q_resolution {
+                let (evaluated, kept) = quantized::expand(
                     &ctx,
                     &s.cur,
-                    &s.streams,
-                    &s.cutoffs,
+                    &s.cuts,
                     res,
-                    &mut s.reps,
                     &mut s.quant,
+                    &mut s.next,
+                    &mut arena,
                 );
-                if let Some(ends) = s.quant.bucket_ends() {
-                    sweep.offer_buckets(&s.reps, ends, &mut s.pick);
-                } else {
-                    for rep in s.reps.iter() {
-                        sweep.offer_rep(rep);
-                    }
-                }
-                evaluated
+                (evaluated, kept, false)
             } else {
-                exact::expand(
-                    &ctx,
-                    &s.cur,
-                    &s.streams,
-                    &s.cutoffs,
-                    &mut s.exact,
-                    &mut sweep,
-                )
+                let mut sweep = Sweep::begin(&mut s.per_rate_min, &mut s.stage, &mut arena, alpha);
+                let evaluated = exact::expand(&ctx, &s.cur, &s.cuts, &mut s.exact, &mut sweep);
+                (evaluated, s.stage.len() as u64, true)
             }
         };
         stats.nodes_expanded += evaluated;
-        stats.nodes_kept += sweep.kept();
-        stats.nodes_pruned += evaluated - sweep.kept();
+        stats.nodes_kept += kept;
+        stats.nodes_pruned += evaluated - kept;
 
         // Optional beam: keep the lowest-weight survivors, in the
-        // reference's weight-sorted order. Then restore the q-sorted
-        // column invariant: a truncated column is in weight order and
-        // takes the comparison sort; every other sweep emits in q order
-        // across buckets, so only each bucket's run needs restoring
-        // (exact sweeps are already sorted).
+        // reference's weight-sorted order, then lay the (q, gen)-sorted
+        // remainder out as chains. Staged survivors are already in
+        // (q, gen) order.
         match cfg.max_survivors {
-            Some(width) if s.next.len() > width => {
-                stats.beam_dropped += (s.next.len() - width) as u64;
-                beam_truncate(&mut s.next, width, &mut s.beam_order, &mut s.col_scratch);
-                s.next.sort_by_q(&mut s.perm, &mut s.col_scratch);
+            Some(width) if kept as usize > width => {
+                stats.beam_dropped += kept - width as u64;
+                if !staged {
+                    s.next.flatten_into(&mut s.stage);
+                }
+                beam_truncate(&mut s.stage, width, &mut s.beam_order, &mut s.stage_scratch);
+                s.stage.sort_by_q(&mut s.perm, &mut s.stage_scratch);
+                s.next.fill(&s.stage, m);
             }
-            _ => s.next.restore_q_order(),
+            _ if staged => s.next.fill(&s.stage, m),
+            _ => {}
         }
         std::mem::swap(&mut s.cur, &mut s.next);
         stats.observe_survivors(s.cur.len());
-        arena.maybe_collect(&mut s.cur.arena, &mut stats);
+        arena.maybe_collect(s.cur.arenas_mut(), &mut stats);
     }
 
     // Best terminal node (restricted to drained nodes when required; the
@@ -368,19 +232,19 @@ pub(super) fn run(
     // dominating node has no larger backlog, hence drains wherever the
     // dominated one does). Ties on weight resolve to the smallest `gen` —
     // the first minimum in reference iteration order.
+    let nodes = &s.cur.nodes;
     let mut best: Option<usize> = None;
     for i in 0..s.cur.len() {
-        if cfg.drain_at_end && s.cur.q[i] > 1e-9 {
+        if cfg.drain_at_end && nodes.q[i] > 1e-9 {
             continue;
         }
         best = match best {
             None => Some(i),
             Some(b) => {
-                let better = match s.cur.w[i].total_cmp(&s.cur.w[b]) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Equal => s.cur.gen[i] < s.cur.gen[b],
-                    std::cmp::Ordering::Greater => false,
-                };
+                let better = nodes.w[i]
+                    .total_cmp(&nodes.w[b])
+                    .then(nodes.gen[i].cmp(&nodes.gen[b]))
+                    .is_lt();
                 Some(if better { i } else { b })
             }
         };
@@ -398,52 +262,30 @@ pub(super) fn run(
     let chain_start = rates.len();
     rates.extend(
         arena
-            .walk(s.cur.arena[best])
+            .walk(nodes.arena[best])
             .map(|ri| cfg.grid.level(ri as usize)),
     );
     rates[chain_start..].reverse();
     debug_assert_eq!(rates.len(), t_len, "arena walk must span the trace");
-    let cost = s.cur.w[best];
+    let cost = nodes.w[best];
     Ok((Schedule::from_rates(tau, &rates), cost, stats))
 }
 
-/// Per-rate feasible-prefix cutoffs: stream `mi`'s candidates are the
-/// survivors whose post-slot occupancy meets the bound. The predicate is
-/// evaluated with the reference's exact expression, and it is monotone in
-/// `q`, so the feasible set is a prefix of the q-sorted column.
-fn count_feasible(ctx: &SlotCtx<'_>, cur: &Column, cutoffs: &mut [usize]) -> u64 {
-    let mut total = 0u64;
-    for (mi, cut) in cutoffs.iter_mut().enumerate() {
-        let svc = ctx.svc[mi];
-        *cut = cur
-            .q
-            .partition_point(|&q| (q + ctx.x - svc).max(0.0) <= ctx.b_t);
-        total += *cut as u64;
-    }
-    total
-}
-
 /// Build the first column's candidates (the initial rate choice is free
-/// of α) as reps, in the reference's generation order (`mi` ascending).
+/// of α), sorted in the reference's `(q | bucket, w, rate)` order;
+/// return how many there are.
 fn first_slot_candidates(
     ctx: &SlotCtx<'_>,
-    quantize: bool,
-    cfg: &TrellisConfig,
-    reps: &mut Vec<Rep>,
+    q_resolution: Option<f64>,
+    cands: &mut Vec<Cand>,
 ) -> u64 {
-    reps.clear();
+    cands.clear();
     for mi in 0..ctx.svc.len() {
         let q = (ctx.x - ctx.svc[mi]).max(0.0);
         if q > ctx.b_t {
             continue;
         }
-        let bucket = if quantize {
-            quantized::bucket(q, cfg.q_resolution.expect("quantize implies resolution"))
-        } else {
-            0
-        };
-        reps.push(Rep {
-            bucket,
+        cands.push(Cand {
             q,
             w: ctx.slot_cost[mi],
             gsi: 0,
@@ -451,13 +293,21 @@ fn first_slot_candidates(
             parent: NONE,
         });
     }
-    reps.len() as u64
+    cands.sort_unstable_by(|a, b| {
+        match q_resolution {
+            Some(res) => quantized::bucket(a.q, res).cmp(&quantized::bucket(b.q, res)),
+            None => a.q.total_cmp(&b.q),
+        }
+        .then(a.w.total_cmp(&b.w))
+        .then(a.mi.cmp(&b.mi))
+    });
+    cands.len() as u64
 }
 
 /// Beam truncation in reference semantics: stable-sort survivors by
 /// weight (ties keep `gen` order), truncate, and re-rank `gen` to the
 /// surviving order.
-fn beam_truncate(col: &mut Column, width: usize, order: &mut Vec<u32>, scratch: &mut Column) {
+fn beam_truncate(col: &mut Nodes, width: usize, order: &mut Vec<u32>, scratch: &mut Nodes) {
     order.clear();
     order.extend(0..col.len() as u32);
     let w = &col.w;
@@ -479,15 +329,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_mode_reps_are_sorted_on_first_slot() {
-        // The first slot goes through the rep path even in exact mode;
-        // bucket is 0 for all, so ordering degenerates to (q is ignored —
-        // bucket 0) (w, gsi, mi). With distinct rates, w = β·r·τ is
-        // strictly increasing in mi, matching generation order.
+    fn first_slot_candidates_come_in_reference_order() {
+        // Exact mode orders by q: the fastest rate drains the most.
         let grid = crate::grid::RateGrid::new(vec![0.0, 50.0, 100.0]);
-        let cfg = TrellisConfig::new(grid, crate::cost::CostModel::new(1.0, 1.0), 100.0);
-        let svc: Vec<f64> = cfg.grid.levels().to_vec();
-        let slot_cost: Vec<f64> = cfg.grid.levels().to_vec();
+        let svc: Vec<f64> = grid.levels().to_vec();
+        let slot_cost: Vec<f64> = grid.levels().to_vec();
         let ctx = SlotCtx {
             x: 60.0,
             b_t: 100.0,
@@ -495,10 +341,15 @@ mod tests {
             slot_cost: &slot_cost,
             alpha: 1.0,
         };
-        let mut reps = Vec::new();
-        let n = first_slot_candidates(&ctx, false, &cfg, &mut reps);
-        assert_eq!(n, 3);
-        assert_eq!(reps[0].mi, 0);
-        assert!((reps[0].q - 60.0).abs() < 1e-12);
+        let mut cands = Vec::new();
+        assert_eq!(first_slot_candidates(&ctx, None, &mut cands), 3);
+        let order: Vec<u16> = cands.iter().map(|c| c.mi).collect();
+        assert_eq!(order, vec![2, 1, 0]);
+        assert_eq!(cands[0].q, 0.0);
+        // Quantized with one bucket above zero: rates 0 and 1 share it,
+        // so weight orders them; the drained rate 2 has bucket 0.
+        first_slot_candidates(&ctx, Some(1000.0), &mut cands);
+        let order: Vec<u16> = cands.iter().map(|c| c.mi).collect();
+        assert_eq!(order, vec![2, 0, 1]);
     }
 }

@@ -21,15 +21,17 @@
 //! The paper reports this optimizer as the bottleneck of its whole
 //! evaluation: ~20 minutes at `M = 20` rate levels and "more than a day"
 //! at `M = 100`. The implementation here is a data-oriented kernel
-//! (see `DESIGN.md` §8) that removes the super-linear term from the inner
+//! (see `DESIGN.md` §9) that removes the super-linear term from the inner
 //! loop:
 //!
-//! * survivors are stored in struct-of-arrays columns ([`soa`]), kept
-//!   sorted by buffer occupancy, with every per-slot buffer reused;
-//! * because a fixed target rate maps a `q`-sorted survivor column to a
-//!   `q`-sorted candidate stream, Lemma 1 pruning is an `M`-way linear
+//! * survivors are stored in struct-of-arrays columns ([`soa`]) as
+//!   per-rate chains, each sorted by buffer occupancy, with every per-slot
+//!   buffer reused;
+//! * because a fixed target rate maps a `q`-sorted stream of survivors to
+//!   a `q`-sorted candidate stream, Lemma 1 pruning is an `M`-way linear
 //!   merge plus sweep ([`exact`]) — or, with a quantized buffer axis, a
-//!   per-`(rate, bucket)` reduction ([`quantized`]) — instead of a global
+//!   per-`(rate, bucket)` reduction whose sweep decides each
+//!   representative in O(1) ([`quantized`]) — instead of a global
 //!   `O(n·M·log(n·M))` sort;
 //! * a survivor that an earlier one in its column dominates can never win
 //!   a rate change, so only the column's front `G` expands to every rate
@@ -540,6 +542,45 @@ mod tests {
                 (got, want) => panic!("feasibility diverged for {cfg:?}: {got:?} vs {want:?}"),
             }
         }
+    }
+
+    /// Kernel against reference, cost bits and schedule, on `configs`.
+    fn assert_bit_identical(trace: &FrameTrace, configs: &[TrellisConfig]) {
+        for cfg in configs {
+            let (s_k, w_k) = OfflineOptimizer::new(cfg.clone())
+                .optimize_with_cost(trace)
+                .unwrap();
+            let (s_r, w_r) = reference::optimize_with_cost(cfg, trace).unwrap();
+            assert_eq!(w_k.to_bits(), w_r.to_bits(), "cost diverged for {cfg:?}");
+            assert_eq!(s_k.to_rates(), s_r.to_rates(), "schedule diverged: {cfg:?}");
+        }
+    }
+
+    #[test]
+    fn free_renegotiation_matches_reference() {
+        // With α = 0 a bucket's first representative faces the global
+        // minimum alone while every other one also faces its weight, and
+        // equal weights are common: the case where the two limits differ.
+        let grid = RateGrid::uniform(0.0, 300.0, 9);
+        let base = TrellisConfig::new(grid, CostModel::new(0.0, 1.0), 250.0);
+        assert_bit_identical(
+            &bursty_trace(300),
+            &[
+                base.clone(),
+                base.clone().with_q_resolution(250.0 / 200.0),
+                base.with_q_resolution(250.0 / 50.0).with_beam(6),
+            ],
+        );
+    }
+
+    #[test]
+    fn degenerate_resolution_takes_the_sort_path() {
+        // More buckets than the counting scatter indexes: the
+        // representatives are sorted by bucket instead.
+        let grid = RateGrid::uniform(0.0, 300.0, 9);
+        let cfg = TrellisConfig::new(grid, CostModel::new(12.0, 1.0), 250.0)
+            .with_q_resolution(250.0 / 1e7);
+        assert_bit_identical(&bursty_trace(300), &[cfg]);
     }
 
     #[test]

@@ -1,27 +1,42 @@
-//! Struct-of-arrays survivor columns.
+//! Struct-of-arrays survivor columns, stored as per-rate chains.
 //!
-//! One trellis column is four parallel vectors instead of a `Vec<Node>`:
-//! the expansion loop touches `q` for every candidate but `w`/`rate`/
-//! `arena` only for the few that survive its bound checks, so splitting
-//! the fields keeps the hot scan dense in cache. Columns are double-
-//! buffered by the kernel and every vector is reused across slots — the
-//! steady state performs no allocation.
+//! The expansion loops touch `q` and `w` for every candidate but `gen`/
+//! `arena` only for the few that survive their bound checks, so each field
+//! is its own vector and the hot scans stay dense in cache. Columns are
+//! double-buffered by the kernel and every vector is reused across slots —
+//! the steady state performs no allocation.
 //!
-//! ## Ordering invariant
+//! ## Layout
 //!
-//! Between slots a column is sorted by `q` (ascending, `total_cmp`), which
-//! is what lets a fixed target rate generate an already-`q`-sorted
-//! candidate stream. The `gen` vector remembers each survivor's rank in
-//! *reference order* — the order the retained [`super::reference`]
-//! implementation would have stored it (its sweep-emission order, or its
-//! weight-sorted order after a beam truncation). All tie-breaks quote
-//! `gen`, never the storage index, so the kernel's float-tie decisions are
-//! bit-identical to the reference's stable sorts.
+//! A [`Column`] stores its survivors grouped by rate: rate `r`'s **chain**
+//! is `start[r]..end[r]` of the node vectors, ascending in `q` and strictly
+//! descending in `w`. (The sweep keeps a survivor at rate `r` only below
+//! `r`'s running weight minimum, in ascending `q` or bucket order, so every
+//! column it emits has this shape, and so does any subset of one.) The
+//! chains are laid out at their exact lengths, so the storage's first
+//! [`Column::len`] entries are the survivors. Beside the chains, the
+//! column lists its **front** (see [`super::front`]) as chain positions in
+//! `(q, gen)` order.
+//! Target rate `r`'s candidate stream is then its own chain merged with the
+//! front, each cut by its own `partition_point` — no whole-column order is
+//! ever materialised.
+//!
+//! ## Tie order
+//!
+//! The `gen` vector remembers each survivor's rank in *reference order* —
+//! the order the retained [`super::reference`] implementation would have
+//! stored it (its sweep-emission order, or its weight-sorted order after a
+//! beam truncation). All tie-breaks quote `gen`, never the storage index,
+//! so the kernel's float-tie decisions are bit-identical to the
+//! reference's stable sorts.
 
-/// One survivor column in struct-of-arrays layout.
+use super::arena::NONE;
+
+/// Survivors in one flat list, struct of arrays: the staging area of the
+/// exact-mode sweep, the first slot and a beam truncation.
 #[derive(Debug, Default)]
-pub(super) struct Column {
-    /// Buffer occupancy at the end of the slot, bits. Sorted ascending.
+pub(super) struct Nodes {
+    /// Buffer occupancy at the end of the slot, bits.
     pub q: Vec<f64>,
     /// Weight: cost of the best path reaching this node.
     pub w: Vec<f64>,
@@ -33,7 +48,7 @@ pub(super) struct Column {
     pub gen: Vec<u32>,
 }
 
-impl Column {
+impl Nodes {
     /// Number of survivors.
     pub fn len(&self) -> usize {
         self.q.len()
@@ -57,13 +72,23 @@ impl Column {
         self.gen.push(gen);
     }
 
-    /// Reorder the column by the permutation `perm` (new index `i` takes
-    /// the survivor previously at `perm[i]`), using `scratch` columns to
-    /// avoid allocation.
+    /// Grow every vector to at least `n` entries.
+    fn reserve_len(&mut self, n: usize) {
+        if self.q.len() < n {
+            self.q.resize(n, 0.0);
+            self.w.resize(n, 0.0);
+            self.rate.resize(n, 0);
+            self.arena.resize(n, NONE);
+            self.gen.resize(n, 0);
+        }
+    }
+
+    /// Reorder by the permutation `perm` (new index `i` takes the survivor
+    /// previously at `perm[i]`), using `scratch` to avoid allocation.
     ///
     /// # Panics
-    /// Panics if `perm` is longer than the column.
-    pub fn apply_permutation(&mut self, perm: &[u32], scratch: &mut Column) {
+    /// Panics if `perm` is longer than the list.
+    pub fn apply_permutation(&mut self, perm: &[u32], scratch: &mut Nodes) {
         scratch.clear();
         for &p in perm {
             let p = p as usize;
@@ -78,10 +103,9 @@ impl Column {
         std::mem::swap(self, scratch);
     }
 
-    /// Restore the ordering invariant after a beam truncation, which
-    /// leaves the column in weight order: sort by `(q, gen)` ascending.
-    /// `perm` and `scratch` are reused scratch buffers.
-    pub fn sort_by_q(&mut self, perm: &mut Vec<u32>, scratch: &mut Column) {
+    /// Sort by `(q, gen)` ascending — the column order [`Column::fill`]
+    /// takes. `perm` and `scratch` are reused scratch buffers.
+    pub fn sort_by_q(&mut self, perm: &mut Vec<u32>, scratch: &mut Nodes) {
         perm.clear();
         perm.extend(0..self.len() as u32);
         let q = &self.q;
@@ -93,43 +117,134 @@ impl Column {
         });
         self.apply_permutation(perm, scratch);
     }
+}
 
-    /// Restore the ordering invariant after a sweep: sort by `(q, gen)`
-    /// ascending, by insertion.
-    ///
-    /// A sweep emits buckets in ascending order, and `bucket(q)` is
-    /// monotone, so survivors of different buckets are already in strict
-    /// q order; only within a bucket (at most one survivor per rate) are
-    /// they in `(w, gen)` order. Insertion never moves a survivor past a
-    /// strictly smaller q, so it restores one bucket run at a time, and
-    /// an exact-mode column (one run of already-sorted survivors) costs a
-    /// single pass. The `(q, gen)` key is unique, so the result equals
-    /// [`Column::sort_by_q`]'s.
-    pub fn restore_q_order(&mut self) {
-        let before = |(q, gen): (f64, u32), (pq, pg): (f64, u32)| {
-            q.total_cmp(&pq).then(gen.cmp(&pg)).is_lt()
-        };
-        for i in 1..self.len() {
-            let key = (self.q[i], self.gen[i]);
-            if !before(key, (self.q[i - 1], self.gen[i - 1])) {
-                continue;
-            }
-            // Shift the larger keys up one by one: runs are short, so
-            // plain moves beat a `rotate_right` (a memmove) per vector.
-            let (w, rate, arena) = (self.w[i], self.rate[i], self.arena[i]);
-            let mut j = i;
-            while j > 0 && before(key, (self.q[j - 1], self.gen[j - 1])) {
-                self.q[j] = self.q[j - 1];
-                self.w[j] = self.w[j - 1];
-                self.rate[j] = self.rate[j - 1];
-                self.arena[j] = self.arena[j - 1];
-                self.gen[j] = self.gen[j - 1];
-                j -= 1;
-            }
-            (self.q[j], self.gen[j]) = key;
-            self.w[j] = w;
-            self.rate[j] = rate;
-            self.arena[j] = arena;
+/// One survivor column as per-rate chains plus its front (module docs).
+#[derive(Debug, Default)]
+pub(super) struct Column {
+    /// Chain storage, rate by rate; entries past [`Column::len`] are
+    /// stale.
+    pub nodes: Nodes,
+    /// Rate `r`'s chain starts at `start[r]`; `start[m]` is the number of
+    /// survivors.
+    pub start: Vec<u32>,
+    /// Rate `r`'s chain is filled up to `end[r]`, which reaches
+    /// `start[r + 1]` once the column is complete.
+    pub end: Vec<u32>,
+    /// Chain positions of the front's members, in `(q, gen)` order.
+    pub front: Vec<u32>,
+}
+
+impl Column {
+    /// Number of survivors.
+    pub fn len(&self) -> usize {
+        self.start.last().map_or(0, |&n| n as usize)
+    }
+
+    /// Rate `r`'s chain, as storage positions.
+    #[inline]
+    pub fn chain(&self, r: usize) -> std::ops::Range<usize> {
+        self.start[r] as usize..self.end[r] as usize
+    }
+
+    /// Lay out empty chains of the given lengths (`lens[r]` survivors at
+    /// rate `r`) for a sweep to fill through [`Column::keep`].
+    pub fn begin(&mut self, lens: impl Iterator<Item = u32>) {
+        self.end.clear();
+        self.end.extend(lens);
+        self.lay_out();
+    }
+
+    /// [`Column::begin`] with the lengths already in `end`.
+    fn lay_out(&mut self) {
+        self.start.clear();
+        self.front.clear();
+        let mut acc = 0u32;
+        self.start.push(0);
+        for e in self.end.iter_mut() {
+            (*e, acc) = (acc, acc + *e);
+            self.start.push(acc);
         }
+        self.nodes.reserve_len(acc as usize);
+    }
+
+    /// Append a survivor to its rate's chain (which must stay q-ascending
+    /// and w-descending) and return its storage position.
+    #[inline]
+    pub fn keep(&mut self, q: f64, w: f64, rate: u16, arena: u32, gen: u32) -> u32 {
+        let pos = self.end[rate as usize];
+        debug_assert!(pos < self.start[rate as usize + 1], "chain overflow");
+        debug_assert!(
+            pos == self.start[rate as usize] || {
+                let last = pos as usize - 1;
+                self.nodes.q[last] < q && self.nodes.w[last] > w
+            },
+            "chain {rate} must stay q-ascending and w-descending"
+        );
+        self.end[rate as usize] = pos + 1;
+        let p = pos as usize;
+        self.nodes.q[p] = q;
+        self.nodes.w[p] = w;
+        self.nodes.rate[p] = rate;
+        self.nodes.arena[p] = arena;
+        self.nodes.gen[p] = gen;
+        pos
+    }
+
+    /// Every survivor's `arena` entry.
+    pub fn arenas_mut(&mut self) -> &mut [u32] {
+        let n = self.len();
+        &mut self.nodes.arena[..n]
+    }
+
+    /// Rebuild the column from `staged` survivors over a grid of `m`
+    /// rates. `staged` must be in `(q, gen)` order: the chains are its
+    /// stable scatter by rate, and the front is its running `(w, gen)`
+    /// minimum.
+    pub fn fill(&mut self, staged: &Nodes, m: usize) {
+        let n = staged.len();
+        // Chain lengths: the survivor count of each rate.
+        self.end.clear();
+        self.end.resize(m, 0);
+        for &r in &staged.rate {
+            self.end[r as usize] += 1;
+        }
+        self.lay_out();
+        let mut front_w = f64::INFINITY;
+        let mut front_gen = u32::MAX;
+        for i in 0..n {
+            let (q, w, gen) = (staged.q[i], staged.w[i], staged.gen[i]);
+            debug_assert!(
+                i == 0
+                    || staged.q[i - 1]
+                        .total_cmp(&q)
+                        .then(staged.gen[i - 1].cmp(&gen))
+                        .is_lt(),
+                "staged survivors must be in (q, gen) order"
+            );
+            let pos = self.keep(q, w, staged.rate[i], staged.arena[i], gen);
+            if w.total_cmp(&front_w).then(gen.cmp(&front_gen)).is_lt() {
+                self.front.push(pos);
+                front_w = w;
+                front_gen = gen;
+            } else {
+                // The column lemma the pruning proof needs (`front.rs`):
+                // the earlier survivor that dominates this one is also
+                // earlier in reference order.
+                debug_assert!(front_gen < gen, "column lemma violated at survivor {i}");
+            }
+        }
+        debug_assert_eq!(self.end, self.start[1..], "every chain is full");
+    }
+
+    /// Copy every survivor to `out`, chain by chain.
+    pub fn flatten_into(&self, out: &mut Nodes) {
+        let n = self.len();
+        out.clear();
+        out.q.extend_from_slice(&self.nodes.q[..n]);
+        out.w.extend_from_slice(&self.nodes.w[..n]);
+        out.rate.extend_from_slice(&self.nodes.rate[..n]);
+        out.arena.extend_from_slice(&self.nodes.arena[..n]);
+        out.gen.extend_from_slice(&self.nodes.gen[..n]);
     }
 }
